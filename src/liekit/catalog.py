@@ -87,9 +87,16 @@ def _check_expected(L: LieAlgebra, expected: Mapping[str, object],
         if key not in checks:
             raise CatalogError(f"expected.{key}: unknown invariant name")
         got = checks[key]()
-        if got != want:
+        if not _same(got, want):
             raise CatalogError(
                 f"expected.{key}: expected {want!r}, computed {got!r}")
+
+
+def _same(got: object, want: object) -> bool:
+    """Equality that tells booleans from integers (True == 1 in Python)."""
+    if isinstance(got, list) and isinstance(want, list):
+        return len(got) == len(want) and all(map(_same, got, want))
+    return isinstance(got, bool) == isinstance(want, bool) and got == want
 
 
 def _validated(name: str, params: tuple[int, ...], L: LieAlgebra,
@@ -245,6 +252,11 @@ def _parse_rational(text: object, where: str) -> Fraction:
         raise CatalogError(f"{where}: {exc}") from None
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer; booleans are ints in Python but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def loads(text: str) -> CatalogEntry:
     """Parse and fully validate one catalog entry from JSON text."""
     try:
@@ -259,7 +271,7 @@ def loads(text: str) -> CatalogEntry:
     if not isinstance(name, str) or not name:
         raise CatalogError("name: required non-empty string")
     dim = raw.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise CatalogError("dim: required non-negative integer")
     basis = raw.get("basis")
     if (not isinstance(basis, list) or len(basis) != dim
@@ -273,7 +285,7 @@ def loads(text: str) -> CatalogEntry:
     for pos, item in enumerate(brackets):
         where = f"brackets[{pos}]"
         if (not isinstance(item, list) or len(item) != 3
-                or not isinstance(item[0], int) or not isinstance(item[1], int)
+                or not _is_int(item[0]) or not _is_int(item[1])
                 or not isinstance(item[2], list)):
             raise CatalogError(f"{where}: expected [i, j, [[k, \"p/q\"], ...]]")
         i, j, terms = item
@@ -286,7 +298,7 @@ def loads(text: str) -> CatalogEntry:
         for tpos, term in enumerate(terms):
             twhere = f"{where}.terms[{tpos}]"
             if not isinstance(term, list) or len(term) != 2 \
-                    or not isinstance(term[0], int):
+                    or not _is_int(term[0]):
                 raise CatalogError(f"{twhere}: expected [k, \"p/q\"]")
             k, coeff = term
             if not (1 <= k <= dim):

@@ -68,13 +68,19 @@ def _resolve(src: str, rng: random.Random) -> tuple[LieAlgebra, dict]:
         except catalog.CatalogError as exc:
             raise InputError(str(exc)) from None
         return entry.algebra, {"name": entry.key}
+    # one read: the digest describes exactly the bytes that were parsed
     try:
-        entry = catalog.load(src)
+        with open(src, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise InputError(f"{src}: {exc.strerror or exc}") from None
+    try:
+        entry = catalog.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{src}: not UTF-8 text: {exc.reason}") from None
     except catalog.CatalogError as exc:
-        raise InputError(str(exc)) from None
-    with open(src, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    return entry.algebra, {"file": src, "sha256": digest}
+        raise InputError(f"{src}: {exc}") from None
+    return entry.algebra, {"file": src, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _rows(mat: Mat) -> list[list[str]]:

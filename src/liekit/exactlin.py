@@ -3,6 +3,10 @@
 Everything here computes with Fraction scalars; no floats ever enter, so
 ranks, kernels and Jordan-Chevalley parts are exact, and identical inputs
 give bit-identical outputs.
+
+Two row-space engines: Subspace holds a canonical RREF basis (membership,
+sums, intersections, coordinates over that basis), and RowSpan grows a span
+one vector at a time and expresses members over the vectors as appended.
 """
 
 from __future__ import annotations
@@ -330,58 +334,33 @@ class Subspace:
             return Subspace.zero(self.ambient)
         stacked = vstack(self.basis, -other.basis)  # (k+m) x n
         lk = kernel(stacked.transpose())            # w with sum_i w_i row_i = 0
-        rows = []
-        for w in lk.basis.data:
-            v = [_ZERO] * self.ambient
-            for i in range(k):
-                if w[i]:
-                    brow = self.basis.data[i]
-                    for j in range(self.ambient):
-                        if brow[j]:
-                            v[j] += w[i] * brow[j]
-            rows.append(v)
-        return Subspace.span(self.ambient, rows)
-
-    def complement(self) -> "Subspace":
-        """Coordinate complement within the ambient space (non-pivot axes)."""
-        free = [c for c in range(self.ambient) if c not in set(self.pivots)]
-        rows = []
-        for c in free:
-            v = [_ZERO] * self.ambient
-            v[c] = _ONE
-            rows.append(v)
-        return Subspace.span(self.ambient, rows)
-
-    def complement_in(self, outer: "Subspace") -> "Subspace":
-        """A complement of self inside outer (requires self <= outer)."""
-        if not outer.contains_space(self):
-            raise ValueError("complement_in requires containment")
-        span = _IncrementalRowSpan(self.ambient)
-        for row in self.basis.data:
-            span.append(row)
-        added = []
-        for row in outer.basis.data:
-            if span.append(row):
-                added.append(row)
-        return Subspace.span(self.ambient, added)
+        w = Mat([row[:k] for row in lk.basis.data], cols=k)
+        return Subspace.span(self.ambient, (w @ self.basis).data)
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
+def _null_rows(rows: Sequence[Sequence], pivots: Sequence[int],
+               cols: int) -> list[list[Fraction]]:
+    """One vector per free column of an RREF matrix, spanning its null space."""
+    pivset = set(pivots)
+    out = []
+    for c in range(cols):
+        if c in pivset:
+            continue
+        v = [_ZERO] * cols
+        v[c] = _ONE
+        for i, p in enumerate(pivots):
+            v[p] = -rows[i][c]
+        out.append(v)
+    return out
+
+
 def kernel(m: Mat) -> Subspace:
     """Null space {v : m v = 0} as a Subspace of Q^cols."""
     R, piv = rref(m)
-    pivset = set(piv)
-    free = [c for c in range(m.cols) if c not in pivset]
-    rows = []
-    for c in free:
-        v = [_ZERO] * m.cols
-        v[c] = _ONE
-        for i, p in enumerate(piv):
-            v[p] = -R.data[i][c]
-        rows.append(v)
-    return Subspace.span(m.cols, rows)
+    return Subspace.span(m.cols, _null_rows(R.data, piv, m.cols))
 
 
 def image(m: Mat) -> Subspace:
@@ -389,18 +368,21 @@ def image(m: Mat) -> Subspace:
     return Subspace.span(m.rows, [m.column(j) for j in range(m.cols)])
 
 
-class _IncrementalRowSpan:
+class RowSpan:
     """Grow a row space one vector at a time, tracking coordinates.
 
     Rows are stored leading-coefficient-normalized and indexed by pivot, so a
     single ascending sweep decides membership. Each stored row also carries
-    its expression over the vectors appended so far.
+    its expression over all vectors appended so far, dependent ones included,
+    so coordinates have one entry per appended vector.
     """
 
-    def __init__(self, ambient: int):
+    def __init__(self, ambient: int, vectors: Iterable[Sequence] = ()):
         self.ambient = ambient
         self.rows: list[tuple[int, list[Fraction], list[Fraction]]] = []  # (pivot, row, comb)
         self.appended = 0
+        for v in vectors:
+            self.append(v)
 
     @property
     def dim(self) -> int:
@@ -458,30 +440,6 @@ class _IncrementalRowSpan:
     def contains(self, v: Sequence) -> bool:
         w, _ = self._reduce(v)
         return not any(w)
-
-
-class RowBasis:
-    """Coordinate solver for the row space of a fixed matrix."""
-
-    def __init__(self, m: Mat):
-        self.source_rows = m.rows
-        self.span = _IncrementalRowSpan(m.cols)
-        for row in m.data:
-            self.span.append(row)
-
-    @property
-    def rank(self) -> int:
-        return self.span.dim
-
-    def coords(self, v: Sequence):
-        """c with c @ m == v, or None. Full-length (one entry per source row)."""
-        c = self.span.coords(v)
-        if c is None:
-            return None
-        return tuple(list(c) + [_ZERO] * (self.source_rows - len(c)))
-
-    def contains(self, v: Sequence) -> bool:
-        return self.span.contains(v)
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +705,7 @@ def minpoly(m: Mat) -> Poly:
     n = m.rows
     if n == 0:
         return Poly.one()
-    span = _IncrementalRowSpan(n * n)
+    span = RowSpan(n * n)
     power = Mat.identity(n)
     span.append(power.vec())
     for _ in range(n):
@@ -769,15 +727,6 @@ def is_semisimple(m: Mat) -> bool:
     """Semisimple operator test: squarefree minimal polynomial."""
     mu = minpoly(m)
     return poly_gcd(mu, mu.derivative()).degree == 0
-
-
-class OperatorPredicates(NamedTuple):
-    is_nilpotent: bool
-    is_semisimple: bool
-
-
-def operator_predicates(m: Mat) -> OperatorPredicates:
-    return OperatorPredicates(is_nilpotent(m), is_semisimple(m))
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,13 @@ import random
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .exactlin import Mat, Subspace, is_semisimple, jordan_chevalley
+from .exactlin import Mat, Subspace, is_semisimple, jordan_chevalley, rank
 from .liecore import (
     Extension,
     LieAlgebra,
     LieError,
     center,
+    direct_sum,
     is_ideal,
     product_space,
     semidirect_sum,
@@ -41,7 +42,6 @@ __all__ = [
     "extend_by_derivations",
     "standard_solvable_extension",
     "malcev_split_solvable",
-    "is_split_solvable",
     "verify_rank_bound",
     "rank_bound_of",
     "togo_dim_check",
@@ -145,8 +145,6 @@ def malcev_split_solvable(L: LieAlgebra, rng: random.Random | None = None,
 
 def _check_splitting(L: LieAlgebra, r: SplittingResult,
                      rng: random.Random) -> None:
-    from .exactlin import rank
-
     M, n = r.M, L.dim
     if rank(r.embedding) != n:
         raise AssertionError("embedding is not injective")
@@ -178,11 +176,6 @@ def _check_splitting(L: LieAlgebra, r: SplittingResult,
             raise AssertionError("torus element does not act semisimply")
         if any(v) and adv.is_zero():
             raise AssertionError("nonzero torus element acts trivially")
-
-
-def is_split_solvable(L: LieAlgebra, rng: random.Random | None = None) -> bool:
-    """True when the splitting adds nothing."""
-    return malcev_split_solvable(L, rng, check_idempotence=False).added_dim == 0
 
 
 @dataclass(frozen=True)
@@ -271,8 +264,6 @@ def togo_dim_check(A: LieAlgebra, B: LieAlgebra) -> TogoReport:
     """
     if not (A.is_nilpotent() and B.is_nilpotent()):
         raise LieError("block count is stated for nilpotent summands")
-    from .liecore import direct_sum
-
     lhs = derivations(direct_sum(A, B)).dim
     da = derivations(A).dim
     db = derivations(B).dim

@@ -2,20 +2,25 @@
 
 An algebra is a dimension, basis labels and a sparse bracket table; all
 subspace outputs are canonical RREF bases from exactlin, so identical inputs
-give identical bases everywhere.
+give identical bases everywhere. A LinearLieAlgebra is a bracket-closed
+space of matrices (derivation algebras, tori, acting parts of semidirect
+sums). Every table built from another one (subalgebras, quotients, basis
+changes, matrix algebras) comes from induced_table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exactlin import (
     Mat,
-    RowBasis,
+    RowSpan,
     Subspace,
+    _null_rows,
     _rat,
+    commutator,
     kernel,
     vstack,
 )
@@ -252,14 +257,6 @@ def center(L: LieAlgebra) -> Subspace:
     return kernel(stacked)
 
 
-def centralizer(L: LieAlgebra, s: Subspace) -> Subspace:
-    """{x : [x, v] = 0 for all v in s}."""
-    if s.dim == 0:
-        return L.full_space()
-    stacked = vstack(*[L.ad(row) for row in s.basis.data])
-    return kernel(stacked)
-
-
 def normalizer(L: LieAlgebra, s: Subspace) -> Subspace:
     """{x : [x, s] <= s}."""
     if s.dim == 0 or s.dim == L.dim:
@@ -272,16 +269,7 @@ def normalizer(L: LieAlgebra, s: Subspace) -> Subspace:
 
 def _mod_projection(s: Subspace) -> Mat:
     """Linear map whose kernel is exactly s (residual coordinates mod s)."""
-    n = s.ambient
-    free = [c for c in range(n) if c not in set(s.pivots)]
-    rows = []
-    for c in free:
-        row = [_ZERO] * n
-        row[c] = _ONE
-        for i, p in enumerate(s.pivots):
-            row[p] = -s.basis.data[i][c]
-        rows.append(row)
-    return Mat(rows, cols=n)
+    return Mat(_null_rows(s.basis.data, s.pivots, s.ambient), cols=s.ambient)
 
 
 def generated_subalgebra(L: LieAlgebra, seed: Subspace) -> Subspace:
@@ -312,6 +300,27 @@ def _ideal_check(L: LieAlgebra, s: Subspace) -> None:
                 raise NotAnIdealError(i, tuple(row), tuple(w))
 
 
+def induced_table(k: int, product: Callable[[int, int], Sequence],
+                  coords: Callable[[Sequence], Sequence | None],
+                  ) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
+    """Structure constants of a k-dimensional space closed under a product.
+
+    `product(a, b)` is the product of basis elements a < b in ambient terms
+    and `coords` re-expresses an ambient vector over the basis (None when it
+    lies outside the span, which raises NotClosedError with the pair).
+    """
+    table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    for a in range(k):
+        for b in range(a + 1, k):
+            cs = coords(product(a, b))
+            if cs is None:
+                raise NotClosedError((a, b))
+            terms = [(t, c) for t, c in enumerate(cs) if c]
+            if terms:
+                table[(a, b)] = terms
+    return table
+
+
 def quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Mat]:
     """(L / ideal, projection matrix).
 
@@ -322,53 +331,31 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Mat]:
     _ideal_check(L, ideal)
     proj = _mod_projection(ideal)
     free = [c for c in range(L.dim) if c not in set(ideal.pivots)]
-    m = len(free)
-    table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            w = proj.apply(L.bracket_basis(free[a], free[b]))
-            terms = [(k, c) for k, c in enumerate(w) if c]
-            if terms:
-                table[(a, b)] = terms
+    table = induced_table(len(free), lambda a, b: L.bracket_basis(free[a], free[b]),
+                          proj.apply)
     labels = tuple(L.labels[c] for c in free)
-    return LieAlgebra(m, table, labels), proj
+    return LieAlgebra(len(free), table, labels), proj
 
 
 def restrict(L: LieAlgebra, s: Subspace,
              labels: Sequence[str] | None = None) -> LieAlgebra:
     """The subalgebra on s's RREF basis, with NotClosedError on failure."""
-    rb = RowBasis(s.basis)
-    k = s.dim
-    table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for a in range(k):
-        for b in range(a + 1, k):
-            w = L.bracket(s.basis.data[a], s.basis.data[b])
-            cs = rb.coords(w)
-            if cs is None:
-                raise NotClosedError((a, b))
-            terms = [(t, c) for t, c in enumerate(cs) if c]
-            if terms:
-                table[(a, b)] = terms
+    rows = s.basis.data
+    table = induced_table(s.dim, lambda a, b: L.bracket(rows[a], rows[b]), s.coords)
     if labels is None:
-        labels = tuple(f"s{i + 1}" for i in range(k))
-    return LieAlgebra(k, table, labels)
+        labels = tuple(f"s{i + 1}" for i in range(s.dim))
+    return LieAlgebra(s.dim, table, labels)
 
 
 def change_basis(L: LieAlgebra, p: Mat) -> LieAlgebra:
     """Same algebra written on the new basis given by the rows of p."""
     if p.shape != (L.dim, L.dim):
         raise ValueError("basis matrix must be dim x dim")
-    rb = RowBasis(p)
-    if rb.rank != L.dim:
+    span = RowSpan(L.dim, p.data)
+    if span.dim != L.dim:
         raise ValueError("basis matrix is singular")
-    table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for a in range(L.dim):
-        for b in range(a + 1, L.dim):
-            w = L.bracket(p.data[a], p.data[b])
-            cs = rb.coords(w)
-            terms = [(t, c) for t, c in enumerate(cs) if c]
-            if terms:
-                table[(a, b)] = terms
+    table = induced_table(L.dim, lambda a, b: L.bracket(p.data[a], p.data[b]),
+                          span.coords)
     return LieAlgebra(L.dim, table, None)
 
 
@@ -400,6 +387,62 @@ class Extension:
     validated: bool = False
 
 
+class LinearLieAlgebra:
+    """A bracket-closed space of n x n matrices with induced constants.
+
+    The closure witness is the induced structure-constant table itself: every
+    commutator of basis elements is re-expressed over the basis during
+    construction, and failure raises NotClosedError with the pair.
+    """
+
+    def __init__(self, ambient: LieAlgebra, basis: Sequence[Mat],
+                 is_derivation_algebra: bool = False):
+        self.ambient = ambient
+        self.basis = tuple(basis)
+        n = ambient.dim
+        for m in self.basis:
+            if m.shape != (n, n):
+                raise ValueError("basis matrices must match the ambient dimension")
+        self._span = RowSpan(n * n, [m.vec() for m in self.basis])
+        if self._span.dim != len(self.basis):
+            raise ValueError("matrix basis is linearly dependent")
+        self.table = induced_table(
+            len(self.basis),
+            lambda a, b: commutator(self.basis[a], self.basis[b]).vec(),
+            self._span.coords)
+        self.is_derivation_algebra = is_derivation_algebra
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def element(self, coeffs: Sequence) -> Mat:
+        n = self.ambient.dim
+        out = Mat.zeros(n, n)
+        for c, m in zip(coeffs, self.basis):
+            if c:
+                out = out + Fraction(c) * m
+        return out
+
+    def coords(self, m: Mat):
+        return self._span.coords(m.vec())
+
+    def contains(self, m: Mat) -> bool:
+        return self._span.contains(m.vec())
+
+    def matrix_span(self) -> Subspace:
+        """The underlying subspace of gl(n), vectorized row-major."""
+        n = self.ambient.dim
+        return Subspace.span(n * n, [list(m.vec()) for m in self.basis])
+
+    def to_abstract(self, prefix: str = "D") -> LieAlgebra:
+        labels = tuple(f"{prefix}{i + 1}" for i in range(self.dim))
+        return LieAlgebra(self.dim, dict(self.table), labels)
+
+    def __repr__(self) -> str:
+        return f"LinearLieAlgebra(dim={self.dim}, on={self.ambient.dim})"
+
+
 def semidirect_sum(mats: Sequence[Mat], inner: LieAlgebra,
                    act_labels: Sequence[str] | None = None) -> Extension:
     """Semidirect sum of a matrix Lie algebra acting on `inner`.
@@ -415,33 +458,18 @@ def semidirect_sum(mats: Sequence[Mat], inner: LieAlgebra,
         if m.shape != (n, n):
             raise ValueError(f"generator {idx} is not {n}x{n}")
         _leibniz_check(m, inner, idx)
-    rb = RowBasis(Mat([list(m.vec()) for m in mats], cols=n * n)) if d else None
-    if rb is not None and rb.rank != d:
-        raise ValueError("generators are linearly dependent")
-    table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for a in range(d):
-        for b in range(a + 1, d):
-            comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-            cs = rb.coords(comm.vec())
-            if cs is None:
-                raise NotClosedError((a, b))
-            terms = [(t, c) for t, c in enumerate(cs) if c]
-            if terms:
-                table[(a, b)] = terms
+    acting = LinearLieAlgebra(inner, mats)
+    if act_labels is None:
+        act_labels = [f"t{i + 1}" for i in range(d)]
+    blocks = direct_sum(LieAlgebra(d, acting.table, act_labels), inner)
+    table = dict(blocks.table)
     for a in range(d):
         for j in range(n):
             col = mats[a].column(j)
             terms = [(d + k, c) for k, c in enumerate(col) if c]
             if terms:
                 table[(a, d + j)] = terms
-    for (i, j), terms in inner.table.items():
-        table[(d + i, d + j)] = [(d + k, c) for k, c in terms]
-    if act_labels is None:
-        act_labels = [f"t{i + 1}" for i in range(d)]
-    labels = list(act_labels)
-    for lab in inner.labels:
-        labels.append(lab if lab not in labels else lab + "'")
-    total = LieAlgebra(d + n, table, labels)
+    total = LieAlgebra(d + n, table, blocks.labels)
     bad = verify_structure(total)
     if bad:
         raise JacobiError(bad)
@@ -465,10 +493,6 @@ def _all_pairs(n: int):
     for i in range(n):
         for j in range(i + 1, n):
             yield (i, j)
-
-
-def killing_form(L: LieAlgebra, x: Sequence, y: Sequence) -> Fraction:
-    return (L.ad(x) @ L.ad(y)).trace()
 
 
 def killing_radical(L: LieAlgebra) -> Subspace:

@@ -10,11 +10,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .exactlin import (
     Mat,
-    RowBasis,
     Subspace,
     charpoly,
     commutator,
@@ -27,6 +25,7 @@ from .exactlin import (
 from .liecore import (
     LieAlgebra,
     LieError,
+    LinearLieAlgebra,
     center,
     killing_radical,
     normalizer,
@@ -47,75 +46,6 @@ _POOL = 64
 
 def _rng(rng: random.Random | None) -> random.Random:
     return rng if rng is not None else random.Random(DEFAULT_SEED)
-
-
-class LinearLieAlgebra:
-    """A bracket-closed space of n x n matrices with induced constants.
-
-    The closure witness is the induced structure-constant table itself: every
-    commutator of basis elements is re-expressed over the basis during
-    construction, and failure raises.
-    """
-
-    def __init__(self, ambient: LieAlgebra, basis: Sequence[Mat],
-                 is_derivation_algebra: bool = False):
-        self.ambient = ambient
-        self.basis = tuple(basis)
-        n = ambient.dim
-        for m in self.basis:
-            if m.shape != (n, n):
-                raise ValueError("basis matrices must match the ambient dimension")
-        self._rb = RowBasis(Mat([list(m.vec()) for m in self.basis], cols=n * n)) \
-            if self.basis else None
-        if self._rb is not None and self._rb.rank != len(self.basis):
-            raise ValueError("matrix basis is linearly dependent")
-        table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-        for a in range(len(self.basis)):
-            for b in range(a + 1, len(self.basis)):
-                comm = commutator(self.basis[a], self.basis[b])
-                cs = self._rb.coords(comm.vec())
-                if cs is None:
-                    raise LieError(
-                        f"matrix span is not bracket-closed on pair ({a}, {b})")
-                terms = [(k, c) for k, c in enumerate(cs) if c]
-                if terms:
-                    table[(a, b)] = terms
-        self.table = table
-        self.is_derivation_algebra = is_derivation_algebra
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def element(self, coeffs: Sequence) -> Mat:
-        n = self.ambient.dim
-        out = Mat.zeros(n, n)
-        for c, m in zip(coeffs, self.basis):
-            if c:
-                out = out + Fraction(c) * m
-        return out
-
-    def coords(self, m: Mat):
-        if self._rb is None:
-            return None if not m.is_zero() else ()
-        return self._rb.coords(m.vec())
-
-    def contains(self, m: Mat) -> bool:
-        if self._rb is None:
-            return m.is_zero()
-        return self._rb.contains(m.vec())
-
-    def matrix_span(self) -> Subspace:
-        """The underlying subspace of gl(n), vectorized row-major."""
-        n = self.ambient.dim
-        return Subspace.span(n * n, [list(m.vec()) for m in self.basis])
-
-    def to_abstract(self, prefix: str = "D") -> LieAlgebra:
-        labels = tuple(f"{prefix}{i + 1}" for i in range(self.dim))
-        return LieAlgebra(self.dim, dict(self.table), labels)
-
-    def __repr__(self) -> str:
-        return f"LinearLieAlgebra(dim={self.dim}, on={self.ambient.dim})"
 
 
 def derivations(L: LieAlgebra) -> LinearLieAlgebra:
@@ -235,15 +165,7 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
         coeffs, adm = best_vec
         gen_null = kernel(adm.pow(best_mult))
         # pull the nested basis back to L coordinates
-        rows = []
-        for w in gen_null.basis.data:
-            v = [_ZERO] * L.dim
-            for c, brow in zip(w, current.basis.data):
-                if c:
-                    for t in range(L.dim):
-                        v[t] += c * brow[t]
-            rows.append(v)
-        nxt = Subspace.span(L.dim, rows)
+        nxt = Subspace.span(L.dim, (gen_null.basis @ current.basis).data)
         if nxt.dim == current.dim:
             spread += 2
             continue
@@ -314,27 +236,11 @@ def _nilradical_inner(L: LieAlgebra, rng: random.Random) -> Subspace:
             s = jordan_chevalley(L.ad(row)).s
             cols.append(list(s.vec()))
         coeff_kernel = kernel(Mat(cols, cols=n * n).transpose())
-        rows = list(l1.basis.data)
-        for w in coeff_kernel.basis.data:
-            v = [_ZERO] * n
-            for c, brow in zip(w, h.basis.data):
-                if c:
-                    for t in range(n):
-                        v[t] += c * brow[t]
-            rows.append(v)
+        rows = list(l1.basis.data) + (coeff_kernel.basis @ h.basis).data
         return Subspace.span(n, rows)
     rad = killing_radical(L)
-    sub = restrict(L, rad)
-    inner = _nilradical_inner(sub, rng)
-    rows = []
-    for w in inner.basis.data:
-        v = [_ZERO] * L.dim
-        for c, brow in zip(w, rad.basis.data):
-            if c:
-                for t in range(L.dim):
-                    v[t] += c * brow[t]
-        rows.append(v)
-    return Subspace.span(L.dim, rows)
+    inner = _nilradical_inner(restrict(L, rad), rng)
+    return Subspace.span(L.dim, (inner.basis @ rad.basis).data)
 
 
 def _check_nilradical(L: LieAlgebra, nr: Subspace, rng: random.Random) -> None:

@@ -190,6 +190,23 @@ def test_unknown_expected_key_is_rejected():
         loads(json.dumps(doc))
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"name": "bad", "dim": True, "basis": ["a"]}, "dim"),
+    ({"name": "bad", "dim": 2, "basis": ["a", "b"],
+      "brackets": [[True, 2, [[2, "1"]]]]}, r"brackets\[0\]"),
+    ({"name": "bad", "dim": 2, "basis": ["a", "b"],
+      "brackets": [[1, 2, [[True, "1"]]]]}, r"terms\[0\]"),
+    ({"name": "h3", "dim": 3, "basis": ["p", "q", "z"],
+      "brackets": [[1, 2, [[3, "1"]]]],
+      "expected": {"dim_center": True, "nilpotent": 1}}, "expected.dim_center"),
+    ({"name": "line", "dim": 1, "basis": ["a"],
+      "expected": {"lower_central": [True, False]}}, "expected.lower_central"),
+], ids=["dim", "bracket-index", "term-index", "expected", "expected-list"])
+def test_booleans_are_not_integers(doc, field):
+    with pytest.raises(CatalogError, match=field):
+        loads(json.dumps(doc))
+
+
 def test_duplicate_pair_is_rejected():
     doc = {"name": "bad", "dim": 3, "basis": ["a", "b", "c"],
            "brackets": [[1, 2, [[3, "1"]]], [1, 2, [[3, "2"]]]]}

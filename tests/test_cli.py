@@ -143,6 +143,34 @@ def test_file_source_reports_digest(capsys, tmp_path):
     assert report["values"]["dim"] == 6
 
 
+def test_file_source_is_read_once(capsys, tmp_path, monkeypatch):
+    import builtins
+    import hashlib
+    from liekit import catalog
+    path = tmp_path / "h3.json"
+    catalog.store(catalog.get("heisenberg", 3), path)
+    real_open, opens = builtins.open, []
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            opens.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, report, _ = run_json(capsys, "info", str(path))
+    assert code == 0
+    assert len(opens) == 1
+    assert report["input"]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_file_source_that_is_not_utf8_is_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"name": "\xff"}')
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 2 and out == ""
+    assert str(path) in err and "UTF-8" in err
+
+
 def test_catalog_name_wins_over_paths(capsys):
     code, report, _ = run_json(capsys, "info", "abelian:3")
     assert code == 0

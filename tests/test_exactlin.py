@@ -3,8 +3,6 @@
 from fractions import Fraction
 import random
 
-import pytest
-
 from liekit.exactlin import (
     Mat,
     Poly,
@@ -17,7 +15,6 @@ from liekit.exactlin import (
     jordan_chevalley,
     kernel,
     minpoly,
-    operator_predicates,
     poly_gcd,
     poly_xgcd,
     rank,
@@ -128,25 +125,6 @@ def test_subspace_intersection_rank_nullity():
         assert s.dim + i.dim == a.dim + b.dim
         for v in i.rows():
             assert a.contains(v) and b.contains(v)
-
-
-def test_subspace_complement():
-    a = Subspace.span(2, [[1, 1]])
-    c = a.complement()
-    assert c.dim == 1
-    assert a.intersect(c).dim == 0
-    assert (a + c).dim == 2
-
-
-def test_subspace_complement_in():
-    outer = Subspace.span(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
-    inner = Subspace.span(4, [[1, 1, 0, 0]])
-    c = inner.complement_in(outer)
-    assert c.dim == 2
-    assert inner.intersect(c).dim == 0
-    assert (inner + c) == outer
-    with pytest.raises(ValueError):
-        outer.complement_in(inner)
 
 
 def test_subspace_coords_roundtrip():
@@ -277,8 +255,7 @@ def test_operator_predicates():
     rot = Mat([[0, 1], [-1, 0]])
     assert is_semisimple(rot)
     z = Mat.zeros(2, 2)
-    preds = operator_predicates(z)
-    assert preds.is_nilpotent and preds.is_semisimple
+    assert is_nilpotent(z) and is_semisimple(z)
 
 
 # ---------------------------------------------------------------------------

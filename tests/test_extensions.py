@@ -13,7 +13,6 @@ from liekit.liecore import (
 from liekit.extensions import (
     NilradicalMismatch,
     extend_by_derivations,
-    is_split_solvable,
     malcev_split_solvable,
     standard_solvable_extension,
     togo_dim_check,
@@ -117,7 +116,6 @@ def test_split_of_nilpotent_is_identity():
 
 def test_split_r2_adds_nothing():
     assert malcev_split_solvable(r2()).added_dim == 0
-    assert is_split_solvable(r2())
 
 
 def test_split_jordan_block_adds_one():
@@ -127,7 +125,6 @@ def test_split_jordan_block_adds_one():
     assert res.M.dim == 4
     assert res.torus_part.dim == 1
     assert is_semisimple(res.M.ad(res.torus_part.basis.data[0]))
-    assert not is_split_solvable(L)
 
 
 def test_split_dimension_is_basis_invariant():
