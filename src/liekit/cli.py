@@ -16,13 +16,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
 import sys
 import time
 from fractions import Fraction
 
 from . import catalog
-from .exactlin import Mat
+from .exactlin import Mat, RowSpan
 from .liecore import LieAlgebra, LieError, center, series
 from .extensions import (
     NilradicalMismatch,
@@ -107,6 +108,11 @@ def _read_derivation_file(path: str, dim: int) -> tuple[list[Mat], list[str] | N
             mats.append(Mat([[Fraction(str(x)) for x in r] for r in rows]))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{where}: {exc}") from None
+    span = RowSpan(dim * dim)
+    for pos, m in enumerate(mats):
+        if not span.append(m.vec()):
+            raise InputError(f"{path}: matrices[{pos}] is a linear combination "
+                             f"of the matrices before it")
     labels = raw.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != len(mats) \
@@ -278,6 +284,26 @@ def _text_lines(value, key, out):
         out.append(f"{key}: {text}")
 
 
+def _write_replacing(path: str, text: str) -> None:
+    """Write text to a new file beside path, then rename it onto path.
+
+    A failed write leaves an existing file at path as it was and removes the
+    temporary file; the new file gets the mode a fresh open() would give.
+    """
+    head, tail = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -398,8 +424,7 @@ def dispatch(argv: list[str]) -> tuple[int, dict]:
     rendered = _render(report, args.format)
     if args.output:
         try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(rendered)
+            _write_replacing(args.output, rendered)
         except OSError as exc:
             print(f"error: {args.output}: {exc.strerror or exc}",
                   file=sys.stderr)

@@ -698,6 +698,76 @@ def charpoly(m: Mat) -> Poly:
     return p[n]
 
 
+# the Mersenne prime 2^61 - 1: residues stay below 2^61, products below 2^122
+_P = (1 << 61) - 1
+
+
+def zero_multiplicity_mod_p(m: Mat) -> int | None:
+    """Multiplicity of the root 0 of charpoly(m) reduced mod p = 2^61 - 1.
+
+    The Hessenberg reduction (first nonzero pivot) and leading-minor
+    recurrence of charpoly, over Python ints mod p. An exact coefficient 0
+    reduces to 0, so the result is never below
+    charpoly(m).trailing_zero_count(); it is a ranking heuristic, not a
+    certificate. None when p divides a denominator of m (m has no reduction
+    mod p).
+    """
+    if not m.is_square():
+        raise ValueError("zero_multiplicity_mod_p needs a square matrix")
+    n = m.rows
+    H = []
+    for row in m.data:
+        hrow = []
+        for q in row:
+            d = q.denominator
+            if d == 1:
+                hrow.append(q.numerator % _P)
+            elif d % _P:
+                hrow.append(q.numerator * pow(d, -1, _P) % _P)
+            else:
+                return None
+        H.append(hrow)
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if H[i][j]), -1)
+        if piv < 0:
+            continue
+        if piv != j + 1:
+            H[j + 1], H[piv] = H[piv], H[j + 1]
+            for row in H:
+                row[j + 1], row[piv] = row[piv], row[j + 1]
+        rowp = H[j + 1]
+        inv = pow(rowp[j], -1, _P)
+        for i in range(j + 2, n):
+            f = H[i][j] * inv % _P
+            if f:
+                rowi = H[i]
+                for c in range(j, n):
+                    if rowp[c]:
+                        rowi[c] = (rowi[c] - f * rowp[c]) % _P
+                for row in H:
+                    if row[i]:
+                        row[j + 1] = (row[j + 1] + f * row[i]) % _P
+    p = [[1]]
+    for mm in range(1, n + 1):
+        prev = p[mm - 1]
+        d = H[mm - 1][mm - 1]
+        poly = [0] + prev                      # x * p[mm-1]
+        for k, c in enumerate(prev):
+            poly[k] -= d * c
+        t = 1
+        for i in range(1, mm):
+            t = t * H[mm - i][mm - i - 1] % _P
+            if not t:
+                break
+            coeff = H[mm - i - 1][mm - 1]
+            if coeff:
+                f = t * coeff % _P
+                for k, c in enumerate(p[mm - i - 1]):
+                    poly[k] -= f * c
+        p.append([c % _P for c in poly])
+    return next(k for k, c in enumerate(p[n]) if c)
+
+
 def minpoly(m: Mat) -> Poly:
     """Minimal polynomial: first monic dependency among powers of m."""
     if not m.is_square():

@@ -84,9 +84,12 @@ class LieAlgebra:
 
     The table stores, for each basis pair i < j (0-based), the nonzero
     coordinates of [e_i, e_j]; brackets with i >= j follow by antisymmetry.
+    The adjacency built from it maps i to {j: signed terms of [e_i, e_j]},
+    so bracket and ad only visit the nonzero coordinates of x. The table is
+    not changed after construction.
     """
 
-    __slots__ = ("dim", "labels", "table")
+    __slots__ = ("dim", "labels", "table", "_adj")
 
     def __init__(self, dim: int,
                  table: dict[tuple[int, int], Iterable[tuple[int, object]]],
@@ -119,47 +122,50 @@ class LieAlgebra:
             if seen:
                 clean[(i, j)] = tuple(sorted(seen.items()))
         self.table = clean
+        adj: list[dict[int, tuple]] = [{} for _ in range(dim)]
+        for (i, j), terms in clean.items():
+            adj[i][j] = terms
+            adj[j][i] = tuple((k, -c) for k, c in terms)
+        self._adj = adj
 
     # -- basic bracket machinery -------------------------------------------
 
     def bracket_basis(self, i: int, j: int) -> list[Fraction]:
         out = [_ZERO] * self.dim
-        if i == j:
-            return out
-        sign = _ONE
-        if i > j:
-            i, j, sign = j, i, -_ONE
-        for k, c in self.table.get((i, j), ()):
-            out[k] = sign * c
+        for k, c in self._adj[i].get(j, ()):
+            out[k] = c
         return out
 
     def bracket(self, x: Sequence, y: Sequence) -> list[Fraction]:
         xv = _norm_vec(x, self.dim)
         yv = _norm_vec(y, self.dim)
         out = [_ZERO] * self.dim
-        for (i, j), terms in self.table.items():
-            coef = xv[i] * yv[j] - xv[j] * yv[i]
-            if coef:
-                for k, c in terms:
-                    out[k] += coef * c
+        # pair {i, j} adds (x_i y_j - x_j y_i) [e_i, e_j]; it is nonzero only
+        # if x_i or x_j is, and is taken once from its smaller such endpoint
+        for i, a in enumerate(xv):
+            if not a:
+                continue
+            yi = yv[i]
+            for j, terms in self._adj[i].items():
+                b = xv[j]
+                if b and j < i:
+                    continue
+                coef = a * yv[j] - b * yi
+                if coef:
+                    for k, c in terms:
+                        out[k] += coef * c
         return out
 
     def ad(self, x: Sequence) -> Mat:
         """Matrix of y -> [x, y]; column j is [x, e_j]."""
         xv = _norm_vec(x, self.dim)
-        cols = []
-        for j in range(self.dim):
-            col = [_ZERO] * self.dim
-            for (a, b), terms in self.table.items():
-                if b == j and xv[a]:
+        rows = [[_ZERO] * self.dim for _ in range(self.dim)]
+        for i, a in enumerate(xv):
+            if a:
+                for j, terms in self._adj[i].items():
                     for k, c in terms:
-                        col[k] += xv[a] * c
-                elif a == j and xv[b]:
-                    for k, c in terms:
-                        col[k] -= xv[b] * c
-            cols.append(col)
-        return Mat([[cols[j][i] for j in range(self.dim)] for i in range(self.dim)],
-                   cols=self.dim)
+                        rows[k][j] += a * c
+        return Mat(rows, cols=self.dim)
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim)

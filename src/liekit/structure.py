@@ -21,6 +21,7 @@ from .exactlin import (
     is_semisimple as mat_is_semisimple,
     jordan_chevalley,
     kernel,
+    zero_multiplicity_mod_p,
 )
 from .liecore import (
     LieAlgebra,
@@ -133,6 +134,12 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
     null space and repeats until the candidate is nilpotent; the
     self-normalizing check runs against the full algebra. Output checks make
     the answer seed-independent in validity.
+
+    Candidates are ranked by the zero multiplicity of their adjoint's
+    charpoly mod 2^61 - 1 (exact charpoly only when a denominator has no
+    inverse mod p). That is a heuristic only: the count is never below the
+    exact one, so the generalized null space is unchanged, and the returned
+    subalgebra is still certified nilpotent and self-normalizing over Q.
     """
     rng = _rng(rng)
     if L.dim == 0:
@@ -156,7 +163,9 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
             if not any(coeffs):
                 continue
             adm = sub.ad(coeffs)
-            mult = charpoly(adm).trailing_zero_count()
+            mult = zero_multiplicity_mod_p(adm)
+            if mult is None:
+                mult = charpoly(adm).trailing_zero_count()
             if mult < best_mult:
                 best_mult, best_vec = mult, (coeffs, adm)
         if best_vec is None or best_mult >= sub.dim:

@@ -213,6 +213,17 @@ def test_extend_by_bad_matrix_shape_is_input_error(capsys, tmp_path):
     assert "2x2" in err
 
 
+def test_extend_by_dependent_matrices_is_input_error(capsys, tmp_path):
+    src = write_json(tmp_path, "dep.json",
+                     {"matrices": [[[1, 0], [0, 1]], [[2, 0], [0, 2]]]})
+    code, out, err = run(capsys, "extend", "--by", src, "abelian:2",
+                         "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {src}: matrices[1] ")
+    assert "Traceback" not in err
+
+
 def test_extend_by_malformed_json_is_input_error(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{", encoding="utf-8")
@@ -267,6 +278,44 @@ def test_output_flag_writes_file_and_silences_stdout(capsys, tmp_path):
     assert out == ""
     report = json.loads(target.read_text(encoding="utf-8"))
     assert report["values"]["dim_M"] == 2
+
+
+def test_output_failure_leaves_the_old_file_and_no_temporary(capsys, tmp_path,
+                                                              monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("old report\n", encoding="utf-8")
+
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("liekit.cli.os.replace", refuse)
+    code, out, err = run(capsys, "info", "r2", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert "No space left on device" in err
+    assert target.read_text(encoding="utf-8") == "old report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_output_onto_a_directory_is_refused_and_cleaned_up(capsys, tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, out, _ = run(capsys, "info", "r2", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert target.is_dir() and not any(target.iterdir())
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def test_output_replaces_an_existing_file(capsys, tmp_path):
+    target = tmp_path / "report.json"
+    target.write_text("old report\n", encoding="utf-8")
+    code, out, _ = run(capsys, "info", "r2", "--format", "json",
+                       "--output", str(target))
+    assert code == 0
+    assert out == ""
+    assert json.loads(target.read_text(encoding="utf-8"))["values"]["dim"] == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_same_seed_gives_byte_identical_json(capsys):

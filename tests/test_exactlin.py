@@ -22,6 +22,7 @@ from liekit.exactlin import (
     rref_with_transform,
     squarefree_part,
     vstack,
+    zero_multiplicity_mod_p,
 )
 
 F = Fraction
@@ -227,6 +228,65 @@ def test_charpoly_similarity_invariant():
                 break
         _, _, t = rref_with_transform(p)  # t = p^-1 since rref(p) = I
         assert charpoly(t @ m @ p) == charpoly(m)
+
+
+def _jordan(blocks):
+    """Block-diagonal matrix of Jordan blocks given as (eigenvalue, size)."""
+    n = sum(size for _, size in blocks)
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for lam, size in blocks:
+        for i in range(start, start + size):
+            rows[i][i] = lam
+            if i + 1 < start + size:
+                rows[i][i + 1] = 1
+        start += size
+    return Mat(rows, cols=n)
+
+
+def test_zero_multiplicity_mod_p_matches_exact_on_similar_jordan_forms():
+    rng = random.Random(31)
+    for _ in range(30):
+        zero_blocks = [(0, rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+        other = [(F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 3)),
+                  rng.randint(1, 2)) for _ in range(rng.randint(0, 3))]
+        blocks = zero_blocks + other
+        rng.shuffle(blocks)
+        if not blocks:
+            continue
+        j = _jordan(blocks)
+        n = j.rows
+        while True:
+            p = rand_mat(rng, n, n, -2, 2)
+            if rank(p) == n:
+                break
+        _, _, p_inv = rref_with_transform(p)  # rref(p) = I, so this is p^-1
+        m = p @ j @ p_inv
+        want = sum(size for _, size in zero_blocks)
+        assert zero_multiplicity_mod_p(m) == want
+        assert charpoly(m).trailing_zero_count() == want
+
+
+def test_zero_multiplicity_mod_p_small_and_nilpotent_cases():
+    assert zero_multiplicity_mod_p(Mat([], cols=0)) == 0
+    assert zero_multiplicity_mod_p(Mat([[0]])) == 1
+    assert zero_multiplicity_mod_p(Mat([[F(-3, 7)]])) == 0
+    assert zero_multiplicity_mod_p(Mat.zeros(5, 5)) == 5
+    rng = random.Random(37)
+    for n in range(1, 7):
+        upper = Mat([[rng.randint(-4, 4) if c > r else 0 for c in range(n)]
+                     for r in range(n)])
+        assert zero_multiplicity_mod_p(upper) == n
+        assert charpoly(upper).trailing_zero_count() == n
+
+
+def test_zero_multiplicity_mod_p_has_no_reduction_when_p_divides_a_denominator():
+    p = 2 ** 61 - 1
+    assert zero_multiplicity_mod_p(Mat([[1, F(1, p)], [0, 0]])) is None
+    assert zero_multiplicity_mod_p(Mat([[1, F(1, 2 * p)], [0, 0]])) is None
+    # p in a numerator only reduces to 0, which never lowers the count
+    assert zero_multiplicity_mod_p(Mat([[p, 1], [0, 0]])) == 2
+    assert charpoly(Mat([[p, 1], [0, 0]])).trailing_zero_count() == 1
 
 
 def test_minpoly_examples():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from liekit import catalog
 from liekit.exactlin import Mat, Subspace
 from liekit.liecore import (
     JacobiError,
@@ -28,6 +29,7 @@ from liekit.liecore import (
     series,
     verify_structure,
 )
+from liekit.structure import derivations
 
 F = Fraction
 
@@ -297,3 +299,49 @@ def test_semidirect_nilpotent_action_stays_nilpotent():
     n = Mat([[0, 1], [0, 0]])
     ext = semidirect_sum([n], abelian(2))
     assert ext.total.is_nilpotent()
+
+
+# ---------------------------------------------------------------------------
+# sparse bracket against the dense table definition
+
+def dense_bracket(L, x, y):
+    """[x, y] by a loop over every stored pair i < j of the table."""
+    out = [F(0)] * L.dim
+    for (i, j), terms in L.table.items():
+        coef = F(x[i]) * F(y[j]) - F(x[j]) * F(y[i])
+        if coef:
+            for k, c in terms:
+                out[k] += coef * c
+    return out
+
+
+CATALOG_PARAMS = {"abelian": (2, 3), "heisenberg": (3, 5, 7), "filiform": (3, 5, 8),
+                  "diagonal_torus_extension": (2, 3)}
+
+
+def catalog_algebras():
+    return [catalog.get(name, param).algebra for name in catalog.names()
+            for param in CATALOG_PARAMS.get(name, (None,))]
+
+
+def test_sparse_bracket_and_ad_match_the_dense_definition():
+    algebras = catalog_algebras()
+    algebras.append(derivations(catalog.get("heisenberg", 5).algebra).to_abstract())
+    rng = random.Random(41)
+
+    def vector(n, density):
+        return [F(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < density
+                else F(0) for _ in range(n)]
+
+    for L in algebras:
+        n = L.dim
+        zero = [F(0)] * n
+        units = [L.basis_vector(i) for i in range(n)]
+        samples = [zero] + units + [vector(n, d) for d in (0.2, 0.5, 1.0)
+                                    for _ in range(4)]
+        for x in samples:
+            ad = L.ad(x)
+            for j in range(n):
+                assert list(ad.column(j)) == dense_bracket(L, x, units[j])
+            for y in samples[::3]:
+                assert L.bracket(x, y) == dense_bracket(L, x, y)

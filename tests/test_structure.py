@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+
+from liekit import structure
 
 from liekit.exactlin import (
     Mat,
@@ -157,6 +160,20 @@ def test_cartan_r2():
     span_x = Subspace.span(2, [[1, 0]])
     assert restrict(L, span_x).is_nilpotent()
     assert normalizer(L, span_x).dim == 1
+
+
+def test_cartan_falls_back_to_exact_charpoly_without_a_reduction_mod_p(monkeypatch):
+    # [x, y] = y / (2^61 - 1): no ad of a nonzero element reduces mod p
+    L = LieAlgebra(2, {(0, 1): [(1, Fraction(1, 2 ** 61 - 1))]}, labels=("x", "y"))
+    calls = []
+    exact = structure.charpoly
+    monkeypatch.setattr(structure, "charpoly",
+                        lambda m: calls.append(m) or exact(m))
+    h = cartan_subalgebra(L, random.Random(5))
+    assert calls
+    assert h.dim == 1
+    assert restrict(L, h).is_nilpotent()
+    assert normalizer(L, h) == h
 
 
 def test_cartan_sl2():
