@@ -9,6 +9,7 @@ Exit codes:
     0   every certificate in the report is true
     1   a mathematical certificate failed (values are still reported)
     2   input or usage error
+    3   an internal consistency check failed (a bug; nothing on stdout)
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import time
 from fractions import Fraction
 
 from . import catalog
-from .exactlin import Mat, RowSpan
+from .exactlin import Mat, rref
 from .liecore import LieAlgebra, LieError, center, series
 from .extensions import (
     NilradicalMismatch,
@@ -108,11 +109,13 @@ def _read_derivation_file(path: str, dim: int) -> tuple[list[Mat], list[str] | N
             mats.append(Mat([[Fraction(str(x)) for x in r] for r in rows]))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{where}: {exc}") from None
-    span = RowSpan(dim * dim)
-    for pos, m in enumerate(mats):
-        if not span.append(m.vec()):
-            raise InputError(f"{path}: matrices[{pos}] is a linear combination "
-                             f"of the matrices before it")
+    # one column per matrix: the first non-pivot column is the first matrix
+    # that depends on the ones before it
+    _, piv = rref(Mat([m.vec() for m in mats], cols=dim * dim).transpose())
+    dependent = [pos for pos in range(len(mats)) if pos not in piv]
+    if dependent:
+        raise InputError(f"{path}: matrices[{dependent[0]}] is a linear "
+                         f"combination of the matrices before it")
     labels = raw.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != len(mats) \
@@ -415,6 +418,9 @@ def dispatch(argv: list[str]) -> tuple[int, dict]:
     except LieError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, report
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 3, report
 
     report["values"] = values
     report["certificates"] = certs

@@ -4,9 +4,9 @@ Everything here computes with Fraction scalars; no floats ever enter, so
 ranks, kernels and Jordan-Chevalley parts are exact, and identical inputs
 give bit-identical outputs.
 
-Two row-space engines: Subspace holds a canonical RREF basis (membership,
-sums, intersections, coordinates over that basis), and RowSpan grows a span
-one vector at a time and expresses members over the vectors as appended.
+One row-space engine: rref (with rref_with_transform when coordinates over
+the input rows are needed) and Subspace, which holds a canonical RREF basis
+(membership, sums, intersections, coordinates over that basis).
 """
 
 from __future__ import annotations
@@ -368,80 +368,6 @@ def image(m: Mat) -> Subspace:
     return Subspace.span(m.rows, [m.column(j) for j in range(m.cols)])
 
 
-class RowSpan:
-    """Grow a row space one vector at a time, tracking coordinates.
-
-    Rows are stored leading-coefficient-normalized and indexed by pivot, so a
-    single ascending sweep decides membership. Each stored row also carries
-    its expression over all vectors appended so far, dependent ones included,
-    so coordinates have one entry per appended vector.
-    """
-
-    def __init__(self, ambient: int, vectors: Iterable[Sequence] = ()):
-        self.ambient = ambient
-        self.rows: list[tuple[int, list[Fraction], list[Fraction]]] = []  # (pivot, row, comb)
-        self.appended = 0
-        for v in vectors:
-            self.append(v)
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def _reduce(self, v: Sequence):
-        w = [_rat(x) for x in v]
-        alpha = [_ZERO] * len(self.rows)
-        for idx, (p, row, _comb) in enumerate(self.rows):
-            f = w[p]
-            if f:
-                for j in range(p, self.ambient):
-                    if row[j]:
-                        w[j] -= f * row[j]
-                alpha[idx] = f
-        return w, alpha
-
-    def append(self, v: Sequence) -> bool:
-        """Add v; True if it enlarged the span."""
-        w, alpha = self._reduce(v)
-        k = self.appended
-        self.appended += 1
-        for p in range(self.ambient):
-            if w[p]:
-                inv = _ONE / w[p]
-                row = [x * inv for x in w]
-                comb = [_ZERO] * self.appended
-                comb[k] = inv
-                for idx, a in enumerate(alpha):
-                    if a:
-                        old = self.rows[idx][2]
-                        fa = a * inv
-                        for t, c in enumerate(old):
-                            if c:
-                                comb[t] -= fa * c
-                self.rows.append((p, row, comb))
-                self.rows.sort(key=lambda t: t[0])
-                return True
-        return False
-
-    def coords(self, v: Sequence):
-        """Express v over the appended vectors; None if outside the span."""
-        w, alpha = self._reduce(v)
-        if any(w):
-            return None
-        out = [_ZERO] * self.appended
-        for idx, a in enumerate(alpha):
-            if a:
-                comb = self.rows[idx][2]
-                for t, c in enumerate(comb):
-                    if c:
-                        out[t] += a * c
-        return tuple(out)
-
-    def contains(self, v: Sequence) -> bool:
-        w, _ = self._reduce(v)
-        return not any(w)
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -769,22 +695,22 @@ def zero_multiplicity_mod_p(m: Mat) -> int | None:
 
 
 def minpoly(m: Mat) -> Poly:
-    """Minimal polynomial: first monic dependency among powers of m."""
+    """Minimal polynomial: first monic dependency among powers of m.
+
+    I, m, ..., m^n are the columns of one n^2 x (n+1) system; the first free
+    column of its RREF is the first power that depends on the ones before,
+    and that column's null vector holds the coefficients.
+    """
     if not m.is_square():
         raise ValueError("minpoly needs a square matrix")
     n = m.rows
     if n == 0:
         return Poly.one()
-    span = RowSpan(n * n)
-    power = Mat.identity(n)
-    span.append(power.vec())
+    powers = [Mat.identity(n)]
     for _ in range(n):
-        power = power @ m
-        cs = span.coords(power.vec())
-        if cs is not None:
-            return Poly([-c for c in cs] + [_ONE])
-        span.append(power.vec())
-    raise AssertionError("no dependency among n+1 matrix powers")  # unreachable
+        powers.append(powers[-1] @ m)
+    R, piv = rref(Mat([p.vec() for p in powers]).transpose())
+    return Poly(_null_rows(R.data, piv, n + 1)[0])
 
 
 def is_nilpotent(m: Mat) -> bool:
@@ -811,8 +737,8 @@ class JordanChevalley(NamedTuple):
 def jordan_chevalley(m: Mat) -> JordanChevalley:
     """Exact m = s + n with s semisimple, n nilpotent, [s, n] = 0.
 
-    Newton iteration on the squarefree part g of the characteristic
-    polynomial: a <- a - g(a) * h(a), where h is the inverse of g' modulo g.
+    Newton iteration on the squarefree part g of the minimal polynomial
+    (over Q it has the irreducible factors of the characteristic one): a <- a - g(a) * h(a), where h is the inverse of g' modulo g.
     The iterate is tracked as a polynomial in m reduced mod the minimal
     polynomial, so each step costs a handful of small polynomial products and
     the count is bounded by ceil(log2 n) + 1. Purely rational throughout.
@@ -822,9 +748,8 @@ def jordan_chevalley(m: Mat) -> JordanChevalley:
     n_dim = m.rows
     if n_dim == 0:
         return JordanChevalley(m, m, Poly.x())
-    chi = charpoly(m)
     mu = minpoly(m)
-    g = squarefree_part(chi)
+    g = squarefree_part(mu)
     gp = g.derivative()
     one, _u, h = poly_xgcd(g, gp)  # _u*g + h*g' = 1 since g is squarefree
     if one.degree != 0:

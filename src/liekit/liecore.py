@@ -16,12 +16,12 @@ from typing import Callable, Iterable, Sequence
 
 from .exactlin import (
     Mat,
-    RowSpan,
     Subspace,
     _null_rows,
     _rat,
     commutator,
     kernel,
+    rref_with_transform,
     vstack,
 )
 
@@ -357,11 +357,12 @@ def change_basis(L: LieAlgebra, p: Mat) -> LieAlgebra:
     """Same algebra written on the new basis given by the rows of p."""
     if p.shape != (L.dim, L.dim):
         raise ValueError("basis matrix must be dim x dim")
-    span = RowSpan(L.dim, p.data)
-    if span.dim != L.dim:
+    _, piv, p_inv = rref_with_transform(p)
+    if len(piv) != L.dim:
         raise ValueError("basis matrix is singular")
+    # v = c p, so the coordinates c of v are v p^-1
     table = induced_table(L.dim, lambda a, b: L.bracket(p.data[a], p.data[b]),
-                          span.coords)
+                          p_inv.transpose().apply)
     return LieAlgebra(L.dim, table, None)
 
 
@@ -409,13 +410,17 @@ class LinearLieAlgebra:
         for m in self.basis:
             if m.shape != (n, n):
                 raise ValueError("basis matrices must match the ambient dimension")
-        self._span = RowSpan(n * n, [m.vec() for m in self.basis])
-        if self._span.dim != len(self.basis):
+        # R = T B for the stacked basis vectors B; a member with coordinates
+        # c over the RREF rows R has coordinates c T over the basis
+        R, piv, T = rref_with_transform(
+            Mat([m.vec() for m in self.basis], cols=n * n))
+        if len(piv) != len(self.basis):
             raise ValueError("matrix basis is linearly dependent")
+        self._span = Subspace(n * n, R, piv)
+        self._to_basis = T.transpose()
         self.table = induced_table(
             len(self.basis),
-            lambda a, b: commutator(self.basis[a], self.basis[b]).vec(),
-            self._span.coords)
+            lambda a, b: commutator(self.basis[a], self.basis[b]), self.coords)
         self.is_derivation_algebra = is_derivation_algebra
 
     @property
@@ -431,15 +436,15 @@ class LinearLieAlgebra:
         return out
 
     def coords(self, m: Mat):
-        return self._span.coords(m.vec())
+        cs = self._span.coords(m.vec())
+        return None if cs is None else self._to_basis.apply(cs)
 
     def contains(self, m: Mat) -> bool:
         return self._span.contains(m.vec())
 
     def matrix_span(self) -> Subspace:
         """The underlying subspace of gl(n), vectorized row-major."""
-        n = self.ambient.dim
-        return Subspace.span(n * n, [list(m.vec()) for m in self.basis])
+        return self._span
 
     def to_abstract(self, prefix: str = "D") -> LieAlgebra:
         labels = tuple(f"{prefix}{i + 1}" for i in range(self.dim))

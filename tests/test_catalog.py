@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from liekit import catalog
 from liekit.catalog import (
     CatalogError,
     build_snobl_counterexample,
@@ -97,6 +98,32 @@ def test_favre7_is_characteristically_nilpotent():
     L = get("favre7").algebra
     assert L.dim == 7
     assert is_characteristically_nilpotent(L)
+
+
+def test_favre7_expected_invariants_are_checked_once(monkeypatch):
+    calls = []
+    real = catalog._check_expected
+
+    def counting(L, expected, rng):
+        calls.append(dict(expected))
+        return real(L, expected, rng)
+
+    monkeypatch.setattr(catalog, "_check_expected", counting)
+    get("favre7")
+    assert len(calls) == 1
+    assert calls[0]["characteristically_nilpotent"] is True
+
+
+def test_favre7_nilpotency_gate_does_not_depend_on_the_data_file(monkeypatch):
+    real = catalog._parse
+
+    def dropping(text):
+        name, L, expected = real(text)
+        del expected["characteristically_nilpotent"]
+        return name, L, expected
+
+    monkeypatch.setattr(catalog, "_parse", dropping)
+    assert get("favre7").expected["characteristically_nilpotent"] is True
 
 
 def test_favre7_center_is_last_basis_line():

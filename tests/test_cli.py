@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface and its exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -222,6 +223,14 @@ def test_extend_by_dependent_matrices_is_input_error(capsys, tmp_path):
     assert out == ""
     assert err.startswith(f"error: {src}: matrices[1] ")
     assert "Traceback" not in err
+    # [A, B, A+B, C]: the first dependent matrix is the third
+    a, b, c = [[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [0, 0]]
+    src = write_json(tmp_path, "dep3.json",
+                     {"matrices": [a, b, [[1, 0], [0, 1]], c]})
+    code, out, err = run(capsys, "extend", "--by", src, "abelian:2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {src}: matrices[2] ")
 
 
 def test_extend_by_malformed_json_is_input_error(capsys, tmp_path):
@@ -259,6 +268,19 @@ def test_non_integer_parameter_is_input_error(capsys):
     code, out, err = run(capsys, "der", "abelian:two")
     assert code == 2
     assert "integer" in err
+
+
+def test_failed_internal_check_exits_3_without_a_report(capsys, monkeypatch):
+    def broken(L):
+        raise AssertionError("dimension bookkeeping")
+
+    monkeypatch.setattr("liekit.cli.derivations", broken)
+    code, out, err = run(capsys, "der", "heisenberg:3", "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert "error: internal check failed: dimension bookkeeping" in err
+    assert "Traceback" not in err
+    assert main(["der", "heisenberg:3"]) == 3
 
 
 def test_togo_rejects_non_nilpotent_input(capsys):
@@ -344,3 +366,26 @@ def test_text_and_json_carry_the_same_values(capsys):
     _, report, _ = run_json(capsys, "der", "heisenberg:3")
     assert "values.dim: 6" in text_out
     assert report["values"]["dim"] == 6
+
+
+# sha256 of the --seed 1 --format json stdout of each command; a change that
+# alters any output byte (values, key order, RNG use) fails here
+PINNED_JSON = {
+    ("der", "heisenberg:5"):
+        "bb4802a3e4afa3b1ba916f12002ba337a7482e52cef579a71f83ae89694082ef",
+    ("torus", "filiform:5"):
+        "3ae9bb391281d2024134d09a2a1609dbcc0bfb84fcb66ab1527d0f9e2dee90e9",
+    ("extend", "--standard", "heisenberg:3"):
+        "b415c3531868225d83217e3d0adcfd6534d522072c1c845f5888e10ac663b0ec",
+    ("split", "diagonal_torus_extension:3"):
+        "11d526e8ee3c3157625b493602a434ebf496595893903d0070f3de7b6ea371e7",
+    ("fingerprint", "favre7"):
+        "3d97a82f1d8a134b3f87a70cd69c1af0c8ba817d7555d64f8f13780ee9f134b0",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_JSON), ids=" ".join)
+def test_json_output_bytes_are_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--seed", "1", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_JSON[argv]

@@ -294,6 +294,9 @@ def test_minpoly_examples():
     j3 = Mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert minpoly(j3) == Poly([0, 0, 0, 1])
     assert minpoly(Mat.identity(4)) == Poly([-1, 1])
+    assert minpoly(Mat.zeros(3, 3)) == Poly([0, 1])
+    assert minpoly(Mat([[F(-5, 3)]])) == Poly([F(5, 3), 1])
+    assert minpoly(2 * Mat.identity(3)) == Poly([-2, 1])
 
 
 def test_minpoly_divides_charpoly():
@@ -304,6 +307,9 @@ def test_minpoly_divides_charpoly():
         mu = minpoly(m)
         assert (charpoly(m) % mu).is_zero()
         assert mu.eval_mat(m).is_zero()
+        # minimal: I, m, ..., m^(deg-1) are independent
+        lower = Mat([m.pow(k).vec() for k in range(mu.degree)], cols=n * n)
+        assert rank(lower) == mu.degree
 
 
 def test_operator_predicates():
@@ -374,6 +380,21 @@ def test_jordan_chevalley_random_matrices():
         n = rng.randint(1, 5)
         m = rand_mat(rng, n, n)
         jc_postconditions(m, jordan_chevalley(m))
+
+
+def test_jordan_chevalley_needs_no_charpoly(monkeypatch):
+    import liekit.exactlin as exactlin
+
+    def refuse(m):
+        raise AssertionError("charpoly called")
+
+    rng = random.Random(43)
+    m = rand_mat(rng, 5, 5)
+    expected = jordan_chevalley(m)
+    monkeypatch.setattr(exactlin, "charpoly", refuse)
+    dec = exactlin.jordan_chevalley(m)
+    assert dec == expected
+    assert (dec.s + dec.n) == m and commutator(dec.s, dec.n).is_zero()
 
 
 def test_jordan_chevalley_similarity_equivariance():

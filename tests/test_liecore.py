@@ -267,6 +267,44 @@ def test_semidirect_rejects_unclosed_span():
         change_basis(sl2(), Mat([[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
 
 
+def test_linear_lie_algebra_coords_over_a_basis_that_is_not_rref():
+    rng = random.Random(53)
+
+    def rand_rat():
+        return F(rng.randint(-9, 9), rng.randint(1, 4))
+
+    rot = Mat([[0, 1], [-1, 0]])
+    torus = LinearLieAlgebra(abelian(2), [rot, Mat.identity(2)])
+    for coeffs in [(1, 0), (0, 1), (F(2, 3), -5)]:
+        m = torus.element(coeffs)
+        assert torus.coords(m) == tuple(F(c) for c in coeffs)
+        assert torus.element(torus.coords(m)) == m
+    assert torus.coords(Mat([[0, 1], [0, 0]])) is None
+    assert not torus.contains(Mat([[0, 1], [0, 0]]))
+
+    # dense recombinations: all of gl(2), and Der(h3) on a mixed basis
+    units = [Mat([[int((i, j) == (r, c)) for j in range(2)] for i in range(2)])
+             for r in range(2) for c in range(2)]
+    der = derivations(heisenberg3()).basis
+    for ambient, mats, outside in [(abelian(2), units, None),
+                                   (heisenberg3(), der, Mat.identity(3))]:
+        k, n = len(mats), ambient.dim
+        while True:
+            p = Mat([[rand_rat() for _ in range(k)] for _ in range(k)])
+            if Subspace.span(k, p.data).dim == k:
+                break
+        basis = [sum((c * m for c, m in zip(row, mats)), Mat.zeros(n, n))
+                 for row in p.data]
+        lin = LinearLieAlgebra(ambient, basis)
+        for _ in range(5):
+            coeffs = tuple(rand_rat() for _ in range(k))
+            m = lin.element(coeffs)
+            assert lin.coords(m) == coeffs
+            assert lin.element(lin.coords(m)) == m
+        if outside is not None:
+            assert lin.coords(outside) is None
+
+
 def test_semidirect_rejects_dependent_generators():
     with pytest.raises(ValueError):
         semidirect_sum([Mat.identity(2), 2 * Mat.identity(2)], abelian(2))
