@@ -6,11 +6,16 @@ give bit-identical outputs.
 
 One row-space engine: rref (with rref_with_transform when coordinates over
 the input rows are needed) and Subspace, which holds a canonical RREF basis
-(membership, sums, intersections, coordinates over that basis).
+(membership, sums, intersections, coordinates over that basis). minpoly
+reduces one power at a time on its own, so that it stops at the degree.
+
+kernel row-reduces mod primes, lifts the result to Q and returns it only
+once it is certified exactly over Q; otherwise it falls back to rref.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -357,8 +362,191 @@ def _null_rows(rows: Sequence[Sequence], pivots: Sequence[int],
     return out
 
 
+# ---------------------------------------------------------------------------
+# modular kernels
+
+# the Mersenne prime 2^61 - 1: residues stay below 2^61, products below 2^122
+_P = (1 << 61) - 1
+
+# kernel moduli: _P, then the next primes below it; with all eight, entries
+# with numerator and denominator below about 2^243 are reconstructed
+_PRIMES = (_P,) + tuple((1 << 61) - k for k in (31, 45, 229, 259, 283, 339, 391))
+
+
+def _integer_rows(m: Mat) -> list[list[tuple[int, int]]]:
+    """Nonzero rows of m as sparse (column, integer) lists.
+
+    Each row is scaled by the lcm of its denominators, which leaves the
+    kernel unchanged.
+    """
+    out = []
+    for row in m.data:
+        nz = [(j, q) for j, q in enumerate(row) if q]
+        if nz:
+            d = math.lcm(*(q.denominator for _, q in nz))
+            out.append([(j, q.numerator * (d // q.denominator)) for j, q in nz])
+    return out
+
+
+def _rref_mod(rows: list[dict[int, int]], cols: int,
+              p: int) -> tuple[list[dict[int, int]], tuple[int, ...]]:
+    """RREF mod p of sparse rows {column: residue}: (pivot rows, pivots).
+
+    The rows are consumed. In each column the candidate with the fewest
+    nonzeros becomes the pivot row, so sparse systems do not fill in; the
+    RREF itself does not depend on that choice.
+    """
+    active = [r for r in rows if r]
+    echelon: list[dict[int, int]] = []
+    pivots: list[int] = []
+    for c in range(cols):
+        best = -1
+        for i, r in enumerate(active):
+            if c in r and (best < 0 or len(r) < len(active[best])):
+                best = i
+        if best < 0:
+            continue
+        prow = active[best]
+        active[best] = active[-1]
+        active.pop()
+        inv = pow(prow[c], -1, p)
+        if inv != 1:
+            for j in prow:
+                prow[j] = prow[j] * inv % p
+        _clear_mod(active, prow, c, p)
+        echelon.append(prow)
+        pivots.append(c)
+    # back substitution: row k is final once the pivots after it are cleared
+    for k in range(len(echelon) - 1, 0, -1):
+        _clear_mod(echelon[:k], echelon[k], pivots[k], p)
+    return echelon, tuple(pivots)
+
+
+def _clear_mod(rows: list[dict[int, int]], prow: dict[int, int], c: int,
+               p: int) -> None:
+    """Subtract multiples of prow (prow[c] == 1) to zero column c of rows."""
+    for r in rows:
+        f = r.get(c)
+        if f:
+            for j, v in prow.items():
+                x = (r.get(j, 0) - f * v) % p
+                if x:
+                    r[j] = x
+                else:
+                    del r[j]
+
+
+def _null_rows_mod(rows: list[dict[int, int]], pivots: tuple[int, ...],
+                   cols: int, p: int) -> list[dict[int, int]]:
+    """_null_rows for a sparse RREF mod p."""
+    free = {c: {c: 1} for c in range(cols)}
+    for c in pivots:
+        del free[c]
+    for pc, row in zip(pivots, rows):
+        for j, v in row.items():
+            if j != pc:
+                free[j][pc] = p - v
+    return list(free.values())
+
+
+def _ratrec(u: int, M: int, bound: int) -> Fraction | None:
+    """The fraction n/d with |n|, d <= bound and n = u d (mod M), or None.
+
+    Wang's half-extended Euclid; 2 bound^2 <= M makes the answer unique.
+    """
+    r0, r1 = M, u
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _reconstruct(residues: list[list[int]], M: int) -> list[list[Fraction]] | None:
+    """Every residue mod M lifted by _ratrec, or None if one has no lift."""
+    bound = math.isqrt(M >> 1)
+    out = []
+    for row in residues:
+        qrow = []
+        for u in row:
+            q = _ratrec(u, M, bound) if u > 1 else (_ONE if u else _ZERO)
+            if q is None:
+                return None
+            qrow.append(q)
+        out.append(qrow)
+    return out
+
+
+def _annihilates(ints: list[list[tuple[int, int]]],
+                 basis: list[list[Fraction]]) -> bool:
+    """Whether every integer row times every basis vector is exactly 0."""
+    for v in basis:
+        d = math.lcm(*(q.denominator for q in v))
+        w = [q.numerator * (d // q.denominator) for q in v]
+        for row in ints:
+            if sum(a * w[j] for j, a in row):
+                return False
+    return True
+
+
+def _kernel_mod(m: Mat) -> Subspace | None:
+    """kernel(m) from RREFs mod primes, certified over Q; None if uncertified.
+
+    Per prime: the RREF of the integer rows, their null rows and the RREF of
+    those, whose residues are combined by CRT and lifted by rational
+    reconstruction. A lift is returned only if every lifted row v has
+    m v = 0 exactly. The lifted rows keep the RREF shape mod p (residues 0
+    and 1 lift to 0 and 1), so they are independent, and there are
+    cols - rank_p >= cols - rank_Q of them: they span the kernel over Q and
+    are its canonical RREF basis. Different pivots at a later prime (the
+    first was unlucky) or no certified lift within _PRIMES give None.
+    """
+    cols = m.cols
+    ints = _integer_rows(m)
+    shape = None
+    acc: list[list[int]] = []
+    M = 1
+    for p in _PRIMES:
+        rows = []
+        for irow in ints:
+            r = {}
+            for j, a in irow:
+                a %= p
+                if a:
+                    r[j] = a
+            rows.append(r)
+        R, piv = _rref_mod(rows, cols, p)
+        K, kpiv = _rref_mod(_null_rows_mod(R, piv, cols, p), cols, p)
+        if shape is None:
+            shape = (piv, kpiv)
+        elif shape != (piv, kpiv):
+            return None
+        res = [[row.get(j, 0) for j in range(cols)] for row in K]
+        if M == 1:
+            acc = res
+        else:
+            inv = pow(M, -1, p)
+            acc = [[a + M * ((b - a) * inv % p) for a, b in zip(arow, brow)]
+                   for arow, brow in zip(acc, res)]
+        M *= p
+        basis = _reconstruct(acc, M)
+        if basis is not None and _annihilates(ints, basis):
+            return Subspace(cols, Mat(basis, cols=cols), kpiv)
+    return None
+
+
 def kernel(m: Mat) -> Subspace:
-    """Null space {v : m v = 0} as a Subspace of Q^cols."""
+    """Null space {v : m v = 0} as a Subspace of Q^cols.
+
+    Computed mod primes and certified exactly (_kernel_mod); when no
+    certificate is found, from the exact rref.
+    """
+    ker = _kernel_mod(m)
+    if ker is not None:
+        return ker
     R, piv = rref(m)
     return Subspace.span(m.cols, _null_rows(R.data, piv, m.cols))
 
@@ -624,8 +812,21 @@ def charpoly(m: Mat) -> Poly:
     return p[n]
 
 
-# the Mersenne prime 2^61 - 1: residues stay below 2^61, products below 2^122
-_P = (1 << 61) - 1
+def _mod_p(m: Mat) -> list[list[int]] | None:
+    """m reduced mod p = 2^61 - 1, or None when p divides a denominator."""
+    out = []
+    for row in m.data:
+        r = []
+        for q in row:
+            d = q.denominator
+            if d == 1:
+                r.append(q.numerator % _P)
+            elif d % _P:
+                r.append(q.numerator * pow(d, -1, _P) % _P)
+            else:
+                return None
+        out.append(r)
+    return out
 
 
 def zero_multiplicity_mod_p(m: Mat) -> int | None:
@@ -641,18 +842,9 @@ def zero_multiplicity_mod_p(m: Mat) -> int | None:
     if not m.is_square():
         raise ValueError("zero_multiplicity_mod_p needs a square matrix")
     n = m.rows
-    H = []
-    for row in m.data:
-        hrow = []
-        for q in row:
-            d = q.denominator
-            if d == 1:
-                hrow.append(q.numerator % _P)
-            elif d % _P:
-                hrow.append(q.numerator * pow(d, -1, _P) % _P)
-            else:
-                return None
-        H.append(hrow)
+    H = _mod_p(m)
+    if H is None:
+        return None
     for j in range(n - 2):
         piv = next((i for i in range(j + 1, n) if H[i][j]), -1)
         if piv < 0:
@@ -697,20 +889,42 @@ def zero_multiplicity_mod_p(m: Mat) -> int | None:
 def minpoly(m: Mat) -> Poly:
     """Minimal polynomial: first monic dependency among powers of m.
 
-    I, m, ..., m^n are the columns of one n^2 x (n+1) system; the first free
-    column of its RREF is the first power that depends on the ones before,
-    and that column's null vector holds the coefficients.
+    I, m, m^2, ... are reduced one at a time against the echelon rows of the
+    powers before them, each row carrying its coefficients over those powers.
+    The first power that reduces to zero gives the monic dependency, so no
+    power past the degree is formed.
     """
     if not m.is_square():
         raise ValueError("minpoly needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return Poly.one()
-    powers = [Mat.identity(n)]
-    for _ in range(n):
-        powers.append(powers[-1] @ m)
-    R, piv = rref(Mat([p.vec() for p in powers]).transpose())
-    return Poly(_null_rows(R.data, piv, n + 1)[0])
+    echelon = []   # (pivot, sparse reduced row, its coefficients over powers)
+    power = Mat.identity(m.rows)
+    for k in range(m.rows + 1):
+        v = {i: x for i, x in enumerate(power.vec()) if x}
+        coeffs = {k: _ONE}
+        for p, row, row_coeffs in echelon:
+            f = v.get(p)
+            if f:
+                _sub_multiple(v, f, row)
+                _sub_multiple(coeffs, f, row_coeffs)
+        if not v:
+            return Poly([coeffs.get(i, _ZERO) for i in range(k + 1)])
+        p = min(v)
+        inv = _ONE / v[p]
+        echelon.append((p, {i: x * inv for i, x in v.items()},
+                        {i: x * inv for i, x in coeffs.items()}))
+        power = power @ m
+    raise AssertionError("Cayley-Hamilton: m^n depends on lower powers")
+
+
+def _sub_multiple(v: dict[int, Fraction], f: Fraction,
+                  w: dict[int, Fraction]) -> None:
+    """v -= f * w on sparse vectors, dropping entries that become zero."""
+    for i, x in w.items():
+        y = v.get(i, _ZERO) - f * x
+        if y:
+            v[i] = y
+        else:
+            del v[i]
 
 
 def is_nilpotent(m: Mat) -> bool:

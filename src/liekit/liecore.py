@@ -86,10 +86,11 @@ class LieAlgebra:
     coordinates of [e_i, e_j]; brackets with i >= j follow by antisymmetry.
     The adjacency built from it maps i to {j: signed terms of [e_i, e_j]},
     so bracket and ad only visit the nonzero coordinates of x. The table is
-    not changed after construction.
+    not changed after construction, so the lower central and derived
+    series are computed once per instance (see series).
     """
 
-    __slots__ = ("dim", "labels", "table", "_adj")
+    __slots__ = ("dim", "labels", "table", "_adj", "_series")
 
     def __init__(self, dim: int,
                  table: dict[tuple[int, int], Iterable[tuple[int, object]]],
@@ -127,6 +128,7 @@ class LieAlgebra:
             adj[i][j] = terms
             adj[j][i] = tuple((k, -c) for k, c in terms)
         self._adj = adj
+        self._series: dict[str, tuple[Subspace, ...]] = {}
 
     # -- basic bracket machinery -------------------------------------------
 
@@ -177,13 +179,17 @@ class LieAlgebra:
 
     # -- predicates ----------------------------------------------------------
 
+    def _chain(self, kind: str) -> tuple[Subspace, ...]:
+        chain = self._series.get(kind)
+        if chain is None:
+            chain = self._series[kind] = _compute_series(self, kind)
+        return chain
+
     def is_nilpotent(self) -> bool:
-        chain = series(self, "lower_central")
-        return chain[-1].dim == 0
+        return self._chain("lower_central")[-1].dim == 0
 
     def is_solvable(self) -> bool:
-        chain = series(self, "derived")
-        return chain[-1].dim == 0
+        return self._chain("derived")[-1].dim == 0
 
     def is_abelian(self) -> bool:
         return not self.table
@@ -239,10 +245,15 @@ def series(L: LieAlgebra, kind: str) -> list[Subspace]:
 
     The list starts with the full algebra and ends either with the zero
     subspace or with the first repeated term (so a perfect algebra shows its
-    stabilization explicitly).
+    stabilization explicitly). Computed once per algebra; each call returns
+    a new list.
     """
     if kind not in ("lower_central", "derived"):
         raise ValueError("kind must be 'lower_central' or 'derived'")
+    return list(L._chain(kind))
+
+
+def _compute_series(L: LieAlgebra, kind: str) -> tuple[Subspace, ...]:
     full = L.full_space()
     chain = [full]
     for _ in range(L.dim + 1):
@@ -253,7 +264,7 @@ def series(L: LieAlgebra, kind: str) -> list[Subspace]:
         chain.append(nxt)
         if nxt.dim == cur.dim:
             break
-    return chain
+    return tuple(chain)
 
 
 def center(L: LieAlgebra) -> Subspace:

@@ -3,10 +3,12 @@
 from fractions import Fraction
 import random
 
+from liekit import exactlin
 from liekit.exactlin import (
     Mat,
     Poly,
     Subspace,
+    _null_rows,
     charpoly,
     commutator,
     image,
@@ -101,6 +103,92 @@ def test_kernel_annihilates_and_rank_nullity():
         assert rank(m) + k.dim == m.cols
         for v in k.rows():
             assert all(x == 0 for x in m.apply(v))
+
+
+def _reference_kernel(m):
+    R, piv = rref(m)
+    return Subspace.span(m.cols, _null_rows(R.data, piv, m.cols))
+
+
+def _record_calls(monkeypatch, name):
+    """Replace exactlin.<name> by a wrapper that records its arguments."""
+    calls = []
+    real = getattr(exactlin, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exactlin, name, wrapper)
+    return calls
+
+
+def test_kernel_matches_the_exact_rref_kernel():
+    rng = random.Random(2024)
+    certified = 0
+    for trial in range(150):
+        rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+        density = rng.choice((1.0, 0.3))
+        den = rng.choice((1, 7, 360))
+        data = [[F(rng.randint(-20, 20), rng.randint(1, den))
+                 if rng.random() < density else F(0) for _ in range(cols)]
+                for _ in range(rows)]
+        if rows >= 3 and trial % 2:
+            # rank-deficient: the last row is a combination of the first two
+            a, b = F(rng.randint(-5, 5), rng.randint(1, 4)), F(rng.randint(-5, 5))
+            data[-1] = [a * x + b * y for x, y in zip(data[0], data[1])]
+        m = Mat(data, cols=cols)
+        want = _reference_kernel(m)
+        got = kernel(m)
+        assert got == want and got.pivots == want.pivots
+        # dense ones with denominators can exceed every prime and fall back
+        modular = exactlin._kernel_mod(m)
+        assert modular is None or modular == want
+        certified += modular is not None
+    assert certified >= 140
+
+
+def test_kernel_falls_back_on_an_unlucky_prime(monkeypatch):
+    p = 2**61 - 1
+    m = Mat([[1, 1], [1, 1 + p]])  # rank 2 over Q, rank 1 mod p
+    calls = _record_calls(monkeypatch, "rref")
+    assert kernel(m) == Subspace.zero(2)
+    assert calls and calls[0][0] == m
+
+
+def test_kernel_falls_back_when_p_divides_a_denominator(monkeypatch):
+    p = 2**61 - 1
+    m = Mat([[F(1, p), 1], [F(2, p), 2]])
+    want = _reference_kernel(m)
+    assert want.rows() == [(F(1), F(-1, p))]
+    calls = _record_calls(monkeypatch, "rref")
+    assert kernel(m) == want
+    assert calls and calls[0][0] == m
+
+
+def test_kernel_lifts_large_entries_by_crt(monkeypatch):
+    # 2x2 minors of 100-bit entries: kernel entries of about 193 bits over
+    # 193 bits, which need a modulus of about 390 bits, seven primes
+    rng = random.Random(5)
+    m = Mat([[rng.getrandbits(100) | 1 for _ in range(3)] for _ in range(2)])
+    want = _reference_kernel(m)
+    assert min(q.denominator.bit_length() for q in want.rows()[0][1:]) > 190
+    exact = _record_calls(monkeypatch, "rref")
+    modular = _record_calls(monkeypatch, "_rref_mod")
+    assert kernel(m) == want
+    assert not exact
+    assert len(modular) == 2 * 7  # two RREFs per prime
+
+
+def test_kernel_falls_back_past_the_last_prime(monkeypatch):
+    rng = random.Random(6)
+    m = Mat([[rng.getrandbits(300) | 1, rng.getrandbits(300) | 1]])
+    want = _reference_kernel(m)
+    exact = _record_calls(monkeypatch, "rref")
+    modular = _record_calls(monkeypatch, "_rref_mod")
+    assert kernel(m) == want
+    assert exact
+    assert len(modular) == 2 * len(exactlin._PRIMES)
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +387,50 @@ def test_minpoly_examples():
     assert minpoly(2 * Mat.identity(3)) == Poly([-2, 1])
 
 
+def test_minpoly_stops_at_the_first_dependent_power(monkeypatch):
+    products = []
+    real = Mat.__matmul__
+    monkeypatch.setattr(Mat, "__matmul__",
+                        lambda a, b: products.append(b) or real(a, b))
+    assert minpoly(Mat.identity(6)) == Poly([-1, 1])
+    assert len(products) == 1                   # m only
+    products.clear()
+    projection = Mat([[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
+    assert minpoly(projection) == Poly([0, -1, 1])
+    assert len(products) == 2                   # m and m^2
+    assert minpoly(Mat.zeros(0, 0)) == Poly.one()
+
+
 def test_minpoly_divides_charpoly():
     rng = random.Random(31)
+    mats = []
     for _ in range(20):
         n = rng.randint(1, 5)
-        m = rand_mat(rng, n, n)
+        mats.append(rand_mat(rng, n, n))
+    # Jordan-like blocks with repeated eigenvalues, conjugated by a rational
+    # matrix, so the degree is often below n
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        j = Mat([[rng.choice([0, 1, F(-1, 2)]) if a == b else
+                  rng.choice([0, 1]) if b == a + 1 else 0
+                  for b in range(n)] for a in range(n)])
+        t = Mat([[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                 for _ in range(n)])
+        _, piv, t_inv = rref_with_transform(t)
+        if len(piv) == n:
+            mats.append(t @ j @ t_inv)
+    below_n = 0
+    for m in mats:
+        n = m.rows
         mu = minpoly(m)
+        assert mu.leading() == 1
         assert (charpoly(m) % mu).is_zero()
         assert mu.eval_mat(m).is_zero()
         # minimal: I, m, ..., m^(deg-1) are independent
         lower = Mat([m.pow(k).vec() for k in range(mu.degree)], cols=n * n)
         assert rank(lower) == mu.degree
+        below_n += mu.degree < n
+    assert below_n >= 5
 
 
 def test_operator_predicates():

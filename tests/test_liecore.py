@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from liekit import catalog
+from liekit import catalog, liecore
 from liekit.exactlin import Mat, Subspace
 from liekit.liecore import (
     JacobiError,
@@ -120,6 +120,24 @@ def test_series_dims():
     assert [s.dim for s in series(filiform(4), "lower_central")] == [4, 2, 1, 0]
     with pytest.raises(ValueError):
         series(r2(), "upper_central")
+
+
+def test_series_is_computed_once_per_algebra(monkeypatch):
+    calls = []
+    real = liecore.product_space
+    monkeypatch.setattr(liecore, "product_space",
+                        lambda *args: calls.append(args) or real(*args))
+    L = filiform(4)
+    first = series(L, "lower_central")
+    computed = len(calls)
+    assert computed == 3
+    first.append(Subspace.zero(4))  # a caller's list is its own
+    assert L.is_nilpotent() and L.is_solvable()
+    assert [s.dim for s in series(L, "lower_central")] == [4, 2, 1, 0]
+    assert [s.dim for s in series(L, "derived")] == [4, 2, 0]
+    # the derived series was new; the lower central one was not recomputed
+    assert len(calls) == computed + 2
+    assert series(L, "derived") is not series(L, "derived")
 
 
 def test_nilpotent_solvable_predicates():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from liekit import structure
+from liekit import catalog, structure
 
 from liekit.exactlin import (
     Mat,
@@ -317,6 +317,27 @@ def test_fingerprint_is_basis_invariant():
             if rank(p) == 5:
                 break
         assert fingerprint(change_basis(L, p)) == base
+
+
+def _unimodular(rng, n, steps):
+    """Product of elementary row operations: an integer matrix of det 1."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+    return Mat(p)
+
+
+@pytest.mark.parametrize("name, param", [("heisenberg", 5), ("filiform", 6)])
+def test_fingerprint_is_invariant_under_unimodular_basis_changes(name, param):
+    L = catalog.get(name, param).algebra
+    base = fingerprint(L, random.Random(1))
+    rng = random.Random(param)
+    for _ in range(2):
+        M = change_basis(L, _unimodular(rng, L.dim, 3 * L.dim))
+        assert len(M.table) > len(L.table)  # a denser Leibniz system
+        assert fingerprint(M, random.Random(1)) == base
 
 
 def test_fingerprint_nonsolvable_has_no_splitting_entry():
