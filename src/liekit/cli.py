@@ -138,7 +138,7 @@ def _cmd_info(L, rng):
         "lower_central": [s.dim for s in series(L, "lower_central")],
         "derived": [s.dim for s in series(L, "derived")],
         "dim_center": center(L).dim,
-        "dim_commutator": series(L, "lower_central")[1].dim,
+        "dim_commutator": series(L, "lower_central")[1].dim if L.dim else 0,
     }, {}
 
 
@@ -352,8 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="JSON file with derivation matrices")
     p.add_argument("src", help="catalog name (name:param) or file path")
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run a certificate check")
+    p = sub.add_parser("verify", help="run a certificate check")
     vsub = p.add_subparsers(dest="check", required=True)
     v1 = vsub.add_parser("rank-bound", parents=[common])
     v1.add_argument("src")
@@ -361,8 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v2.add_argument("srcA")
     v2.add_argument("srcB")
 
-    p = sub.add_parser("demo", parents=[common],
-                       help="reproduce a known computation")
+    p = sub.add_parser("demo", help="reproduce a known computation")
     dsub = p.add_subparsers(dest="example", required=True)
     dsub.add_parser("snobl", parents=[common])
     return parser

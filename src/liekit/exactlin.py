@@ -1,8 +1,8 @@
 """Exact linear and polynomial algebra over the rationals.
 
-Everything here computes with Fraction scalars; no floats ever enter, so
-ranks, kernels and Jordan-Chevalley parts are exact, and identical inputs
-give bit-identical outputs.
+Every result here is an exact Fraction; no floats ever enter, so ranks,
+kernels, characteristic polynomials and Jordan-Chevalley parts are exact,
+and identical inputs give bit-identical outputs.
 
 One row-space engine: rref (with rref_with_transform when coordinates over
 the input rows are needed) and Subspace, which holds a canonical RREF basis
@@ -11,6 +11,12 @@ reduces one power at a time on its own, so that it stops at the degree.
 
 kernel row-reduces mod primes, lifts the result to Q and returns it only
 once it is certified exactly over Q; otherwise it falls back to rref.
+
+One characteristic-polynomial engine: _charpoly_mod (Hessenberg reduction
+and the leading-minor recurrence mod p) on the integral matrix d m, d the
+lcm of the denominators of m. charpoly combines its residues by CRT under
+Hadamard's bound, so it is exact; zero_multiplicity_mod_p reads one prime.
+Both modular paths draw their moduli from _primes and combine them by _crt.
 """
 
 from __future__ import annotations
@@ -363,7 +369,7 @@ def _null_rows(rows: Sequence[Sequence], pivots: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# modular kernels
+# primes, CRT and modular kernels
 
 # the Mersenne prime 2^61 - 1: residues stay below 2^61, products below 2^122
 _P = (1 << 61) - 1
@@ -371,6 +377,52 @@ _P = (1 << 61) - 1
 # kernel moduli: _P, then the next primes below it; with all eight, entries
 # with numerator and denominator below about 2^243 are reconstructed
 _PRIMES = (_P,) + tuple((1 << 61) - k for k in (31, 45, 229, 259, 283, 339, 391))
+
+# Miller-Rabin with the first twelve prime bases is deterministic below
+# 3.18 * 10^23 (Sorenson and Webster 2017), far above 2^61
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Primality for n below 3.18 * 10^23, by Miller-Rabin over _BASES."""
+    if n < 2:
+        return False
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    s, t = 0, n - 1
+    while not t & 1:
+        s, t = s + 1, t >> 1
+    for b in _BASES:
+        x = pow(b, t, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """_PRIMES, then the primes below them in decreasing order, found lazily."""
+    yield from _PRIMES
+    q = _PRIMES[-1]
+    while True:
+        q -= 2
+        if _is_prime(q):
+            yield q
+
+
+def _crt(acc: list[int], M: int, res: list[int], p: int) -> list[int]:
+    """Entrywise x = acc (mod M), x = res (mod p), 0 <= x < M p.
+
+    With M = 1 and acc all zero this is res itself.
+    """
+    inv = pow(M, -1, p)
+    return [a + M * ((b - a) * inv % p) for a, b in zip(acc, res)]
 
 
 def _integer_rows(m: Mat) -> list[list[tuple[int, int]]]:
@@ -522,15 +574,11 @@ def _kernel_mod(m: Mat) -> Subspace | None:
         K, kpiv = _rref_mod(_null_rows_mod(R, piv, cols, p), cols, p)
         if shape is None:
             shape = (piv, kpiv)
+            acc = [[0] * cols for _ in K]
         elif shape != (piv, kpiv):
             return None
-        res = [[row.get(j, 0) for j in range(cols)] for row in K]
-        if M == 1:
-            acc = res
-        else:
-            inv = pow(M, -1, p)
-            acc = [[a + M * ((b - a) * inv % p) for a, b in zip(arow, brow)]
-                   for arow, brow in zip(acc, res)]
+        acc = [_crt(arow, M, [row.get(j, 0) for j in range(cols)], p)
+               for arow, row in zip(acc, K)]
         M *= p
         basis = _reconstruct(acc, M)
         if basis is not None and _annihilates(ints, basis):
@@ -755,96 +803,20 @@ def squarefree_part(p: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 # characteristic and minimal polynomials
 
-def charpoly(m: Mat) -> Poly:
-    """Characteristic polynomial det(xI - m), monic.
+def _scaled_rows(m: Mat) -> tuple[int, list[list[int]]]:
+    """(d, d m) with d the lcm of all denominators of m, so d m is integral."""
+    d = math.lcm(*(q.denominator for row in m.data for q in row))
+    return d, [[q.numerator * (d // q.denominator) for q in row] for row in m.data]
 
-    Reduces to Hessenberg form by exact similarity transformations, then runs
-    the leading-minor recurrence; O(n^3) field operations instead of the
-    exponential cofactor expansion.
+
+def _charpoly_mod(A: list[list[int]], p: int) -> list[int]:
+    """det(xI - A) mod p for an integer matrix A, coefficients lowest first.
+
+    Reduces to Hessenberg form by similarity transformations (first nonzero
+    pivot), then runs the leading-minor recurrence; O(n^3) operations mod p.
     """
-    if not m.is_square():
-        raise ValueError("charpoly needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return Poly.one()
-    H = [row[:] for row in m.data]
-    for j in range(n - 2):
-        # pick the pivot below the subdiagonal with the smallest bit size
-        best = -1
-        best_bits = 0
-        for i in range(j + 1, n):
-            v = H[i][j]
-            if v:
-                b = _bitsize(v)
-                if best < 0 or b < best_bits:
-                    best, best_bits = i, b
-        if best < 0:
-            continue
-        if best != j + 1:
-            H[j + 1], H[best] = H[best], H[j + 1]
-            for row in H:
-                row[j + 1], row[best] = row[best], row[j + 1]
-        piv = H[j + 1][j]
-        for i in range(j + 2, n):
-            f = H[i][j] / piv
-            if f:
-                rowi, rowp = H[i], H[j + 1]
-                for c in range(j, n):
-                    if rowp[c]:
-                        rowi[c] -= f * rowp[c]
-                # similarity: compensate with a column operation
-                for r in range(n):
-                    if H[r][i]:
-                        H[r][j + 1] += f * H[r][i]
-    x = Poly.x()
-    p = [Poly.one()]
-    for mm in range(1, n + 1):
-        poly = (x - Poly([H[mm - 1][mm - 1]])) * p[mm - 1]
-        t = _ONE
-        for i in range(1, mm):
-            t = t * H[mm - i][mm - i - 1]
-            if not t:
-                break
-            coeff = H[mm - i - 1][mm - 1]
-            if coeff:
-                poly = poly - (t * coeff) * p[mm - i - 1]
-        p.append(poly)
-    return p[n]
-
-
-def _mod_p(m: Mat) -> list[list[int]] | None:
-    """m reduced mod p = 2^61 - 1, or None when p divides a denominator."""
-    out = []
-    for row in m.data:
-        r = []
-        for q in row:
-            d = q.denominator
-            if d == 1:
-                r.append(q.numerator % _P)
-            elif d % _P:
-                r.append(q.numerator * pow(d, -1, _P) % _P)
-            else:
-                return None
-        out.append(r)
-    return out
-
-
-def zero_multiplicity_mod_p(m: Mat) -> int | None:
-    """Multiplicity of the root 0 of charpoly(m) reduced mod p = 2^61 - 1.
-
-    The Hessenberg reduction (first nonzero pivot) and leading-minor
-    recurrence of charpoly, over Python ints mod p. An exact coefficient 0
-    reduces to 0, so the result is never below
-    charpoly(m).trailing_zero_count(); it is a ranking heuristic, not a
-    certificate. None when p divides a denominator of m (m has no reduction
-    mod p).
-    """
-    if not m.is_square():
-        raise ValueError("zero_multiplicity_mod_p needs a square matrix")
-    n = m.rows
-    H = _mod_p(m)
-    if H is None:
-        return None
+    n = len(A)
+    H = [[a % p for a in row] for row in A]
     for j in range(n - 2):
         piv = next((i for i in range(j + 1, n) if H[i][j]), -1)
         if piv < 0:
@@ -854,36 +826,81 @@ def zero_multiplicity_mod_p(m: Mat) -> int | None:
             for row in H:
                 row[j + 1], row[piv] = row[piv], row[j + 1]
         rowp = H[j + 1]
-        inv = pow(rowp[j], -1, _P)
+        inv = pow(rowp[j], -1, p)
         for i in range(j + 2, n):
-            f = H[i][j] * inv % _P
+            f = H[i][j] * inv % p
             if f:
                 rowi = H[i]
                 for c in range(j, n):
                     if rowp[c]:
-                        rowi[c] = (rowi[c] - f * rowp[c]) % _P
+                        rowi[c] = (rowi[c] - f * rowp[c]) % p
+                # similarity: compensate with a column operation
                 for row in H:
                     if row[i]:
-                        row[j + 1] = (row[j + 1] + f * row[i]) % _P
-    p = [[1]]
+                        row[j + 1] = (row[j + 1] + f * row[i]) % p
+    polys = [[1]]
     for mm in range(1, n + 1):
-        prev = p[mm - 1]
+        prev = polys[mm - 1]
         d = H[mm - 1][mm - 1]
-        poly = [0] + prev                      # x * p[mm-1]
+        poly = [0] + prev                      # x * polys[mm-1]
         for k, c in enumerate(prev):
             poly[k] -= d * c
         t = 1
         for i in range(1, mm):
-            t = t * H[mm - i][mm - i - 1] % _P
+            t = t * H[mm - i][mm - i - 1] % p
             if not t:
                 break
             coeff = H[mm - i - 1][mm - 1]
             if coeff:
-                f = t * coeff % _P
-                for k, c in enumerate(p[mm - i - 1]):
+                f = t * coeff % p
+                for k, c in enumerate(polys[mm - i - 1]):
                     poly[k] -= f * c
-        p.append([c % _P for c in poly])
-    return next(k for k, c in enumerate(p[n]) if c)
+        polys.append([c % p for c in poly])
+    return polys[n]
+
+
+def charpoly(m: Mat) -> Poly:
+    """Characteristic polynomial det(xI - m), monic.
+
+    With A = d m integral (_scaled_rows), the coefficient of x^k is
+    c_k(A) / d^(n-k). Up to sign, c_k(A) is the sum of the (n-k) x (n-k)
+    principal minors of A, so |c_k(A)| <= prod_i (2 + isqrt(|A_i|^2)) by
+    Hadamard's bound on each minor. _charpoly_mod runs over _primes until
+    their product M exceeds twice that bound; the CRT residues, lifted to
+    (-M/2, M/2), are then the c_k(A) exactly. No prime is unlucky: A needs
+    no inverse mod p.
+    """
+    if not m.is_square():
+        raise ValueError("charpoly needs a square matrix")
+    n = m.rows
+    d, A = _scaled_rows(m)
+    bound = 2
+    for row in A:
+        bound *= 2 + math.isqrt(sum(a * a for a in row))
+    acc, M = [0] * (n + 1), 1
+    for p in _primes():
+        acc = _crt(acc, M, _charpoly_mod(A, p), p)
+        M *= p
+        if M > bound:
+            break
+    half = M >> 1
+    return Poly([Fraction(c - M if c > half else c, d ** (n - k))
+                 for k, c in enumerate(acc)])
+
+
+def zero_multiplicity_mod_p(m: Mat) -> int:
+    """Multiplicity of the root 0 of charpoly(d m) mod p = 2^61 - 1.
+
+    d m is integral (_scaled_rows) and its roots are d times those of m, so
+    over Q its zero multiplicity is that of charpoly(m). An exact coefficient
+    0 reduces to 0, so the count is never below
+    charpoly(m).trailing_zero_count(); it is a ranking heuristic, not a
+    certificate.
+    """
+    if not m.is_square():
+        raise ValueError("zero_multiplicity_mod_p needs a square matrix")
+    _, A = _scaled_rows(m)
+    return next(k for k, c in enumerate(_charpoly_mod(A, _P)) if c)
 
 
 def minpoly(m: Mat) -> Poly:

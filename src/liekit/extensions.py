@@ -103,19 +103,28 @@ class SplittingResult:
     added_dim: int
 
 
-def malcev_split_solvable(L: LieAlgebra, rng: random.Random | None = None,
-                          check_idempotence: bool = True) -> SplittingResult:
+def malcev_split_solvable(L: LieAlgebra,
+                          rng: random.Random | None = None) -> SplittingResult:
     """Embed solvable L into a split algebra by adjoining outer torus parts.
 
     Construction: take a Cartan subalgebra H, collect the semisimple Jordan
     parts of ad h over a basis of H (the map is linear on H), then keep the
     RREF-ordered subset of that span which is independent modulo inner
     derivations; those matrices act as new semisimple generators. All split
-    invariants are asserted before returning.
+    invariants are asserted before returning, and a split output is split
+    again to check that nothing more is added.
     """
     rng = _rng(rng)
     if not L.is_solvable():
         raise LieError("splitting is implemented for solvable algebras only")
+    result = _split(L, rng)
+    if result.added_dim and _split(result.M, rng).added_dim:
+        raise AssertionError("splitting is not idempotent on its own output")
+    return result
+
+
+def _split(L: LieAlgebra, rng: random.Random) -> SplittingResult:
+    """The construction and checks of malcev_split_solvable, one level deep."""
     n = L.dim
     h = cartan_subalgebra(L, rng)
     parts = [jordan_chevalley(L.ad(row)).s for row in h.basis.data]
@@ -136,10 +145,6 @@ def malcev_split_solvable(L: LieAlgebra, rng: random.Random | None = None,
                     for i in range(n)]
         result = SplittingResult(ext.total, Mat(emb_rows), ext.complement, t)
     _check_splitting(L, result, rng)
-    if check_idempotence and result.added_dim:
-        again = malcev_split_solvable(result.M, rng, check_idempotence=False)
-        if again.added_dim != 0:
-            raise AssertionError("splitting is not idempotent on its own output")
     return result
 
 

@@ -179,17 +179,11 @@ class LieAlgebra:
 
     # -- predicates ----------------------------------------------------------
 
-    def _chain(self, kind: str) -> tuple[Subspace, ...]:
-        chain = self._series.get(kind)
-        if chain is None:
-            chain = self._series[kind] = _compute_series(self, kind)
-        return chain
-
     def is_nilpotent(self) -> bool:
-        return self._chain("lower_central")[-1].dim == 0
+        return series(self, "lower_central")[-1].dim == 0
 
     def is_solvable(self) -> bool:
-        return self._chain("derived")[-1].dim == 0
+        return series(self, "derived")[-1].dim == 0
 
     def is_abelian(self) -> bool:
         return not self.table
@@ -250,7 +244,10 @@ def series(L: LieAlgebra, kind: str) -> list[Subspace]:
     """
     if kind not in ("lower_central", "derived"):
         raise ValueError("kind must be 'lower_central' or 'derived'")
-    return list(L._chain(kind))
+    chain = L._series.get(kind)
+    if chain is None:
+        chain = L._series[kind] = _compute_series(L, kind)
+    return list(chain)
 
 
 def _compute_series(L: LieAlgebra, kind: str) -> tuple[Subspace, ...]:

@@ -14,7 +14,6 @@ from fractions import Fraction
 from .exactlin import (
     Mat,
     Subspace,
-    charpoly,
     commutator,
     image,
     is_nilpotent as mat_is_nilpotent,
@@ -37,7 +36,6 @@ from .liecore import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 DEFAULT_SEED = 2022
 
@@ -56,8 +54,6 @@ def derivations(L: LieAlgebra) -> LinearLieAlgebra:
     n^2 unknown entries; the kernel basis (canonical RREF) gives the basis.
     """
     n = L.dim
-    if n == 0:
-        return LinearLieAlgebra(L, [], is_derivation_algebra=True)
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -80,9 +76,6 @@ def derivations(L: LieAlgebra) -> LinearLieAlgebra:
                         row[t * n + j] -= cit[u]
                 if any(row):
                     rows.append(row)
-    if not rows:
-        mats = [_unit_mat(n, r, c) for r in range(n) for c in range(n)]
-        return LinearLieAlgebra(L, mats, is_derivation_algebra=True)
     ker = kernel(Mat(rows, cols=n * n))
     mats = [Mat.from_flat(n, n, row) for row in ker.basis.data]
     der = LinearLieAlgebra(L, mats, is_derivation_algebra=True)
@@ -91,12 +84,6 @@ def derivations(L: LieAlgebra) -> LinearLieAlgebra:
     if not der.matrix_span().contains_space(inner):
         raise AssertionError("inner derivations escaped the computed Der(L)")
     return der
-
-
-def _unit_mat(n: int, r: int, c: int) -> Mat:
-    m = Mat.zeros(n, n)
-    m.data[r][c] = _ONE
-    return m
 
 
 def inner_derivations(L: LieAlgebra) -> Subspace:
@@ -135,11 +122,11 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
     self-normalizing check runs against the full algebra. Output checks make
     the answer seed-independent in validity.
 
-    Candidates are ranked by the zero multiplicity of their adjoint's
-    charpoly mod 2^61 - 1 (exact charpoly only when a denominator has no
-    inverse mod p). That is a heuristic only: the count is never below the
-    exact one, so the generalized null space is unchanged, and the returned
-    subalgebra is still certified nilpotent and self-normalizing over Q.
+    Candidates are ranked by zero_multiplicity_mod_p of their adjoint: the
+    charpoly of its integral multiple, mod 2^61 - 1. That is a heuristic
+    only: the count is never below the exact one, so the generalized null
+    space is unchanged, and the returned subalgebra is still certified
+    nilpotent and self-normalizing over Q.
     """
     rng = _rng(rng)
     if L.dim == 0:
@@ -164,8 +151,6 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
                 continue
             adm = sub.ad(coeffs)
             mult = zero_multiplicity_mod_p(adm)
-            if mult is None:
-                mult = charpoly(adm).trailing_zero_count()
             if mult < best_mult:
                 best_mult, best_vec = mult, (coeffs, adm)
         if best_vec is None or best_mult >= sub.dim:
@@ -377,8 +362,7 @@ def fingerprint(L: LieAlgebra, rng: random.Random | None = None) -> Fingerprint:
     dim_malcev = None
     if L.is_solvable():
         from .extensions import malcev_split_solvable
-        dim_malcev = malcev_split_solvable(L, rng=rng,
-                                           check_idempotence=False).M.dim
+        dim_malcev = malcev_split_solvable(L, rng=rng).M.dim
     return Fingerprint(
         dim=L.dim,
         lower_central=lc,

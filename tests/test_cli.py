@@ -47,6 +47,18 @@ def test_info_lists_series_and_flags(capsys):
     assert values["dim_center"] == 1
 
 
+def test_zero_dimensional_algebra_has_zero_commutator(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"name": "zero", "dim": 0, "basis": [],
+                                "brackets": [],
+                                "expected": {"dim_commutator": 0}}))
+    for src in ("abelian:0", str(path)):
+        code, report, _ = run_json(capsys, "info", src)
+        assert code == 0
+        assert report["values"]["dim_commutator"] == 0
+        assert report["values"]["lower_central"] == [0]
+
+
 def test_cartan_reports_a_basis(capsys):
     code, report, _ = run_json(capsys, "cartan", "sl2")
     assert code == 0
@@ -250,6 +262,26 @@ def test_unknown_command_is_usage_error(capsys):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["der", "sl2", "--frodo"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--format", "json", "rank-bound", "heisenberg:3"],
+    ["demo", "--seed", "5", "snobl"],
+])
+def test_options_before_a_nested_subcommand_are_usage_errors(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+
+
+def test_options_after_a_nested_subcommand_are_used(capsys):
+    code, out, _ = run(capsys, "verify", "rank-bound", "heisenberg:3",
+                       "--format", "json", "--seed", "5")
+    report = json.loads(out)
+    assert code == 0
+    assert report["command"] == "verify rank-bound"
+    assert report["seed"] == 5
 
 
 def test_unknown_name_is_input_error(capsys):

@@ -1,6 +1,8 @@
 """Unit and property tests for the exact linear algebra layer."""
 
 from fractions import Fraction
+import itertools
+import math
 import random
 
 from liekit import exactlin
@@ -318,6 +320,56 @@ def test_charpoly_similarity_invariant():
         assert charpoly(t @ m @ p) == charpoly(m)
 
 
+def _unimodular(rng, n, steps):
+    """Seeded product of elementary row operations: integral, det +-1."""
+    u = [[int(r == c) for c in range(n)] for r in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    return Mat(u)
+
+
+def test_charpoly_of_conjugated_triangular_matrices_with_large_entries(monkeypatch):
+    drawn = []    # primes used by each charpoly call
+    real = exactlin._primes
+
+    def counting():
+        drawn.append(0)
+        for p in real():
+            drawn[-1] += 1
+            yield p
+
+    monkeypatch.setattr(exactlin, "_primes", counting)
+    rng = random.Random(43)
+    for bits in (8, 60, 120, 250):
+        drawn.clear()
+        for _ in range(4):
+            n = rng.randint(2, 6)
+            big = 1 << bits
+            t = Mat([[F(rng.randint(-big, big), rng.randint(1, 1 << 12))
+                      if c >= r else 0 for c in range(n)] for r in range(n)])
+            u = _unimodular(rng, n, 3 * n)
+            _, _, u_inv = rref_with_transform(u)
+            want = Poly.one()
+            for i in range(n):
+                want = want * Poly([-t.data[i][i], 1])
+            assert charpoly(u @ t @ u_inv) == want
+            assert charpoly(t) == want
+        assert len(drawn) == 8
+        if bits == 250:
+            assert min(drawn) > len(exactlin._PRIMES)
+
+
+def test_primes_are_the_table_then_miller_rabin_below_it():
+    by_division = [n for n in range(2, 10 ** 4)
+                   if all(n % k for k in range(2, math.isqrt(n) + 1))]
+    assert [n for n in range(10 ** 4) if exactlin._is_prime(n)] == by_division
+    first = list(itertools.islice(exactlin._primes(), 10))
+    assert tuple(first[:8]) == exactlin._PRIMES
+    assert first[8:] == [2 ** 61 - 403, 2 ** 61 - 465]
+
+
 def _jordan(blocks):
     """Block-diagonal matrix of Jordan blocks given as (eigenvalue, size)."""
     n = sum(size for _, size in blocks)
@@ -368,13 +420,33 @@ def test_zero_multiplicity_mod_p_small_and_nilpotent_cases():
         assert charpoly(upper).trailing_zero_count() == n
 
 
-def test_zero_multiplicity_mod_p_has_no_reduction_when_p_divides_a_denominator():
+def test_zero_multiplicity_mod_p_when_p_divides_a_denominator():
     p = 2 ** 61 - 1
-    assert zero_multiplicity_mod_p(Mat([[1, F(1, p)], [0, 0]])) is None
-    assert zero_multiplicity_mod_p(Mat([[1, F(1, 2 * p)], [0, 0]])) is None
+    for m in (Mat([[1, F(1, p)], [0, 0]]), Mat([[1, F(1, 2 * p)], [0, 0]]),
+              Mat([[F(1, p), 1], [0, F(2, 3)]]), Mat([[p, 1], [0, 0]])):
+        got = zero_multiplicity_mod_p(m)
+        assert isinstance(got, int)
+        assert got >= charpoly(m).trailing_zero_count()
     # p in a numerator only reduces to 0, which never lowers the count
     assert zero_multiplicity_mod_p(Mat([[p, 1], [0, 0]])) == 2
     assert charpoly(Mat([[p, 1], [0, 0]])).trailing_zero_count() == 1
+    # every denominator the same multiple k p: d m is u v^T, with entries
+    # prime to k p, and its one nonzero charpoly coefficient below x^n is
+    # the trace v.u, which is small, so p divides it only when it is 0
+    rng = random.Random(41)
+    units = (1, -1, 7, -7, 11, -11, 13, -13)
+    cases = [(3, [1, 7], [7, -1])]                 # trace 0: x^2
+    for k in (1, 3, 10):
+        for _ in range(12):
+            n = rng.randint(1, 5)
+            cases.append((k, [rng.choice(units) for _ in range(n)],
+                          [rng.choice(units) for _ in range(n)]))
+    for k, u, v in cases:
+        m = Mat([[F(a * b, k * p) for b in v] for a in u])
+        assert {q.denominator for row in m.data for q in row} == {k * p}
+        want = charpoly(m).trailing_zero_count()
+        assert want == len(u) - 1 + (sum(a * b for a, b in zip(u, v)) == 0)
+        assert zero_multiplicity_mod_p(m) == want
 
 
 def test_minpoly_examples():
