@@ -21,7 +21,15 @@ from importlib import resources
 from typing import Callable, Mapping
 
 from .exactlin import Mat
-from .liecore import LieAlgebra, LieError, center, direct_sum, series, verify_structure
+from .liecore import (
+    LieAlgebra,
+    LieError,
+    center,
+    derived_algebra,
+    direct_sum,
+    series,
+    verify_structure,
+)
 from .extensions import extend_by_derivations
 from .structure import (
     _rng,
@@ -72,7 +80,7 @@ def _check_expected(L: LieAlgebra, expected: Mapping[str, object],
     checks: dict[str, Callable[[], object]] = {
         "dim": lambda: L.dim,
         "dim_center": lambda: center(L).dim,
-        "dim_commutator": lambda: series(L, "lower_central")[1].dim if L.dim else 0,
+        "dim_commutator": lambda: derived_algebra(L).dim,
         "dim_der": lambda: derivations(L).dim,
         "dim_nilradical": lambda: nilradical(L, rng).dim,
         "dim_torus": lambda: maximal_torus(derivations(L), rng).dim,
@@ -172,7 +180,7 @@ def _favre7() -> tuple[LieAlgebra, dict]:
     if z.dim != 1 or not z.contains(last):
         raise CatalogError("favre7: center must be the span of the last "
                            "basis vector")
-    if series(L, "lower_central")[1].contains(first):
+    if derived_algebra(L).contains(first):
         raise CatalogError("favre7: first basis vector must lie outside the "
                            "commutator ideal")
     # get() gates the expected record once; the characteristic-nilpotency

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import catalog
 from .exactlin import Mat, rref
-from .liecore import LieAlgebra, LieError, center, series
+from .liecore import LieAlgebra, LieError, center, derived_algebra, series
 from .extensions import (
     NilradicalMismatch,
     extend_by_derivations,
@@ -138,7 +138,7 @@ def _cmd_info(L, rng):
         "lower_central": [s.dim for s in series(L, "lower_central")],
         "derived": [s.dim for s in series(L, "derived")],
         "dim_center": center(L).dim,
-        "dim_commutator": series(L, "lower_central")[1].dim if L.dim else 0,
+        "dim_commutator": derived_algebra(L).dim,
     }, {}
 
 

@@ -4,19 +4,18 @@ Every result here is an exact Fraction; no floats ever enter, so ranks,
 kernels, characteristic polynomials and Jordan-Chevalley parts are exact,
 and identical inputs give bit-identical outputs.
 
-One row-space engine: rref (with rref_with_transform when coordinates over
-the input rows are needed) and Subspace, which holds a canonical RREF basis
-(membership, sums, intersections, coordinates over that basis). minpoly
-reduces one power at a time on its own, so that it stops at the degree.
-
-kernel row-reduces mod primes, lifts the result to Q and returns it only
-once it is certified exactly over Q; otherwise it falls back to rref.
+One elimination engine: rref, a sparse fraction-free elimination over the
+integers that divides by each pivot once, at the end. Subspace holds a
+canonical RREF basis (membership, sums, intersections, coordinates over
+that basis); rref_with_transform gives coordinates over the input rows, and
+kernel is the null rows of rref. minpoly reduces one power at a time on its
+own, so that it stops at the degree.
 
 One characteristic-polynomial engine: _charpoly_mod (Hessenberg reduction
 and the leading-minor recurrence mod p) on the integral matrix d m, d the
-lcm of the denominators of m. charpoly combines its residues by CRT under
-Hadamard's bound, so it is exact; zero_multiplicity_mod_p reads one prime.
-Both modular paths draw their moduli from _primes and combine them by _crt.
+lcm of the denominators of m. charpoly combines its residues by CRT (_crt,
+over the moduli of _primes) under Hadamard's bound, so it is exact;
+zero_multiplicity_mod_p reads one prime.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
-
-Rat = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -35,17 +32,14 @@ def _rat(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _bitsize(q: Fraction) -> int:
-    return q.numerator.bit_length() + q.denominator.bit_length()
-
-
 class Mat:
     """Dense rational matrix (row-major). Treat instances as immutable."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Sequence[Sequence], cols: int | None = None):
-        self.data = [[_rat(x) for x in row] for row in data]
+        self.data = [[x if isinstance(x, Fraction) else Fraction(x) for x in row]
+                     for row in data]
         self.rows = len(self.data)
         if self.rows:
             self.cols = len(self.data[0])
@@ -78,9 +72,6 @@ class Mat:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(self.data[i])
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.data)
@@ -194,50 +185,86 @@ def commutator(a: Mat, b: Mat) -> Mat:
 # row reduction
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column list.
+    """Reduced row echelon form and the pivot column list; zero rows last.
 
-    Pivot choice: among the nonzero candidates in the pivot column, the entry
-    of smallest bit size wins, ties going to the lowest row index. This keeps
-    intermediate numerators/denominators small and is fully deterministic.
+    One sparse elimination over the integers. Each nonzero row is scaled by
+    the lcm of its denominators to a primitive integer row {column: int}. In
+    each column the candidate with the fewest nonzeros becomes the pivot
+    row, so sparse systems do not fill in, and _clear eliminates that column
+    from the rows below it (forward elimination), then from the rows above
+    it (back substitution). Only the final rows are divided by their pivots,
+    once per entry. The RREF is unique, so the pivot choice does not change
+    the result, only its cost.
     """
-    R = [row[:] for row in m.data]
-    nrows, ncols = m.rows, m.cols
+    cols = m.cols
+    active = []
+    for row in m.data:
+        nz = [(j, q) for j, q in enumerate(row) if q]
+        if nz:
+            d = math.lcm(*(q.denominator for _, q in nz))
+            r = {j: q.numerator * (d // q.denominator) for j, q in nz}
+            g = math.gcd(*r.values())
+            active.append({j: v // g for j, v in r.items()} if g != 1 else r)
+    echelon: list[dict[int, int]] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
+    for c in range(cols):
         best = -1
-        best_bits = 0
-        for i in range(r, nrows):
-            v = R[i][c]
-            if v:
-                b = _bitsize(v)
-                if best < 0 or b < best_bits:
-                    best, best_bits = i, b
+        for i, r in enumerate(active):
+            if c in r and (best < 0 or len(r) < len(active[best])):
+                best = i
         if best < 0:
             continue
-        if best != r:
-            R[r], R[best] = R[best], R[r]
-        prow = R[r]
-        piv = prow[c]
-        if piv != 1:
-            inv = _ONE / piv
-            for j in range(c, ncols):
-                if prow[j]:
-                    prow[j] *= inv
-        nz = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = R[i][c]
-            if f:
-                row = R[i]
-                for j, v in nz:
-                    row[j] -= f * v
+        prow = active[best]
+        active[best] = active[-1]
+        active.pop()
+        active = _clear(active, prow, c)
+        echelon.append(prow)
         pivots.append(c)
-        r += 1
-    return Mat(R, cols=ncols), tuple(pivots)
+    # row k is final once the pivots after it are cleared from it
+    for k in range(len(echelon) - 1, 0, -1):
+        echelon[:k] = _clear(echelon[:k], echelon[k], pivots[k])
+    R = []
+    for c, row in zip(pivots, echelon):
+        a = row[c]
+        out = [_ZERO] * cols
+        for j, v in row.items():
+            out[j] = Fraction(v, a)
+        R.append(out)
+    R.extend([_ZERO] * cols for _ in range(m.rows - len(R)))
+    return Mat(R, cols=cols), tuple(pivots)
+
+
+def _clear(rows: list[dict[int, int]], prow: dict[int, int],
+           c: int) -> list[dict[int, int]]:
+    """rows with column c eliminated by prow, zero rows dropped.
+
+    With a/f = prow[c]/r[c] in lowest terms, r becomes (a r - f prow) / its
+    content, so every row stays a primitive integer row.
+    """
+    a = prow[c]
+    out = []
+    for r in rows:
+        f = r.get(c)
+        if f:
+            g = math.gcd(a, f)
+            ag, fg = a // g, f // g
+            if ag != 1:
+                for j in r:
+                    r[j] *= ag
+            for j, v in prow.items():
+                x = r.get(j, 0) - fg * v
+                if x:
+                    r[j] = x
+                else:
+                    del r[j]
+            if not r:
+                continue
+            g = math.gcd(*r.values())
+            if g != 1:
+                for j in r:
+                    r[j] //= g
+        out.append(r)
+    return out
 
 
 def rref_with_transform(m: Mat) -> tuple[Mat, tuple[int, ...], Mat]:
@@ -363,238 +390,14 @@ def _null_rows(rows: Sequence[Sequence], pivots: Sequence[int],
         v = [_ZERO] * cols
         v[c] = _ONE
         for i, p in enumerate(pivots):
-            v[p] = -rows[i][c]
+            if rows[i][c]:
+                v[p] = -rows[i][c]
         out.append(v)
     return out
 
 
-# ---------------------------------------------------------------------------
-# primes, CRT and modular kernels
-
-# the Mersenne prime 2^61 - 1: residues stay below 2^61, products below 2^122
-_P = (1 << 61) - 1
-
-# kernel moduli: _P, then the next primes below it; with all eight, entries
-# with numerator and denominator below about 2^243 are reconstructed
-_PRIMES = (_P,) + tuple((1 << 61) - k for k in (31, 45, 229, 259, 283, 339, 391))
-
-# Miller-Rabin with the first twelve prime bases is deterministic below
-# 3.18 * 10^23 (Sorenson and Webster 2017), far above 2^61
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Primality for n below 3.18 * 10^23, by Miller-Rabin over _BASES."""
-    if n < 2:
-        return False
-    for b in _BASES:
-        if n % b == 0:
-            return n == b
-    s, t = 0, n - 1
-    while not t & 1:
-        s, t = s + 1, t >> 1
-    for b in _BASES:
-        x = pow(b, t, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes():
-    """_PRIMES, then the primes below them in decreasing order, found lazily."""
-    yield from _PRIMES
-    q = _PRIMES[-1]
-    while True:
-        q -= 2
-        if _is_prime(q):
-            yield q
-
-
-def _crt(acc: list[int], M: int, res: list[int], p: int) -> list[int]:
-    """Entrywise x = acc (mod M), x = res (mod p), 0 <= x < M p.
-
-    With M = 1 and acc all zero this is res itself.
-    """
-    inv = pow(M, -1, p)
-    return [a + M * ((b - a) * inv % p) for a, b in zip(acc, res)]
-
-
-def _integer_rows(m: Mat) -> list[list[tuple[int, int]]]:
-    """Nonzero rows of m as sparse (column, integer) lists.
-
-    Each row is scaled by the lcm of its denominators, which leaves the
-    kernel unchanged.
-    """
-    out = []
-    for row in m.data:
-        nz = [(j, q) for j, q in enumerate(row) if q]
-        if nz:
-            d = math.lcm(*(q.denominator for _, q in nz))
-            out.append([(j, q.numerator * (d // q.denominator)) for j, q in nz])
-    return out
-
-
-def _rref_mod(rows: list[dict[int, int]], cols: int,
-              p: int) -> tuple[list[dict[int, int]], tuple[int, ...]]:
-    """RREF mod p of sparse rows {column: residue}: (pivot rows, pivots).
-
-    The rows are consumed. In each column the candidate with the fewest
-    nonzeros becomes the pivot row, so sparse systems do not fill in; the
-    RREF itself does not depend on that choice.
-    """
-    active = [r for r in rows if r]
-    echelon: list[dict[int, int]] = []
-    pivots: list[int] = []
-    for c in range(cols):
-        best = -1
-        for i, r in enumerate(active):
-            if c in r and (best < 0 or len(r) < len(active[best])):
-                best = i
-        if best < 0:
-            continue
-        prow = active[best]
-        active[best] = active[-1]
-        active.pop()
-        inv = pow(prow[c], -1, p)
-        if inv != 1:
-            for j in prow:
-                prow[j] = prow[j] * inv % p
-        _clear_mod(active, prow, c, p)
-        echelon.append(prow)
-        pivots.append(c)
-    # back substitution: row k is final once the pivots after it are cleared
-    for k in range(len(echelon) - 1, 0, -1):
-        _clear_mod(echelon[:k], echelon[k], pivots[k], p)
-    return echelon, tuple(pivots)
-
-
-def _clear_mod(rows: list[dict[int, int]], prow: dict[int, int], c: int,
-               p: int) -> None:
-    """Subtract multiples of prow (prow[c] == 1) to zero column c of rows."""
-    for r in rows:
-        f = r.get(c)
-        if f:
-            for j, v in prow.items():
-                x = (r.get(j, 0) - f * v) % p
-                if x:
-                    r[j] = x
-                else:
-                    del r[j]
-
-
-def _null_rows_mod(rows: list[dict[int, int]], pivots: tuple[int, ...],
-                   cols: int, p: int) -> list[dict[int, int]]:
-    """_null_rows for a sparse RREF mod p."""
-    free = {c: {c: 1} for c in range(cols)}
-    for c in pivots:
-        del free[c]
-    for pc, row in zip(pivots, rows):
-        for j, v in row.items():
-            if j != pc:
-                free[j][pc] = p - v
-    return list(free.values())
-
-
-def _ratrec(u: int, M: int, bound: int) -> Fraction | None:
-    """The fraction n/d with |n|, d <= bound and n = u d (mod M), or None.
-
-    Wang's half-extended Euclid; 2 bound^2 <= M makes the answer unique.
-    """
-    r0, r1 = M, u
-    t0, t1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if abs(t1) > bound or math.gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
-
-
-def _reconstruct(residues: list[list[int]], M: int) -> list[list[Fraction]] | None:
-    """Every residue mod M lifted by _ratrec, or None if one has no lift."""
-    bound = math.isqrt(M >> 1)
-    out = []
-    for row in residues:
-        qrow = []
-        for u in row:
-            q = _ratrec(u, M, bound) if u > 1 else (_ONE if u else _ZERO)
-            if q is None:
-                return None
-            qrow.append(q)
-        out.append(qrow)
-    return out
-
-
-def _annihilates(ints: list[list[tuple[int, int]]],
-                 basis: list[list[Fraction]]) -> bool:
-    """Whether every integer row times every basis vector is exactly 0."""
-    for v in basis:
-        d = math.lcm(*(q.denominator for q in v))
-        w = [q.numerator * (d // q.denominator) for q in v]
-        for row in ints:
-            if sum(a * w[j] for j, a in row):
-                return False
-    return True
-
-
-def _kernel_mod(m: Mat) -> Subspace | None:
-    """kernel(m) from RREFs mod primes, certified over Q; None if uncertified.
-
-    Per prime: the RREF of the integer rows, their null rows and the RREF of
-    those, whose residues are combined by CRT and lifted by rational
-    reconstruction. A lift is returned only if every lifted row v has
-    m v = 0 exactly. The lifted rows keep the RREF shape mod p (residues 0
-    and 1 lift to 0 and 1), so they are independent, and there are
-    cols - rank_p >= cols - rank_Q of them: they span the kernel over Q and
-    are its canonical RREF basis. Different pivots at a later prime (the
-    first was unlucky) or no certified lift within _PRIMES give None.
-    """
-    cols = m.cols
-    ints = _integer_rows(m)
-    shape = None
-    acc: list[list[int]] = []
-    M = 1
-    for p in _PRIMES:
-        rows = []
-        for irow in ints:
-            r = {}
-            for j, a in irow:
-                a %= p
-                if a:
-                    r[j] = a
-            rows.append(r)
-        R, piv = _rref_mod(rows, cols, p)
-        K, kpiv = _rref_mod(_null_rows_mod(R, piv, cols, p), cols, p)
-        if shape is None:
-            shape = (piv, kpiv)
-            acc = [[0] * cols for _ in K]
-        elif shape != (piv, kpiv):
-            return None
-        acc = [_crt(arow, M, [row.get(j, 0) for j in range(cols)], p)
-               for arow, row in zip(acc, K)]
-        M *= p
-        basis = _reconstruct(acc, M)
-        if basis is not None and _annihilates(ints, basis):
-            return Subspace(cols, Mat(basis, cols=cols), kpiv)
-    return None
-
-
 def kernel(m: Mat) -> Subspace:
-    """Null space {v : m v = 0} as a Subspace of Q^cols.
-
-    Computed mod primes and certified exactly (_kernel_mod); when no
-    certificate is found, from the exact rref.
-    """
-    ker = _kernel_mod(m)
-    if ker is not None:
-        return ker
+    """Null space {v : m v = 0} as a Subspace of Q^cols: the null rows of rref(m)."""
     R, piv = rref(m)
     return Subspace.span(m.cols, _null_rows(R.data, piv, m.cols))
 
@@ -715,13 +518,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([i * a for i, a in enumerate(self.c)][1:])
 
-    def evaluate(self, x) -> Fraction:
-        acc = _ZERO
-        xv = _rat(x)
-        for a in reversed(self.c):
-            acc = acc * xv + a
-        return acc
-
     def eval_mat(self, m: Mat) -> Mat:
         if not m.is_square():
             raise ValueError("eval_mat needs a square matrix")
@@ -798,6 +594,62 @@ def squarefree_part(p: Poly) -> Poly:
         raise ValueError("zero polynomial")
     g = poly_gcd(p, p.derivative())
     return (p // g).monic()
+
+
+# ---------------------------------------------------------------------------
+# primes and CRT for the modular characteristic polynomial
+
+# the Mersenne prime 2^61 - 1: residues stay below 2^61, products below 2^122
+_P = (1 << 61) - 1
+
+# the first moduli of _primes: _P, then the next primes below it
+_PRIMES = (_P,) + tuple((1 << 61) - k for k in (31, 45, 229, 259, 283, 339, 391))
+
+# Miller-Rabin with the first twelve prime bases is deterministic below
+# 3.18 * 10^23 (Sorenson and Webster 2017), far above 2^61
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Primality for n below 3.18 * 10^23, by Miller-Rabin over _BASES."""
+    if n < 2:
+        return False
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    s, t = 0, n - 1
+    while not t & 1:
+        s, t = s + 1, t >> 1
+    for b in _BASES:
+        x = pow(b, t, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """_PRIMES, then the primes below them in decreasing order, found lazily."""
+    yield from _PRIMES
+    q = _PRIMES[-1]
+    while True:
+        q -= 2
+        if _is_prime(q):
+            yield q
+
+
+def _crt(acc: list[int], M: int, res: list[int], p: int) -> list[int]:
+    """Entrywise x = acc (mod M), x = res (mod p), 0 <= x < M p.
+
+    With M = 1 and acc all zero this is res itself.
+    """
+    inv = pow(M, -1, p)
+    return [a + M * ((b - a) * inv % p) for a, b in zip(acc, res)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .liecore import (
     LieAlgebra,
     LieError,
     center,
+    derived_algebra,
     direct_sum,
     is_ideal,
     product_space,
@@ -272,8 +273,8 @@ def togo_dim_check(A: LieAlgebra, B: LieAlgebra) -> TogoReport:
     lhs = derivations(direct_sum(A, B)).dim
     da = derivations(A).dim
     db = derivations(B).dim
-    ga = A.dim - product_space(A, A.full_space(), A.full_space()).dim
-    gb = B.dim - product_space(B, B.full_space(), B.full_space()).dim
+    ga = A.dim - derived_algebra(A).dim
+    gb = B.dim - derived_algebra(B).dim
     za = center(A).dim
     zb = center(B).dim
     report = TogoReport(lhs, da, db, ga * zb, gb * za,

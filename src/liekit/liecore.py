@@ -250,6 +250,12 @@ def series(L: LieAlgebra, kind: str) -> list[Subspace]:
     return list(chain)
 
 
+def derived_algebra(L: LieAlgebra) -> Subspace:
+    """[L, L], read from the cached lower central series (0 when dim L = 0)."""
+    chain = series(L, "lower_central")
+    return chain[1] if len(chain) > 1 else chain[0]
+
+
 def _compute_series(L: LieAlgebra, kind: str) -> tuple[Subspace, ...]:
     full = L.full_space()
     chain = [full]
@@ -351,14 +357,11 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Mat]:
     return LieAlgebra(len(free), table, labels), proj
 
 
-def restrict(L: LieAlgebra, s: Subspace,
-             labels: Sequence[str] | None = None) -> LieAlgebra:
+def restrict(L: LieAlgebra, s: Subspace) -> LieAlgebra:
     """The subalgebra on s's RREF basis, with NotClosedError on failure."""
     rows = s.basis.data
     table = induced_table(s.dim, lambda a, b: L.bracket(rows[a], rows[b]), s.coords)
-    if labels is None:
-        labels = tuple(f"s{i + 1}" for i in range(s.dim))
-    return LieAlgebra(s.dim, table, labels)
+    return LieAlgebra(s.dim, table, tuple(f"s{i + 1}" for i in range(s.dim)))
 
 
 def change_basis(L: LieAlgebra, p: Mat) -> LieAlgebra:
@@ -454,8 +457,8 @@ class LinearLieAlgebra:
         """The underlying subspace of gl(n), vectorized row-major."""
         return self._span
 
-    def to_abstract(self, prefix: str = "D") -> LieAlgebra:
-        labels = tuple(f"{prefix}{i + 1}" for i in range(self.dim))
+    def to_abstract(self) -> LieAlgebra:
+        labels = tuple(f"D{i + 1}" for i in range(self.dim))
         return LieAlgebra(self.dim, dict(self.table), labels)
 
     def __repr__(self) -> str:
@@ -519,7 +522,7 @@ def killing_radical(L: LieAlgebra) -> Subspace:
 
     In characteristic zero this is the solvable radical (Cartan's criterion).
     """
-    derived = product_space(L, L.full_space(), L.full_space())
+    derived = derived_algebra(L)
     if derived.dim == 0:
         return L.full_space()
     ads = [L.ad(L.basis_vector(i)) for i in range(L.dim)]

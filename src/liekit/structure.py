@@ -27,6 +27,7 @@ from .liecore import (
     LieError,
     LinearLieAlgebra,
     center,
+    derived_algebra,
     killing_radical,
     normalizer,
     product_space,
@@ -358,7 +359,7 @@ def fingerprint(L: LieAlgebra, rng: random.Random | None = None) -> Fingerprint:
     rng = _rng(rng)
     lc = tuple(s.dim for s in series(L, "lower_central"))
     dv = tuple(s.dim for s in series(L, "derived"))
-    comm = product_space(L, L.full_space(), L.full_space())
+    comm = derived_algebra(L)
     dim_malcev = None
     if L.is_solvable():
         from .extensions import malcev_split_solvable

@@ -17,6 +17,7 @@ from liekit.liecore import (
     TableError,
     center,
     change_basis,
+    derived_algebra,
     direct_sum,
     generated_subalgebra,
     is_ideal,
@@ -138,6 +139,17 @@ def test_series_is_computed_once_per_algebra(monkeypatch):
     # the derived series was new; the lower central one was not recomputed
     assert len(calls) == computed + 2
     assert series(L, "derived") is not series(L, "derived")
+
+
+def test_derived_algebra_reads_the_cached_series(monkeypatch):
+    for L in (heisenberg3(), abelian(3), sl2(), r2(), filiform(5)):
+        full = L.full_space()
+        assert derived_algebra(L) == product_space(L, full, full)
+    assert derived_algebra(abelian(0)) == Subspace.zero(0)
+    L = filiform(4)
+    series(L, "lower_central")
+    monkeypatch.setattr(liecore, "product_space", None)
+    assert derived_algebra(L).dim == 2
 
 
 def test_nilpotent_solvable_predicates():
