@@ -24,6 +24,7 @@ from .exactlin import Mat
 from .liecore import (
     LieAlgebra,
     LieError,
+    TableError,
     center,
     derived_algebra,
     direct_sum,
@@ -324,7 +325,11 @@ def _parse(text: str) -> tuple[str, LieAlgebra, dict]:
     expected = raw.get("expected", {})
     if not isinstance(expected, dict):
         raise CatalogError("expected: expected a JSON object")
-    return name, LieAlgebra(dim, table, labels=tuple(basis)), expected
+    try:
+        L = LieAlgebra(dim, table, labels=tuple(basis))
+    except TableError as exc:
+        raise CatalogError(str(exc)) from None
+    return name, L, expected
 
 
 def load(path: str) -> CatalogEntry:

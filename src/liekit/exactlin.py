@@ -6,10 +6,10 @@ and identical inputs give bit-identical outputs.
 
 One elimination engine: rref, a sparse fraction-free elimination over the
 integers that divides by each pivot once, at the end. Subspace holds a
-canonical RREF basis (membership, sums, intersections, coordinates over
-that basis); rref_with_transform gives coordinates over the input rows, and
-kernel is the null rows of rref. minpoly reduces one power at a time on its
-own, so that it stops at the degree.
+canonical RREF basis (membership, sums, coordinates over that basis);
+rref_with_transform gives coordinates over the input rows, and kernel is
+the null rows of rref. minpoly reduces one power at a time on its own, so
+that it stops at the degree.
 
 One characteristic-polynomial engine: _charpoly_mod (Hessenberg reduction
 and the leading-minor recurrence mod p) on the integral matrix d m, d the
@@ -363,18 +363,6 @@ class Subspace:
             raise ValueError("ambient mismatch")
         return Subspace.span(self.ambient, list(self.basis.data) + list(other.basis.data))
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked coefficient system."""
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-        k, m = self.dim, other.dim
-        if k == 0 or m == 0:
-            return Subspace.zero(self.ambient)
-        stacked = vstack(self.basis, -other.basis)  # (k+m) x n
-        lk = kernel(stacked.transpose())            # w with sum_i w_i row_i = 0
-        w = Mat([row[:k] for row in lk.basis.data], cols=k)
-        return Subspace.span(self.ambient, (w @ self.basis).data)
-
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
@@ -400,11 +388,6 @@ def kernel(m: Mat) -> Subspace:
     """Null space {v : m v = 0} as a Subspace of Q^cols: the null rows of rref(m)."""
     R, piv = rref(m)
     return Subspace.span(m.cols, _null_rows(R.data, piv, m.cols))
-
-
-def image(m: Mat) -> Subspace:
-    """Column space of m as a Subspace of Q^rows."""
-    return Subspace.span(m.rows, [m.column(j) for j in range(m.cols)])
 
 
 # ---------------------------------------------------------------------------
@@ -544,22 +527,6 @@ class Poly:
         while not self.c[n]:
             n += 1
         return n
-
-    def __str__(self) -> str:
-        if not self.c:
-            return "0"
-        terms = []
-        for i in range(len(self.c) - 1, -1, -1):
-            a = self.c[i]
-            if not a:
-                continue
-            if i == 0:
-                terms.append(f"{a}")
-            elif i == 1:
-                terms.append(f"{a}*x" if a != 1 else "x")
-            else:
-                terms.append(f"{a}*x^{i}" if a != 1 else f"x^{i}")
-        return " + ".join(terms).replace("+ -", "- ")
 
     def __repr__(self) -> str:
         return f"Poly({list(self.c)!r})"

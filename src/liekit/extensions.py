@@ -166,7 +166,7 @@ def _check_splitting(L: LieAlgebra, r: SplittingResult,
                 raise AssertionError("embedding is not a homomorphism")
     if not is_ideal(M, image):
         raise AssertionError("embedded copy is not an ideal")
-    if r.torus_part.dim + n != M.dim or r.torus_part.intersect(image).dim != 0:
+    if r.torus_part.dim + n != M.dim or (r.torus_part + image).dim != M.dim:
         raise AssertionError("torus part does not complement the image")
     combos = list(r.torus_part.basis.data)
     for _ in range(4):

@@ -1,5 +1,8 @@
 """Structure theory: derivations, Cartan subalgebras, nilradicals, tori.
 
+The nilradical of a solvable L is [L, L] plus the ad-nilpotent part of one
+Cartan subalgebra H: N = [L, L] + ker sigma|H, sigma(h) = s(ad h).
+
 Randomized searches (Cartan subalgebras and everything downstream) take an
 explicit random.Random; results are certified by output checks, so the seed
 only affects which certified answer is found, not its validity.
@@ -15,7 +18,6 @@ from .exactlin import (
     Mat,
     Subspace,
     commutator,
-    image,
     is_nilpotent as mat_is_nilpotent,
     is_semisimple as mat_is_semisimple,
     jordan_chevalley,
@@ -169,43 +171,16 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
     raise AssertionError("Cartan subalgebra search failed to converge")
 
 
-def fitting_decomposition(L: LieAlgebra, h: Subspace) -> tuple[Subspace, Subspace]:
-    """(L0, L1) for the action of the nilpotent subalgebra h.
-
-    L0 is the joint generalized null space of the ad h_i, L1 the sum of their
-    stabilized images; the direct-sum and invariance contracts are asserted.
-    """
-    n = L.dim
-    if h.dim == 0:
-        return L.full_space(), Subspace.zero(n)
-    sub = restrict(L, h)
-    if not sub.is_nilpotent():
-        raise LieError("fitting decomposition needs a nilpotent subalgebra")
-    l0 = L.full_space()
-    l1 = Subspace.zero(n)
-    for row in h.basis.data:
-        p = L.ad(row).pow(n)
-        l0 = l0.intersect(kernel(p))
-        l1 = l1 + image(p)
-    if l0.intersect(l1).dim != 0 or l0.dim + l1.dim != n:
-        raise AssertionError("Fitting components do not decompose the algebra")
-    for part in (l0, l1):
-        for row in h.basis.data:
-            for v in part.basis.data:
-                if not part.contains(L.bracket(row, v)):
-                    raise AssertionError("Fitting component is not h-invariant")
-    return l0, l1
-
-
 # ---------------------------------------------------------------------------
 # nilradical
 
 def nilradical(L: LieAlgebra, rng: random.Random | None = None) -> Subspace:
     """The largest nilpotent ideal, with its defining contracts re-checked.
 
-    Solvable case: with H a Cartan subalgebra and L = H + L1 the Fitting
-    decomposition, the nilradical is L1 plus the kernel of h -> semisimple
-    part of ad h on H. Non-solvable case: recurse into the solvable radical.
+    Solvable case: N = [L, L] + ker sigma|H, with H a Cartan subalgebra and
+    sigma(h) = s(ad h) the semisimple part, linear on H. This holds because
+    [L, L] lies in N, L = H + [L, L], and an h in H lies in N exactly when
+    ad h is nilpotent. Non-solvable case: recurse into the solvable radical.
     The output is checked to be a nilpotent ideal containing [L, radical],
     and sampled ad-nilpotent elements are checked to lie inside.
     """
@@ -222,16 +197,14 @@ def _nilradical_inner(L: LieAlgebra, rng: random.Random) -> Subspace:
         return L.full_space()
     if L.is_solvable():
         h = cartan_subalgebra(L, rng)
-        l0, l1 = fitting_decomposition(L, h)
-        if l0 != h:
-            raise AssertionError("Fitting null part of a Cartan subalgebra must be itself")
         n = L.dim
         cols = []
         for row in h.basis.data:
             s = jordan_chevalley(L.ad(row)).s
             cols.append(list(s.vec()))
         coeff_kernel = kernel(Mat(cols, cols=n * n).transpose())
-        rows = list(l1.basis.data) + (coeff_kernel.basis @ h.basis).data
+        rows = (list(derived_algebra(L).basis.data)
+                + (coeff_kernel.basis @ h.basis).data)
         return Subspace.span(n, rows)
     rad = killing_radical(L)
     inner = _nilradical_inner(restrict(L, rad), rng)

@@ -173,6 +173,20 @@ def test_load_missing_file_names_the_path(tmp_path):
         load(str(tmp_path / "nothing.json"))
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"name": "bad", "dim": 2, "basis": ["a", "a"]}, "duplicate labels"),
+    ({"name": "bad", "dim": 3, "basis": ["a", "b", "c"],
+      "brackets": [[1, 2, [[2, "1"], [2, "3"]]]]}, "duplicate target"),
+], ids=["labels", "target"])
+def test_table_errors_are_catalog_errors_with_the_path(tmp_path, doc, message):
+    with pytest.raises(CatalogError, match=message):
+        loads(json.dumps(doc))
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(CatalogError, match=f"dup.json: {message}"):
+        load(str(path))
+
+
 def test_malformed_json_reports_line():
     with pytest.raises(CatalogError, match="line"):
         loads("{\n  \"name\": \"x\",\n  broken\n}")

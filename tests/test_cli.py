@@ -184,6 +184,15 @@ def test_file_source_that_is_not_utf8_is_input_error(capsys, tmp_path):
     assert str(path) in err and "UTF-8" in err
 
 
+def test_file_with_duplicate_labels_names_the_file(capsys, tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"name": "bad", "dim": 2, "basis": ["a", "a"]}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "nilradical", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: duplicate labels\n"
+
+
 def test_catalog_name_wins_over_paths(capsys):
     code, report, _ = run_json(capsys, "info", "abelian:3")
     assert code == 0
@@ -413,6 +422,10 @@ PINNED_JSON = {
         "11d526e8ee3c3157625b493602a434ebf496595893903d0070f3de7b6ea371e7",
     ("fingerprint", "favre7"):
         "3d97a82f1d8a134b3f87a70cd69c1af0c8ba817d7555d64f8f13780ee9f134b0",
+    ("nilradical", "diagonal_torus_extension:3"):
+        "d9264065bbe52d3b19c5d6960961239ab9bd600cd85271d885c51ab7545a1eaf",
+    ("verify", "rank-bound", "so2_torus_extension"):
+        "7da0018c6484ac3d4a72463bd6292d15b0b25088d10cd2caa0ec4e17a4b9bdf0",
 }
 
 

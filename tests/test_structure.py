@@ -7,10 +7,12 @@ from liekit import catalog, exactlin
 
 from liekit.exactlin import (
     Mat,
+    Subspace,
     is_nilpotent,
     is_semisimple,
     jordan_chevalley,
     rank,
+    rref_with_transform,
 )
 from liekit.liecore import (
     LieAlgebra,
@@ -21,12 +23,15 @@ from liekit.liecore import (
     restrict,
     semidirect_sum,
 )
+from liekit.extensions import (
+    extend_by_derivations,
+    standard_solvable_extension,
+)
 from liekit.structure import (
     LinearLieAlgebra,
     cartan_subalgebra,
     derivations,
     fingerprint,
-    fitting_decomposition,
     inner_derivations,
     is_characteristically_nilpotent,
     maximal_torus,
@@ -156,7 +161,6 @@ def test_cartan_r2():
     assert restrict(L, h).is_nilpotent()
     assert normalizer(L, h).dim == h.dim
     # span{x} is itself a valid Cartan subalgebra, checked by hand here
-    from liekit.exactlin import Subspace
     span_x = Subspace.span(2, [[1, 0]])
     assert restrict(L, span_x).is_nilpotent()
     assert normalizer(L, span_x).dim == 1
@@ -189,29 +193,6 @@ def test_cartan_dimension_is_seed_stable():
     L = direct_sum(r2(), heisenberg3())
     dims = {cartan_subalgebra(L, random.Random(seed)).dim for seed in range(5)}
     assert dims == {4}   # x plus all of h3
-
-
-# ---------------------------------------------------------------------------
-# Fitting decomposition
-
-def test_fitting_trivial_action():
-    L = abelian(3)
-    from liekit.exactlin import Subspace
-    l0, l1 = fitting_decomposition(L, Subspace.span(3, [[1, 0, 0]]))
-    assert l0.dim == 3 and l1.dim == 0
-
-
-def test_fitting_r2():
-    L = r2()
-    l0, l1 = fitting_decomposition(L, cartan_subalgebra(L))
-    assert l0.dim == 1 and l1.dim == 1
-    assert l1.contains([0, 1])
-
-
-def test_fitting_rejects_non_nilpotent_subalgebra():
-    L = sl2()
-    with pytest.raises(LieError):
-        fitting_decomposition(L, L.full_space())
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +231,39 @@ def test_nilradical_membership_matches_ad_nilpotency():
     for _ in range(30):
         v = [rng.randint(-3, 3) for _ in range(L.dim)]
         assert is_nilpotent(L.ad(v)) == nr.contains(v)
+
+
+def _nilradical_cases():
+    """Solvable extensions; the last has [L, L] meeting its Cartan subalgebra."""
+    rng = random.Random(5)
+    for key, param in (("heisenberg", 5), ("filiform", 5)):
+        N = catalog.get(key, param).algebra
+        yield standard_solvable_extension(N, rng)
+    line_scaling = Mat([[int(i == j == 3) for j in range(4)] for i in range(4)])
+    yield extend_by_derivations(direct_sum(heisenberg3(), abelian(1)),
+                                [line_scaling])
+
+
+def test_nilradical_follows_seeded_basis_changes():
+    rng = random.Random(31)
+    for ext in _nilradical_cases():
+        n = ext.total.dim
+        p = _unimodular(rng, n, 3 * n)
+        _, _, p_inv = rref_with_transform(p)
+        M = change_basis(ext.total, p)
+        expected = Subspace.span(n, (ext.nilideal.basis @ p_inv).data)
+        nr = nilradical(M, random.Random(rng.randint(0, 99)))
+        assert nr == expected
+        for _ in range(8):
+            v = [rng.randint(-2, 2) for _ in range(n)]
+            assert is_nilpotent(M.ad(v)) == nr.contains(v)
+            cs = [rng.randint(-2, 2) for _ in range(nr.dim)]
+            w = [sum(c * row[j] for c, row in zip(cs, nr.rows()))
+                 for j in range(n)]
+            assert is_nilpotent(M.ad(w))
+        shifted = Subspace.span(3 + n, [[0, 0, 0] + list(row)
+                                        for row in nr.rows()])
+        assert nilradical(direct_sum(sl2(), M)) == shifted
 
 
 # ---------------------------------------------------------------------------
