@@ -308,6 +308,7 @@ def _parse(text: str) -> tuple[str, LieAlgebra, dict]:
         if (i - 1, j - 1) in table:
             raise CatalogError(f"{where}: duplicate pair ({i}, {j})")
         parsed = []
+        targets = set()
         for tpos, term in enumerate(terms):
             twhere = f"{where}.terms[{tpos}]"
             if not isinstance(term, list) or len(term) != 2 \
@@ -316,6 +317,9 @@ def _parse(text: str) -> tuple[str, LieAlgebra, dict]:
             k, coeff = term
             if not (1 <= k <= dim):
                 raise CatalogError(f"{twhere}: index {k} outside 1..{dim}")
+            if k in targets:
+                raise CatalogError(f"{twhere}: duplicate target index {k}")
+            targets.add(k)
             value = _parse_rational(coeff, twhere)
             if value != 0:
                 parsed.append((k - 1, value))

@@ -181,6 +181,19 @@ def commutator(a: Mat, b: Mat) -> Mat:
     return a @ b - b @ a
 
 
+def _int_product(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
+    """A B for integer matrices given as lists of rows, skipping zeros of A."""
+    cols = len(B[0]) if B else 0
+    out = []
+    for arow in A:
+        orow = [0] * cols
+        for a, brow in zip(arow, B):
+            if a:
+                orow = [x + a * b for x, b in zip(orow, brow)]
+        out.append(orow)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # row reduction
 

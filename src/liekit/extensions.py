@@ -210,7 +210,7 @@ class RankBoundReport:
 
 def _rank_report(L: LieAlgebra, nil: Subspace,
                  rng: random.Random) -> RankBoundReport:
-    commN = product_space(L, nil, nil)
+    commN = derived_algebra(L) if nil.dim == L.dim else product_space(L, nil, nil)
     g = nil.dim - commN.dim
     rt = toric_rank(L, nil, rng)
     solvable = L.is_solvable()

@@ -17,9 +17,10 @@ from typing import Callable, Iterable, Sequence
 from .exactlin import (
     Mat,
     Subspace,
+    _int_product,
     _null_rows,
     _rat,
-    commutator,
+    _scaled_rows,
     kernel,
     rref_with_transform,
     vstack,
@@ -86,11 +87,12 @@ class LieAlgebra:
     coordinates of [e_i, e_j]; brackets with i >= j follow by antisymmetry.
     The adjacency built from it maps i to {j: signed terms of [e_i, e_j]},
     so bracket and ad only visit the nonzero coordinates of x. The table is
-    not changed after construction, so the lower central and derived
-    series are computed once per instance (see series).
+    not changed after construction, so [L, L] and the lower central and
+    derived series are computed once per instance (see derived_algebra and
+    series).
     """
 
-    __slots__ = ("dim", "labels", "table", "_adj", "_series")
+    __slots__ = ("dim", "labels", "table", "_adj", "_derived", "_series")
 
     def __init__(self, dim: int,
                  table: dict[tuple[int, int], Iterable[tuple[int, object]]],
@@ -117,17 +119,17 @@ class LieAlgebra:
                     raise TableError(f"bad target index {k} in bracket ({i}, {j})")
                 if k in seen:
                     raise TableError(f"duplicate target {k} in bracket ({i}, {j})")
-                c = _rat(coef)
-                if c:
-                    seen[k] = c
-            if seen:
-                clean[(i, j)] = tuple(sorted(seen.items()))
+                seen[k] = _rat(coef)
+            nonzero = sorted((k, c) for k, c in seen.items() if c)
+            if nonzero:
+                clean[(i, j)] = tuple(nonzero)
         self.table = clean
         adj: list[dict[int, tuple]] = [{} for _ in range(dim)]
         for (i, j), terms in clean.items():
             adj[i][j] = terms
             adj[j][i] = tuple((k, -c) for k, c in terms)
         self._adj = adj
+        self._derived: Subspace | None = None
         self._series: dict[str, tuple[Subspace, ...]] = {}
 
     # -- basic bracket machinery -------------------------------------------
@@ -251,9 +253,11 @@ def series(L: LieAlgebra, kind: str) -> list[Subspace]:
 
 
 def derived_algebra(L: LieAlgebra) -> Subspace:
-    """[L, L], read from the cached lower central series (0 when dim L = 0)."""
-    chain = series(L, "lower_central")
-    return chain[1] if len(chain) > 1 else chain[0]
+    """[L, L], computed once per algebra; both series start from it."""
+    if L._derived is None:
+        full = L.full_space()
+        L._derived = product_space(L, full, full)
+    return L._derived
 
 
 def _compute_series(L: LieAlgebra, kind: str) -> tuple[Subspace, ...]:
@@ -263,7 +267,10 @@ def _compute_series(L: LieAlgebra, kind: str) -> tuple[Subspace, ...]:
         cur = chain[-1]
         if cur.dim == 0:
             break
-        nxt = product_space(L, full if kind == "lower_central" else cur, cur)
+        if len(chain) == 1:
+            nxt = derived_algebra(L)
+        else:
+            nxt = product_space(L, full if kind == "lower_central" else cur, cur)
         chain.append(nxt)
         if nxt.dim == cur.dim:
             break
@@ -320,14 +327,16 @@ def _ideal_check(L: LieAlgebra, s: Subspace) -> None:
                 raise NotAnIdealError(i, tuple(row), tuple(w))
 
 
-def induced_table(k: int, product: Callable[[int, int], Sequence],
-                  coords: Callable[[Sequence], Sequence | None],
+def induced_table(k: int, product: Callable[[int, int], object],
+                  coords: Callable[[object], Sequence | None],
                   ) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
     """Structure constants of a k-dimensional space closed under a product.
 
-    `product(a, b)` is the product of basis elements a < b in ambient terms
-    and `coords` re-expresses an ambient vector over the basis (None when it
-    lies outside the span, which raises NotClosedError with the pair).
+    `product(a, b)` is the product of basis elements a < b in ambient terms,
+    in whatever form `coords` reads (LinearLieAlgebra passes an integer
+    vector with its denominator), and `coords` re-expresses it over the basis
+    (None when it lies outside the span, which raises NotClosedError with the
+    pair).
     """
     table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for a in range(k):
@@ -408,9 +417,16 @@ class Extension:
 class LinearLieAlgebra:
     """A bracket-closed space of n x n matrices with induced constants.
 
-    The closure witness is the induced structure-constant table itself: every
-    commutator of basis elements is re-expressed over the basis during
-    construction, and failure raises NotClosedError with the pair.
+    The closure witness is the induced structure-constant table itself: the
+    commutator of every pair of basis elements is re-expressed over the basis
+    during construction, and failure raises NotClosedError with the pair.
+    This runs over the integers. Basis matrix a is held as (d_a, d_a m_a)
+    (_scaled_rows), so [m_a, m_b] is an integer matrix over d_a d_b. With
+    R = T B the RREF of the stacked basis B, R is held as E R over a common
+    denominator and T as t T. A vector w / D lies in the span exactly when
+    E w = sum_i w[p_i] (E R)_i, p_i the pivots, and then its coordinates are
+    sum_i w[p_i] (t T)_i / (D t), summed over the nonzeros of t T: one entry
+    per coordinate for the RREF bases of derivations and maximal_torus.
     """
 
     def __init__(self, ambient: LieAlgebra, basis: Sequence[Mat],
@@ -421,18 +437,46 @@ class LinearLieAlgebra:
         for m in self.basis:
             if m.shape != (n, n):
                 raise ValueError("basis matrices must match the ambient dimension")
-        # R = T B for the stacked basis vectors B; a member with coordinates
-        # c over the RREF rows R has coordinates c T over the basis
         R, piv, T = rref_with_transform(
             Mat([m.vec() for m in self.basis], cols=n * n))
         if len(piv) != len(self.basis):
             raise ValueError("matrix basis is linearly dependent")
         self._span = Subspace(n * n, R, piv)
-        self._to_basis = T.transpose()
-        self.table = induced_table(
-            len(self.basis),
-            lambda a, b: commutator(self.basis[a], self.basis[b]), self.coords)
+        self._scaled = [_scaled_rows(m) for m in self.basis]
+        self._span_den, span_rows = _scaled_rows(R)
+        self._to_basis_den, to_basis = _scaled_rows(T)
+        self._pivot_rows = [
+            (p, [(j, x) for j, x in enumerate(row) if x],
+             [(b, x) for b, x in enumerate(trow) if x])
+            for p, row, trow in zip(piv, span_rows, to_basis)]
+        self.table = induced_table(len(self.basis), self._commutator,
+                                   self._coords)
         self.is_derivation_algebra = is_derivation_algebra
+
+    def _commutator(self, a: int, b: int) -> tuple[list[int], int]:
+        """[m_a, m_b] vectorized row-major, as (integer vector, denominator)."""
+        da, A = self._scaled[a]
+        db, B = self._scaled[b]
+        return ([x - y for r1, r2 in zip(_int_product(A, B), _int_product(B, A))
+                 for x, y in zip(r1, r2)], da * db)
+
+    def _coords(self, vec: tuple[list[int], int]) -> tuple[Fraction, ...] | None:
+        """Coordinates over the basis of w / D for vec = (w, D), or None."""
+        w, den = vec
+        e = self._span_den
+        residual = [e * x for x in w]
+        acc = [0] * len(self.basis)
+        for p, row, trow in self._pivot_rows:
+            f = w[p]
+            if f:
+                for j, x in row:
+                    residual[j] -= f * x
+                for b, x in trow:
+                    acc[b] += f * x
+        if any(residual):
+            return None
+        den *= self._to_basis_den
+        return tuple(Fraction(x, den) if x else _ZERO for x in acc)
 
     @property
     def dim(self) -> int:
@@ -446,12 +490,13 @@ class LinearLieAlgebra:
                 out = out + Fraction(c) * m
         return out
 
-    def coords(self, m: Mat):
-        cs = self._span.coords(m.vec())
-        return None if cs is None else self._to_basis.apply(cs)
+    def coords(self, m: Mat) -> tuple[Fraction, ...] | None:
+        """Coefficients of m over the basis, or None when m is outside."""
+        d, rows = _scaled_rows(m)
+        return self._coords(([x for row in rows for x in row], d))
 
     def contains(self, m: Mat) -> bool:
-        return self._span.contains(m.vec())
+        return self.coords(m) is not None
 
     def matrix_span(self) -> Subspace:
         """The underlying subspace of gl(n), vectorized row-major."""

@@ -17,7 +17,6 @@ from fractions import Fraction
 from .exactlin import (
     Mat,
     Subspace,
-    commutator,
     is_nilpotent as mat_is_nilpotent,
     is_semisimple as mat_is_semisimple,
     jordan_chevalley,
@@ -185,39 +184,49 @@ def nilradical(L: LieAlgebra, rng: random.Random | None = None) -> Subspace:
     and sampled ad-nilpotent elements are checked to lie inside.
     """
     rng = _rng(rng)
-    result = _nilradical_inner(L, rng)
-    _check_nilradical(L, result, rng)
+    if L.is_solvable():
+        rad = L.full_space()
+        result = _solvable_nilradical(L, rng)
+    else:
+        rad = killing_radical(L)
+        inner = _solvable_nilradical(restrict(L, rad), rng)
+        result = Subspace.span(L.dim, (inner.basis @ rad.basis).data)
+    _check_nilradical(L, result, rad, rng)
     return result
 
 
-def _nilradical_inner(L: LieAlgebra, rng: random.Random) -> Subspace:
+def _solvable_nilradical(L: LieAlgebra, rng: random.Random) -> Subspace:
     if L.dim == 0:
         return Subspace.zero(0)
     if L.is_nilpotent():
         return L.full_space()
-    if L.is_solvable():
-        h = cartan_subalgebra(L, rng)
-        n = L.dim
-        cols = []
-        for row in h.basis.data:
-            s = jordan_chevalley(L.ad(row)).s
-            cols.append(list(s.vec()))
-        coeff_kernel = kernel(Mat(cols, cols=n * n).transpose())
-        rows = (list(derived_algebra(L).basis.data)
-                + (coeff_kernel.basis @ h.basis).data)
-        return Subspace.span(n, rows)
-    rad = killing_radical(L)
-    inner = _nilradical_inner(restrict(L, rad), rng)
-    return Subspace.span(L.dim, (inner.basis @ rad.basis).data)
+    h = cartan_subalgebra(L, rng)
+    n = L.dim
+    cols = []
+    for row in h.basis.data:
+        s = jordan_chevalley(L.ad(row)).s
+        cols.append(list(s.vec()))
+    coeff_kernel = kernel(Mat(cols, cols=n * n).transpose())
+    rows = (list(derived_algebra(L).basis.data)
+            + (coeff_kernel.basis @ h.basis).data)
+    return Subspace.span(n, rows)
 
 
-def _check_nilradical(L: LieAlgebra, nr: Subspace, rng: random.Random) -> None:
+def _check_nilradical(L: LieAlgebra, nr: Subspace, rad: Subspace,
+                      rng: random.Random) -> None:
+    """Re-check nr against L and its solvable radical rad."""
     full = L.full_space()
-    if not nr.contains_space(product_space(L, full, killing_radical(L))):
+
+    def with_l(s: Subspace) -> Subspace:
+        # [L, L] is cached on L; other products are formed here
+        return derived_algebra(L) if s.dim == L.dim else product_space(L, full, s)
+
+    if not nr.contains_space(with_l(rad)):
         raise AssertionError("nilradical misses [L, radical]")
-    if not nr.contains_space(product_space(L, full, nr)):
+    if not nr.contains_space(with_l(nr)):
         raise AssertionError("nilradical is not an ideal")
-    if nr.dim and not restrict(L, nr).is_nilpotent():
+    # nr = L reads the series cached on L instead of a copy of L
+    if nr.dim and not (L if nr.dim == L.dim else restrict(L, nr)).is_nilpotent():
         raise AssertionError("computed nilradical is not nilpotent")
     # sampled sanity: ad-nilpotent elements must lie inside (solvable case)
     if L.is_solvable():
@@ -259,10 +268,9 @@ def maximal_torus(der: LinearLieAlgebra,
 def _check_torus(torus: LinearLieAlgebra, der: LinearLieAlgebra,
                  cartan_mats: list[Mat], parts: list[Mat],
                  rng: random.Random) -> None:
-    for a in range(torus.dim):
-        for b in range(a + 1, torus.dim):
-            if not commutator(torus.basis[a], torus.basis[b]).is_zero():
-                raise AssertionError("torus is not abelian")
+    # the table holds every commutator of basis pairs, checked exactly
+    if torus.table:
+        raise AssertionError("torus is not abelian")
     for m in torus.basis:
         if not mat_is_semisimple(m):
             raise AssertionError("torus generator is not semisimple")

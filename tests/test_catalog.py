@@ -176,7 +176,8 @@ def test_load_missing_file_names_the_path(tmp_path):
 @pytest.mark.parametrize("doc, message", [
     ({"name": "bad", "dim": 2, "basis": ["a", "a"]}, "duplicate labels"),
     ({"name": "bad", "dim": 3, "basis": ["a", "b", "c"],
-      "brackets": [[1, 2, [[2, "1"], [2, "3"]]]]}, "duplicate target"),
+      "brackets": [[1, 2, [[2, "1"], [2, "3"]]]]},
+     r"brackets\[0\]\.terms\[1\]: duplicate target index 2"),
 ], ids=["labels", "target"])
 def test_table_errors_are_catalog_errors_with_the_path(tmp_path, doc, message):
     with pytest.raises(CatalogError, match=message):
@@ -245,6 +246,18 @@ def test_unknown_expected_key_is_rejected():
 ], ids=["dim", "bracket-index", "term-index", "expected", "expected-list"])
 def test_booleans_are_not_integers(doc, field):
     with pytest.raises(CatalogError, match=field):
+        loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize("terms, message", [
+    ([[3, "0"], [3, "1"]], r"brackets\[1\]\.terms\[1\]: duplicate target index 3"),
+    ([[1, "2"], [2, "1"], [2, "3"]],
+     r"brackets\[1\]\.terms\[2\]: duplicate target index 2"),
+], ids=["zero-copy", "nonzero"])
+def test_duplicate_target_names_the_term_one_based(terms, message):
+    doc = {"name": "bad", "dim": 3, "basis": ["a", "b", "c"],
+           "brackets": [[1, 3, [[2, "1"]]], [1, 2, terms]]}
+    with pytest.raises(CatalogError, match=f"^{message}$"):
         loads(json.dumps(doc))
 
 

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
+from liekit import catalog
 from liekit.cli import dispatch, main
+from liekit.exactlin import Mat
+from liekit.liecore import change_basis
 
 
 def run(capsys, *argv):
@@ -191,6 +195,20 @@ def test_file_with_duplicate_labels_names_the_file(capsys, tmp_path):
     code, out, err = run(capsys, "nilradical", str(path))
     assert code == 2 and out == ""
     assert err == f"error: {path}: duplicate labels\n"
+
+
+@pytest.mark.parametrize("terms, k", [([[3, "0"], [3, "1"]], 3),
+                                      ([[2, "1"], [2, "3"]], 2)],
+                         ids=["zero-copy", "nonzero"])
+def test_file_with_a_repeated_target_exits_2_one_based(capsys, tmp_path,
+                                                       terms, k):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"name": "bad", "dim": 3, "basis": ["a", "b", "c"],
+                                "brackets": [[1, 2, terms]]}), encoding="utf-8")
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 2 and out == ""
+    assert err == (f"error: {path}: brackets[0].terms[1]: "
+                   f"duplicate target index {k}\n")
 
 
 def test_catalog_name_wins_over_paths(capsys):
@@ -426,11 +444,29 @@ PINNED_JSON = {
         "d9264065bbe52d3b19c5d6960961239ab9bd600cd85271d885c51ab7545a1eaf",
     ("verify", "rank-bound", "so2_torus_extension"):
         "7da0018c6484ac3d4a72463bd6292d15b0b25088d10cd2caa0ec4e17a4b9bdf0",
+    # dense Der(L) and torus matrices, written by _write_dense_heisenberg5
+    ("torus", "heisenberg5_dense.json"):
+        "c8608e0e476c9900b971f0e42c66748a88d412d2697309812f0ef33df4a64d0b",
 }
 
 
+def _write_dense_heisenberg5(path):
+    """heisenberg:5 on a seeded unimodular basis, as a catalog file."""
+    rng = random.Random(5)
+    p = [[int(i == j) for j in range(5)] for i in range(5)]
+    for _ in range(15):
+        i, j = rng.sample(range(5), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+    M = change_basis(catalog.get("heisenberg", 5).algebra, Mat(p))
+    catalog.store(catalog.CatalogEntry("heisenberg5_dense", (), M, {}), path)
+
+
 @pytest.mark.parametrize("argv", sorted(PINNED_JSON), ids=" ".join)
-def test_json_output_bytes_are_pinned(capsys, argv):
+def test_json_output_bytes_are_pinned(capsys, tmp_path, monkeypatch, argv):
+    # file sources are read relative to tmp_path, so the report names no path
+    monkeypatch.chdir(tmp_path)
+    _write_dense_heisenberg5("heisenberg5_dense.json")
     code, out, _ = run(capsys, *argv, "--seed", "1", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_JSON[argv]

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from liekit import catalog, liecore
-from liekit.exactlin import Mat, Subspace
+from liekit.exactlin import Mat, Subspace, commutator, rref_with_transform
 from liekit.liecore import (
     JacobiError,
     LieAlgebra,
@@ -66,6 +66,13 @@ def test_table_validation():
     # zero coefficients are dropped
     L = LieAlgebra(2, {(0, 1): [(0, 0)]})
     assert L.table == {}
+
+
+@pytest.mark.parametrize("terms", [[(2, 0), (2, 1)], [(2, 1), (2, 0)],
+                                   [(2, 0), (2, 0)], [(2, 1), (2, 3)]])
+def test_repeated_target_is_rejected_whatever_its_coefficient(terms):
+    with pytest.raises(TableError, match=r"duplicate target 2 in bracket \(0, 1\)"):
+        LieAlgebra(3, {(0, 1): terms})
 
 
 def test_bracket_antisymmetry_and_bilinearity():
@@ -136,8 +143,9 @@ def test_series_is_computed_once_per_algebra(monkeypatch):
     assert L.is_nilpotent() and L.is_solvable()
     assert [s.dim for s in series(L, "lower_central")] == [4, 2, 1, 0]
     assert [s.dim for s in series(L, "derived")] == [4, 2, 0]
-    # the derived series was new; the lower central one was not recomputed
-    assert len(calls) == computed + 2
+    # the derived series was new but starts from the cached [L, L], so it
+    # formed only [[L, L], [L, L]]; the lower central one was not recomputed
+    assert len(calls) == computed + 1
     assert series(L, "derived") is not series(L, "derived")
 
 
@@ -333,6 +341,92 @@ def test_linear_lie_algebra_coords_over_a_basis_that_is_not_rref():
             assert lin.element(lin.coords(m)) == m
         if outside is not None:
             assert lin.coords(outside) is None
+
+
+def _fraction_table(ambient, mats):
+    """Structure constants over Fraction: each commutator reduced against the
+    RREF span of the basis, its RREF coordinates mapped through T (R = T B)."""
+    n = ambient.dim
+    R, piv, T = rref_with_transform(Mat([m.vec() for m in mats], cols=n * n))
+    span, to_basis = Subspace(n * n, R, piv), T.transpose()
+    table = {}
+    for a in range(len(mats)):
+        for b in range(a + 1, len(mats)):
+            cs = span.coords(commutator(mats[a], mats[b]).vec())
+            assert cs is not None
+            terms = [(t, c) for t, c in enumerate(to_basis.apply(cs)) if c]
+            if terms:
+                table[(a, b)] = terms
+    return table
+
+
+def _unimodular(rng, n, steps):
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+    return Mat(p)
+
+
+def test_linear_lie_algebra_table_matches_the_fraction_oracle():
+    # Der of catalog algebras: RREF bases, so T = I
+    cases = []
+    for name, param in [("heisenberg", 3), ("heisenberg", 5), ("filiform", 5),
+                        ("favre7", None), ("r2", None), ("sl2", None),
+                        ("so2_torus_extension", None),
+                        ("diagonal_torus_extension", 2)]:
+        der = derivations(catalog.get(name, param).algebra)
+        cases.append((der.ambient, der.basis))
+    # Der of seeded dense unimodular basis changes
+    rng = random.Random(9)
+    for name, param in [("heisenberg", 5), ("filiform", 6),
+                        ("diagonal_torus_extension", 2)]:
+        L = catalog.get(name, param).algebra
+        M = change_basis(L, _unimodular(rng, L.dim, 3 * L.dim))
+        cases.append((M, derivations(M).basis))
+    # non-RREF bases with mixed denominators, so T is not the identity
+    for L in (heisenberg3(), catalog.get("filiform", 5).algebra, sl2()):
+        mats = derivations(L).basis
+        k, n = len(mats), L.dim
+        while True:
+            p = Mat([[F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(k)]
+                     for _ in range(k)])
+            if Subspace.span(k, p.data).dim == k:
+                break
+        basis = [sum((c * m for c, m in zip(row, mats)), Mat.zeros(n, n))
+                 for row in p.data]
+        T = rref_with_transform(Mat([m.vec() for m in basis], cols=n * n))[2]
+        assert T != Mat.identity(k)
+        cases.append((L, basis))
+    for ambient, basis in cases:
+        lin = LinearLieAlgebra(ambient, basis)
+        assert lin.table == _fraction_table(ambient, basis)
+        assert all(isinstance(c, Fraction) for terms in lin.table.values()
+                   for _, c in terms)
+
+
+def test_not_closed_error_names_a_later_pair_off_the_pivots():
+    # basis E00/2, E11/3, X = E01 + E12 of a span in gl(3); the RREF pivots of
+    # its row-major vectors are columns 0, 1 and 4
+    def unit(r, c):
+        return Mat([[int((i, j) == (r, c)) for j in range(3)] for i in range(3)])
+    x = unit(0, 1) + unit(1, 2)
+    basis = [F(1, 2) * unit(0, 0), F(1, 3) * unit(1, 1), x]
+    assert Subspace.span(9, [m.vec() for m in basis]).pivots == (0, 1, 4)
+    # the first pair commutes; [E00/2, X] = E01/2 agrees with X/2 at every
+    # pivot column and leaves the span only at column 5
+    assert commutator(basis[0], basis[1]).is_zero()
+    bad = commutator(basis[0], basis[2])
+    diff = (bad - F(1, 2) * x).vec()
+    assert [j for j, v in enumerate(diff) if v] == [5]
+    with pytest.raises(NotClosedError) as exc:
+        LinearLieAlgebra(abelian(3), basis)
+    assert exc.value.pair == (0, 2)
+    # coords and contains read the same check: span{X} has its pivot at 1
+    line = LinearLieAlgebra(abelian(3), [x])
+    assert line.coords(F(1, 2) * x) == (F(1, 2),)
+    assert line.coords(bad) is None and not line.contains(bad)
 
 
 def test_semidirect_rejects_dependent_generators():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from liekit import catalog, exactlin
+from liekit import catalog, exactlin, extensions, liecore, structure
 
 from liekit.exactlin import (
     Mat,
@@ -224,6 +224,46 @@ def test_nilradical_sl2_on_plane():
         assert nr.contains(v)
 
 
+def test_nilradical_computes_the_radical_only_for_non_solvable_algebras(
+        monkeypatch):
+    calls = []
+    real = structure.killing_radical
+    monkeypatch.setattr(structure, "killing_radical",
+                        lambda L: calls.append(L.dim) or real(L))
+    for L in (direct_sum(r2(), heisenberg3()), filiform(5), r2(), abelian(0)):
+        nilradical(L)
+    assert calls == []   # solvable: the radical is L itself
+    so2 = catalog.get("so2_torus_extension").algebra
+    assert nilradical(direct_sum(sl2(), so2)) == Subspace.span(
+        3 + so2.dim, [[0, 0, 0] + list(row) for row in nilradical(so2).rows()])
+    assert calls == [3 + so2.dim]
+
+
+def test_fingerprint_reads_l_l_and_the_series_cached_on_l(monkeypatch):
+    # [L, L] is formed once, and no copy of L is restricted to all of L
+    full_products, full_restrictions = [], []
+    for module in (liecore, structure, extensions):
+        real = module.product_space
+
+        def counted(L, a, b, real=real):
+            if a.dim == b.dim == L.dim:
+                full_products.append(L)
+            return real(L, a, b)
+        monkeypatch.setattr(module, "product_space", counted)
+    real_restrict = structure.restrict
+
+    def restrict(L, s):
+        if s.dim == L.dim:
+            full_restrictions.append(L)
+        return real_restrict(L, s)
+    monkeypatch.setattr(structure, "restrict", restrict)
+    for L in (direct_sum(r2(), heisenberg3()), filiform(5)):
+        full_products.clear()
+        fingerprint(L, random.Random(1))
+        assert full_products.count(L) == 1
+    assert full_restrictions == []
+
+
 def test_nilradical_membership_matches_ad_nilpotency():
     L = direct_sum(r2(), heisenberg3())
     nr = nilradical(L)
@@ -281,6 +321,15 @@ def test_maximal_torus_heisenberg():
     for m in torus.basis:
         assert is_semisimple(m)
         assert leibniz_holds(m, heisenberg3())
+
+
+def test_torus_check_rejects_a_non_abelian_span():
+    # sl2 acting on the plane: semisimple derivations that do not commute
+    L = abelian(2)
+    h, e = Mat([[1, 0], [0, -1]]), Mat([[0, 1], [0, 0]])
+    with pytest.raises(AssertionError, match="not abelian"):
+        structure._check_torus(LinearLieAlgebra(L, [h, e]), derivations(L),
+                               [], [], random.Random(1))
 
 
 def test_maximal_torus_requires_derivation_flag():
