@@ -5,11 +5,12 @@ kernels, characteristic polynomials and Jordan-Chevalley parts are exact,
 and identical inputs give bit-identical outputs.
 
 One elimination engine: rref, a sparse fraction-free elimination over the
-integers that divides by each pivot once, at the end. Subspace holds a
-canonical RREF basis (membership, sums, coordinates over that basis);
-rref_with_transform gives coordinates over the input rows, and kernel is
-the null rows of rref. minpoly reduces one power at a time on its own, so
-that it stops at the degree.
+integers whose one row operation is _clear; it divides by each pivot once,
+at the end. minpoly reduces the integer powers of d m with the same _clear,
+one at a time, so that it stops at the degree. Subspace holds a canonical
+RREF basis (sums; membership and coordinates by one integer check,
+int_coords); rref_with_transform gives coordinates over the input rows,
+and kernel is the null rows of rref.
 
 One characteristic-polynomial engine: _charpoly_mod (Hessenberg reduction
 and the leading-minor recurrence mod p) on the integral matrix d m, d the
@@ -303,14 +304,20 @@ class Subspace:
     The basis matrix is always in reduced row echelon form with no zero rows,
     pivots strictly increasing and pivot entries 1 with zeros above and below,
     so equal subspaces compare equal componentwise.
+
+    Membership is one exact integer check (int_coords) against E R, E the
+    common denominator of R, built on first use: w / D, w integral, lies in
+    the span exactly when E w = sum_i w[p_i] (E R)_i over the pivots p_i,
+    and its coordinates over the rows are then the w[p_i] / D.
     """
 
-    __slots__ = ("ambient", "basis", "pivots")
+    __slots__ = ("ambient", "basis", "pivots", "_int_rows")
 
     def __init__(self, ambient: int, basis: Mat, pivots: tuple[int, ...]):
         self.ambient = ambient
         self.basis = basis
         self.pivots = pivots
+        self._int_rows: tuple[int, list[list[tuple[int, int]]]] | None = None
 
     @staticmethod
     def span(ambient: int, rows: Iterable[Sequence]) -> "Subspace":
@@ -318,8 +325,6 @@ class Subspace:
         for r in rows:
             if len(r) != ambient:
                 raise ValueError("vector length mismatch")
-        if not rows:
-            return Subspace(ambient, Mat([], cols=ambient), ())
         R, piv = rref(Mat(rows, cols=ambient))
         return Subspace(ambient, Mat(R.data[: len(piv)], cols=ambient), piv)
 
@@ -338,28 +343,32 @@ class Subspace:
     def rows(self) -> list[tuple[Fraction, ...]]:
         return [tuple(r) for r in self.basis.data]
 
-    def reduce(self, v: Sequence) -> list[Fraction]:
-        """Residual of v after eliminating all pivot coordinates."""
-        w = [_rat(x) for x in v]
+    def int_coords(self, w: Sequence[int]) -> list[int] | None:
+        """[w[p] for p in pivots] when the integer vector w lies in the span,
+        else None: the coordinates of w / D over the rows, times D."""
         if len(w) != self.ambient:
             raise ValueError("vector length mismatch")
-        for i, p in enumerate(self.pivots):
+        if self._int_rows is None:
+            e, rows = _scaled_rows(self.basis)
+            self._int_rows = (e, [[(j, x) for j, x in enumerate(r) if x]
+                                  for r in rows])
+        e, rows = self._int_rows
+        residual = [e * x for x in w]
+        for p, row in zip(self.pivots, rows):
             f = w[p]
             if f:
-                brow = self.basis.data[i]
-                for j in range(p, self.ambient):
-                    if brow[j]:
-                        w[j] -= f * brow[j]
-        return w
+                for j, x in row:
+                    residual[j] -= f * x
+        return None if any(residual) else [w[p] for p in self.pivots]
 
     def contains(self, v: Sequence) -> bool:
-        return not any(self.reduce(v))
+        return self.int_coords(_scaled_rows(Mat([v]))[1][0]) is not None
 
     def coords(self, v: Sequence):
-        """Coefficients of v over the RREF basis rows, or None."""
-        w = [_rat(x) for x in v]
-        cs = [w[p] for p in self.pivots]
-        return tuple(cs) if self.contains(v) else None
+        """Coefficients of v over the RREF basis rows (its pivot entries), or None."""
+        m = Mat([v])
+        found = self.int_coords(_scaled_rows(m)[1][0]) is not None
+        return tuple(m.data[0][p] for p in self.pivots) if found else None
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.basis.data)
@@ -738,42 +747,35 @@ def zero_multiplicity_mod_p(m: Mat) -> int:
 def minpoly(m: Mat) -> Poly:
     """Minimal polynomial: first monic dependency among powers of m.
 
-    I, m, m^2, ... are reduced one at a time against the echelon rows of the
-    powers before them, each row carrying its coefficients over those powers.
-    The first power that reduces to zero gives the monic dependency, so no
+    With A = d m integral (_scaled_rows), the powers I, A, A^2, ... are
+    formed one at a time (_int_product). Power k, flattened, gets the unit
+    tag 1 in column n^2 + k and is reduced by _clear against the echelon
+    rows of the powers before it, so its tag columns record the combination
+    taken. The first power that reduces to tags only gives
+    sum_i c_i A^i = 0, so mu_m has the coefficients c_i d^i / (c_k d^k); no
     power past the degree is formed.
     """
     if not m.is_square():
         raise ValueError("minpoly needs a square matrix")
-    echelon = []   # (pivot, sparse reduced row, its coefficients over powers)
-    power = Mat.identity(m.rows)
-    for k in range(m.rows + 1):
-        v = {i: x for i, x in enumerate(power.vec()) if x}
-        coeffs = {k: _ONE}
-        for p, row, row_coeffs in echelon:
-            f = v.get(p)
-            if f:
-                _sub_multiple(v, f, row)
-                _sub_multiple(coeffs, f, row_coeffs)
-        if not v:
-            return Poly([coeffs.get(i, _ZERO) for i in range(k + 1)])
-        p = min(v)
-        inv = _ONE / v[p]
-        echelon.append((p, {i: x * inv for i, x in v.items()},
-                        {i: x * inv for i, x in coeffs.items()}))
-        power = power @ m
+    n = m.rows
+    nn = n * n
+    d, A = _scaled_rows(m)
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    echelon: list[tuple[int, dict[int, int]]] = []
+    for k in range(n + 1):
+        flat = [x for r in power for x in r]
+        row = {i: x for i, x in enumerate(flat) if x}
+        row[nn + k] = 1
+        for c, prow in echelon:
+            (row,) = _clear([row], prow, c)   # its tag nn + k stays nonzero
+        c = min(row)
+        if c >= nn:
+            lead = row[nn + k] * d ** k
+            return Poly([Fraction(row.get(nn + i, 0) * d ** i, lead)
+                         for i in range(k + 1)])
+        echelon.append((c, row))
+        power = _int_product(power, A)
     raise AssertionError("Cayley-Hamilton: m^n depends on lower powers")
-
-
-def _sub_multiple(v: dict[int, Fraction], f: Fraction,
-                  w: dict[int, Fraction]) -> None:
-    """v -= f * w on sparse vectors, dropping entries that become zero."""
-    for i, x in w.items():
-        y = v.get(i, _ZERO) - f * x
-        if y:
-            v[i] = y
-        else:
-            del v[i]
 
 
 def is_nilpotent(m: Mat) -> bool:

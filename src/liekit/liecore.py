@@ -422,11 +422,11 @@ class LinearLieAlgebra:
     during construction, and failure raises NotClosedError with the pair.
     This runs over the integers. Basis matrix a is held as (d_a, d_a m_a)
     (_scaled_rows), so [m_a, m_b] is an integer matrix over d_a d_b. With
-    R = T B the RREF of the stacked basis B, R is held as E R over a common
-    denominator and T as t T. A vector w / D lies in the span exactly when
-    E w = sum_i w[p_i] (E R)_i, p_i the pivots, and then its coordinates are
-    sum_i w[p_i] (t T)_i / (D t), summed over the nonzeros of t T: one entry
-    per coordinate for the RREF bases of derivations and maximal_torus.
+    R = T B the RREF of the stacked basis B, membership of w / D is the
+    integer check Subspace.int_coords(w) on R, which gives D c_i, c_i the
+    coordinates over the rows of R. With T held as t T, those over the basis
+    are sum_i D c_i (t T)_i / (D t), summed over the nonzeros of t T: one
+    entry per coordinate for the RREF bases of derivations and maximal_torus.
     """
 
     def __init__(self, ambient: LieAlgebra, basis: Sequence[Mat],
@@ -443,12 +443,9 @@ class LinearLieAlgebra:
             raise ValueError("matrix basis is linearly dependent")
         self._span = Subspace(n * n, R, piv)
         self._scaled = [_scaled_rows(m) for m in self.basis]
-        self._span_den, span_rows = _scaled_rows(R)
         self._to_basis_den, to_basis = _scaled_rows(T)
-        self._pivot_rows = [
-            (p, [(j, x) for j, x in enumerate(row) if x],
-             [(b, x) for b, x in enumerate(trow) if x])
-            for p, row, trow in zip(piv, span_rows, to_basis)]
+        self._to_basis = [[(b, x) for b, x in enumerate(trow) if x]
+                          for trow in to_basis]
         self.table = induced_table(len(self.basis), self._commutator,
                                    self._coords)
         self.is_derivation_algebra = is_derivation_algebra
@@ -463,18 +460,14 @@ class LinearLieAlgebra:
     def _coords(self, vec: tuple[list[int], int]) -> tuple[Fraction, ...] | None:
         """Coordinates over the basis of w / D for vec = (w, D), or None."""
         w, den = vec
-        e = self._span_den
-        residual = [e * x for x in w]
+        cs = self._span.int_coords(w)
+        if cs is None:
+            return None
         acc = [0] * len(self.basis)
-        for p, row, trow in self._pivot_rows:
-            f = w[p]
+        for f, trow in zip(cs, self._to_basis):
             if f:
-                for j, x in row:
-                    residual[j] -= f * x
                 for b, x in trow:
                     acc[b] += f * x
-        if any(residual):
-            return None
         den *= self._to_basis_den
         return tuple(Fraction(x, den) if x else _ZERO for x in acc)
 
@@ -492,6 +485,8 @@ class LinearLieAlgebra:
 
     def coords(self, m: Mat) -> tuple[Fraction, ...] | None:
         """Coefficients of m over the basis, or None when m is outside."""
+        if m.shape != (self.ambient.dim, self.ambient.dim):
+            raise ValueError("matrix shape must match the ambient dimension")
         d, rows = _scaled_rows(m)
         return self._coords(([x for row in rows for x in row], d))
 

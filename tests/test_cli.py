@@ -434,6 +434,9 @@ PINNED_JSON = {
         "bb4802a3e4afa3b1ba916f12002ba337a7482e52cef579a71f83ae89694082ef",
     ("torus", "filiform:5"):
         "3ae9bb391281d2024134d09a2a1609dbcc0bfb84fcb66ab1527d0f9e2dee90e9",
+    # the pinned command with the most minpoly and Jordan-Chevalley calls
+    ("torus", "heisenberg:7"):
+        "f46f960c03ce486d8b5b7f2430852afaa9827ce2786d5be311da4270f05bfef8",
     ("extend", "--standard", "heisenberg:3"):
         "b415c3531868225d83217e3d0adcfd6534d522072c1c845f5888e10ac663b0ec",
     ("split", "diagonal_torus_extension:3"):

@@ -5,6 +5,8 @@ import itertools
 import math
 import random
 
+import pytest
+
 from liekit import exactlin
 from liekit.exactlin import (
     Mat,
@@ -239,6 +241,61 @@ def test_subspace_coords_roundtrip():
     assert s.coords([1, 0, 0]) is None
 
 
+def test_subspace_coords_rejects_a_vector_of_the_wrong_length():
+    s = Subspace.span(3, [[0, 0, 1]])
+    for v in ([1], [0, 0, 1, 0], []):
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            s.coords(v)
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            s.contains(v)
+
+
+def _fraction_coords(s, v):
+    """Coordinates of v over the RREF rows of s by Fraction elimination of
+    every pivot coordinate, or None when a residual is left."""
+    w = [F(x) for x in v]
+    cs = tuple(w[p] for p in s.pivots)
+    for c, row in zip(cs, s.rows()):
+        w = [a - c * b for a, b in zip(w, row)]
+    return None if any(w) else cs
+
+
+def test_subspace_membership_matches_the_fraction_oracle():
+    rng = random.Random(17)
+
+    def rand_rat(bits):
+        return F(rng.getrandbits(bits) - (1 << (bits - 1)),
+                 rng.choice((1, 1, 2, 3, 7, rng.getrandbits(bits) | 1)))
+
+    inside = outside = 0
+    for trial in range(60):
+        n = rng.randint(1, 7)
+        k = rng.randint(0, n)
+        bits = 160 if trial % 4 == 0 else 4
+        gens = [[rand_rat(bits) if rng.random() < 0.6 else 0 for _ in range(n)]
+                for _ in range(k)]
+        s = Subspace.span(n, gens)
+        points = [[0] * n]
+        for _ in range(4):
+            cs = [rand_rat(bits) for _ in gens]
+            point = [sum((c * g[j] for c, g in zip(cs, gens)), F(0))
+                     for j in range(n)]
+            points.append(point)
+            if s.dim < n:
+                off = point[:]
+                off[rng.choice([j for j in range(n) if j not in s.pivots])] += 1
+                points.append(off)
+        for v in points:
+            want = _fraction_coords(s, v)
+            assert s.coords(v) == want
+            assert s.contains(v) == (want is not None)
+            if want is None:
+                outside += 1
+            else:
+                inside += 1
+    assert inside >= 100 and outside >= 100
+
+
 def test_subspace_canonical_equality():
     a = Subspace.span(3, [[1, 1, 0], [0, 1, 1]])
     b = Subspace.span(3, [[2, 2, 0], [1, 2, 1]])
@@ -461,8 +518,8 @@ def test_minpoly_examples():
 
 def test_minpoly_stops_at_the_first_dependent_power(monkeypatch):
     products = []
-    real = Mat.__matmul__
-    monkeypatch.setattr(Mat, "__matmul__",
+    real = exactlin._int_product
+    monkeypatch.setattr(exactlin, "_int_product",
                         lambda a, b: products.append(b) or real(a, b))
     assert minpoly(Mat.identity(6)) == Poly([-1, 1])
     assert len(products) == 1                   # m only
@@ -471,6 +528,77 @@ def test_minpoly_stops_at_the_first_dependent_power(monkeypatch):
     assert minpoly(projection) == Poly([0, -1, 1])
     assert len(products) == 2                   # m and m^2
     assert minpoly(Mat.zeros(0, 0)) == Poly.one()
+
+
+def _fraction_minpoly(m):
+    """The incremental Fraction algorithm: I, m, m^2, ... reduced one at a
+    time against the echelon rows before them, each row carrying its
+    coefficients over the powers."""
+    def sub_multiple(v, f, w):
+        for i, x in w.items():
+            y = v.get(i, F(0)) - f * x
+            if y:
+                v[i] = y
+            else:
+                del v[i]
+
+    echelon = []
+    power = Mat.identity(m.rows)
+    for k in range(m.rows + 1):
+        v = {i: x for i, x in enumerate(power.vec()) if x}
+        coeffs = {k: F(1)}
+        for p, row, row_coeffs in echelon:
+            f = v.get(p)
+            if f:
+                sub_multiple(v, f, row)
+                sub_multiple(coeffs, f, row_coeffs)
+        if not v:
+            return Poly([coeffs.get(i, F(0)) for i in range(k + 1)])
+        p = min(v)
+        inv = 1 / v[p]
+        echelon.append((p, {i: x * inv for i, x in v.items()},
+                        {i: x * inv for i, x in coeffs.items()}))
+        power = power @ m
+    raise AssertionError("no dependency among the first n + 1 powers")
+
+
+def test_minpoly_matches_the_fraction_oracle():
+    rng = random.Random(41)
+
+    def rand_rat(bits, den):
+        return F(rng.getrandbits(bits) - (1 << (bits - 1)), rng.randint(1, den))
+
+    mats = [Mat.zeros(0, 0), Mat([[F(-7, 3)]]), Mat([[0]]),
+            Mat([[rng.getrandbits(200)]])]
+    for _ in range(15):
+        n = rng.randint(1, 5)
+        mats.append(Mat([[rand_rat(5, 6) for _ in range(n)] for _ in range(n)]))
+    # entries of 150 bits and more, with and without denominators
+    for den in (1, 1 << 20):
+        for _ in range(4):
+            n = rng.randint(1, 4)
+            mats.append(Mat([[rand_rat(rng.randint(150, 220), den)
+                              for _ in range(n)] for _ in range(n)]))
+    # Jordan-like blocks with repeated eigenvalues conjugated by rational
+    # matrices, so the degree is often below n
+    for _ in range(20):
+        n = rng.randint(2, 7)
+        j = Mat([[rng.choice([0, 2, F(-1, 2)]) if a == b else
+                  rng.choice([0, 1]) if b == a + 1 else 0
+                  for b in range(n)] for a in range(n)])
+        t = Mat([[F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)]
+                 for _ in range(n)])
+        _, piv, t_inv = rref_with_transform(t)
+        if len(piv) == n:
+            mats.append(t @ j @ t_inv)
+    below_n = big = 0
+    for m in mats:
+        want = _fraction_minpoly(m)
+        assert minpoly(m) == want
+        below_n += want.degree < m.rows
+        big += max((q.numerator.bit_length() for row in m.data for q in row),
+                   default=0) >= 150
+    assert below_n >= 8 and big >= 9
 
 
 def test_minpoly_divides_charpoly():

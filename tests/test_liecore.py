@@ -343,17 +343,33 @@ def test_linear_lie_algebra_coords_over_a_basis_that_is_not_rref():
             assert lin.coords(outside) is None
 
 
+def test_linear_lie_algebra_rejects_a_matrix_of_the_wrong_shape():
+    e11 = Mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    lin = LinearLieAlgebra(abelian(3), [e11])
+    assert lin.coords(e11) == (1,)
+    for m in (Mat([[1, 0], [0, 0]]), Mat([[1]]), Mat([e11.vec()]),
+              Mat([[x] for x in e11.vec()])):
+        with pytest.raises(ValueError):
+            lin.coords(m)
+        with pytest.raises(ValueError):
+            lin.contains(m)
+
+
 def _fraction_table(ambient, mats):
     """Structure constants over Fraction: each commutator reduced against the
     RREF span of the basis, its RREF coordinates mapped through T (R = T B)."""
     n = ambient.dim
     R, piv, T = rref_with_transform(Mat([m.vec() for m in mats], cols=n * n))
-    span, to_basis = Subspace(n * n, R, piv), T.transpose()
+    to_basis = T.transpose()
     table = {}
     for a in range(len(mats)):
         for b in range(a + 1, len(mats)):
-            cs = span.coords(commutator(mats[a], mats[b]).vec())
-            assert cs is not None
+            v = commutator(mats[a], mats[b]).vec()
+            cs = [v[p] for p in piv]
+            residual = list(v)
+            for c, row in zip(cs, R.data):
+                residual = [x - c * y for x, y in zip(residual, row)]
+            assert not any(residual)
             terms = [(t, c) for t, c in enumerate(to_basis.apply(cs)) if c]
             if terms:
                 table[(a, b)] = terms
