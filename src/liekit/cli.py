@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -61,10 +62,10 @@ def _resolve(src: str, rng: random.Random) -> tuple[LieAlgebra, dict]:
     if name in catalog.names():
         param = None
         if param_text:
-            try:
-                param = int(param_text)
-            except ValueError:
-                raise InputError(f"{src}: parameter must be an integer") from None
+            # int() would also take "1_1", " 3", "+3" and non-ASCII digits
+            if not re.fullmatch(r"-?[0-9]+", param_text):
+                raise InputError(f"{src}: parameter must be an integer")
+            param = int(param_text)
         try:
             entry = catalog.get(name, param, rng=rng)
         except catalog.CatalogError as exc:

@@ -10,7 +10,8 @@ at the end. minpoly reduces the integer powers of d m with the same _clear,
 one at a time, so that it stops at the degree. Subspace holds a canonical
 RREF basis (sums; membership and coordinates by one integer check,
 int_coords); rref_with_transform gives coordinates over the input rows,
-and kernel is the null rows of rref.
+and kernel is the null rows of rref. jordan_chevalley takes the inverse
+of g' mod g for its Newton iteration from one kernel too.
 
 One characteristic-polynomial engine: _charpoly_mod (Hessenberg reduction
 and the leading-minor recurrence mod p) on the integral matrix d m, d the
@@ -134,20 +135,6 @@ class Mat:
                     s += a * x
             out.append(s)
         return tuple(out)
-
-    def pow(self, k: int) -> "Mat":
-        if not self.is_square():
-            raise ValueError("pow needs a square matrix")
-        if k < 0:
-            raise ValueError("negative power")
-        result = Mat.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return result
 
     def trace(self) -> Fraction:
         if not self.is_square():
@@ -431,10 +418,6 @@ class Poly:
         return Poly([])
 
     @staticmethod
-    def one() -> "Poly":
-        return Poly([1])
-
-    @staticmethod
     def x() -> "Poly":
         return Poly([0, 1])
 
@@ -560,29 +543,33 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = a, b
-    u0, u1 = Poly.one(), Poly.zero()
-    v0, v1 = Poly.zero(), Poly.one()
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        return r0, u0, v0
-    lead = r0.leading()
-    inv = _ONE / lead
-    return r0.monic(), inv * u0, inv * v0
-
-
 def squarefree_part(p: Poly) -> Poly:
     """The radical p / gcd(p, p'), monic. Same roots, each simple."""
     if p.is_zero():
         raise ValueError("zero polynomial")
     g = poly_gcd(p, p.derivative())
     return (p // g).monic()
+
+
+def _derivative_inverse(g: Poly) -> Poly:
+    """h with h g' = 1 (mod g) and deg h < deg g, for squarefree g.
+
+    One kernel solve: the columns of the r x (r + 1) system are x^i g' mod g
+    (i < r = deg g) and then -1, so a kernel line (h, t) has h g' = t
+    (mod g). For squarefree g, multiplication by g' is invertible mod g, the
+    kernel is one line and h is read from it scaled to t = 1.
+    """
+    r = g.degree
+    cols, p = [], g.derivative()
+    for _ in range(r):
+        cols.append(list(p.c) + [_ZERO] * (r - len(p.c)))
+        p = (Poly.x() * p) % g
+    cols.append([-_ONE] + [_ZERO] * (r - 1))
+    ker = kernel(Mat(cols, cols=r).transpose())
+    if ker.dim != 1 or not ker.basis.data[0][r]:
+        raise AssertionError("squarefree part not coprime with its derivative")
+    line = ker.basis.data[0]
+    return Poly([x / line[r] for x in line[:r]])
 
 
 # ---------------------------------------------------------------------------
@@ -803,10 +790,12 @@ def jordan_chevalley(m: Mat) -> JordanChevalley:
     """Exact m = s + n with s semisimple, n nilpotent, [s, n] = 0.
 
     Newton iteration on the squarefree part g of the minimal polynomial
-    (over Q it has the irreducible factors of the characteristic one): a <- a - g(a) * h(a), where h is the inverse of g' modulo g.
-    The iterate is tracked as a polynomial in m reduced mod the minimal
-    polynomial, so each step costs a handful of small polynomial products and
-    the count is bounded by ceil(log2 n) + 1. Purely rational throughout.
+    (over Q it has the irreducible factors of the characteristic one):
+    a <- a - g(a) h(a), where h = g'^-1 mod g comes from one kernel solve
+    (_derivative_inverse). The iterate is tracked as a polynomial in m
+    reduced mod the minimal polynomial, so each step costs a handful of small
+    polynomial products and the count is bounded by ceil(log2 n) + 1. Purely
+    rational throughout.
     """
     if not m.is_square():
         raise ValueError("jordan_chevalley needs a square matrix")
@@ -815,10 +804,7 @@ def jordan_chevalley(m: Mat) -> JordanChevalley:
         return JordanChevalley(m, m, Poly.x())
     mu = minpoly(m)
     g = squarefree_part(mu)
-    gp = g.derivative()
-    one, _u, h = poly_xgcd(g, gp)  # _u*g + h*g' = 1 since g is squarefree
-    if one.degree != 0:
-        raise AssertionError("squarefree part not coprime with its derivative")
+    h = _derivative_inverse(g)
     q = Poly.x() % mu
     limit = 1
     while (1 << limit) < max(n_dim, 1):

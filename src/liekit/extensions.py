@@ -127,7 +127,8 @@ def malcev_split_solvable(L: LieAlgebra,
 def _split(L: LieAlgebra, rng: random.Random) -> SplittingResult:
     """The construction and checks of malcev_split_solvable, one level deep."""
     n = L.dim
-    h = cartan_subalgebra(L, rng)
+    # nilpotent L: H = L and every s(ad h) is 0, so nothing would be kept
+    h = Subspace.zero(n) if L.is_nilpotent() else cartan_subalgebra(L, rng)
     parts = [jordan_chevalley(L.ad(row)).s for row in h.basis.data]
     sigma = Subspace.span(n * n, [list(p.vec()) for p in parts])
     running = inner_derivations(L)

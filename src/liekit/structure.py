@@ -13,10 +13,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .exactlin import (
     Mat,
     Subspace,
+    _int_product,
+    _scaled_rows,
     is_nilpotent as mat_is_nilpotent,
     is_semisimple as mat_is_semisimple,
     jordan_chevalley,
@@ -122,7 +125,9 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
     generalized null space (of its adjoint) is smallest, descends into that
     null space and repeats until the candidate is nilpotent; the
     self-normalizing check runs against the full algebra. Output checks make
-    the answer seed-independent in validity.
+    the answer seed-independent in validity. The generalized null space of
+    ad x with zero multiplicity k is the kernel of the integer power
+    (d ad x)^k, d the common denominator (_scaled_rows, _int_product).
 
     Candidates are ranked by zero_multiplicity_mod_p of their adjoint: the
     charpoly of its integral multiple, mod 2^61 - 1. That is a heuristic
@@ -159,7 +164,8 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
             spread += 2   # all sampled elements looked nilpotent; widen and retry
             continue
         coeffs, adm = best_vec
-        gen_null = kernel(adm.pow(best_mult))
+        A = _scaled_rows(adm)[1]
+        gen_null = kernel(Mat(reduce(_int_product, [A] * best_mult)))
         # pull the nested basis back to L coordinates
         nxt = Subspace.span(L.dim, (gen_null.basis @ current.basis).data)
         if nxt.dim == current.dim:

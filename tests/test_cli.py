@@ -329,6 +329,21 @@ def test_non_integer_parameter_is_input_error(capsys):
     assert "integer" in err
 
 
+# each is heisenberg:3 to int(): underscores, spaces, a sign, non-ASCII digits
+@pytest.mark.parametrize("param", ["0_3", " 3", "3 ", "+3", "３", "٣"])
+def test_parameter_is_ascii_digits_only(capsys, param):
+    code, out, err = run(capsys, "info", f"heisenberg:{param}")
+    assert code == 2
+    assert out == ""
+    assert f"error: heisenberg:{param}: parameter must be an integer" in err
+
+
+def test_negative_parameter_reaches_the_builder(capsys):
+    code, out, err = run(capsys, "info", "heisenberg:-1")
+    assert code == 2
+    assert "error: heisenberg: dimension must be odd and >= 3" in err
+
+
 def test_failed_internal_check_exits_3_without_a_report(capsys, monkeypatch):
     def broken(L):
         raise AssertionError("dimension bookkeeping")
@@ -437,6 +452,9 @@ PINNED_JSON = {
     # the pinned command with the most minpoly and Jordan-Chevalley calls
     ("torus", "heisenberg:7"):
         "f46f960c03ce486d8b5b7f2430852afaa9827ce2786d5be311da4270f05bfef8",
+    # Der(L) of dimension 45: the heaviest Cartan search and Jordan-Chevalley
+    ("torus", "heisenberg:9"):
+        "66a7e9115172170612895d96748e142f86cf676b53b8ba6719d110cda22e5002",
     ("extend", "--standard", "heisenberg:3"):
         "b415c3531868225d83217e3d0adcfd6534d522072c1c845f5888e10ac663b0ec",
     ("split", "diagonal_torus_extension:3"):

@@ -20,7 +20,6 @@ from liekit.exactlin import (
     kernel,
     minpoly,
     poly_gcd,
-    poly_xgcd,
     rank,
     rref,
     rref_with_transform,
@@ -48,9 +47,6 @@ def test_mat_basic_ops():
     assert a.transpose().data == [[F(1), F(3)], [F(2), F(4)]]
     assert a.trace() == F(5)
     assert a.apply([1, 0]) == (F(1), F(3))
-    assert Mat.identity(3).pow(5) == Mat.identity(3)
-    assert a.pow(0) == Mat.identity(2)
-    assert a.pow(3) == a @ a @ a
 
 
 def test_rref_simple():
@@ -314,15 +310,11 @@ def test_poly_arith_and_divmod():
     assert p.derivative() == Poly([-3, 2])
 
 
-def test_poly_gcd_and_xgcd():
+def test_poly_gcd():
     x = Poly.x()
     a = (x - Poly([1])) * (x - Poly([2]))
     b = (x - Poly([1])) * (x - Poly([3]))
-    g = poly_gcd(a, b)
-    assert g == x - Poly([1])
-    g2, u, v = poly_xgcd(a, b)
-    assert g2 == g
-    assert (u * a + v * b) == g
+    assert poly_gcd(a, b) == x - Poly([1])
 
 
 def test_squarefree_part():
@@ -332,10 +324,28 @@ def test_squarefree_part():
     assert sf == ((x - Poly([1])) * (x + Poly([2]))).monic()
 
 
+def test_derivative_inverse_on_large_coefficients():
+    rng = random.Random(11)
+    for deg in range(1, 13):
+        big = 1 << rng.randint(201, 260)
+        g = Poly([F(rng.randint(-big, big), rng.randint(1, big))
+                  for _ in range(deg)] + [rng.randint(1, big)])
+        assert poly_gcd(g, g.derivative()).degree == 0   # squarefree
+        h = exactlin._derivative_inverse(g)
+        assert h * g.derivative() % g == Poly([1])
+        assert h.degree < g.degree
+
+
+def test_derivative_inverse_rejects_a_repeated_root():
+    x = Poly.x()
+    with pytest.raises(AssertionError, match="not coprime"):
+        exactlin._derivative_inverse(x * x * (x - Poly([1])))
+
+
 def test_poly_compose_mod():
     x = Poly.x()
-    mod = x * x + Poly.one()      # x^2 + 1
-    q = x + Poly.one()
+    mod = x * x + Poly([1])      # x^2 + 1
+    q = x + Poly([1])
     comp = (x * x).compose_mod(q, mod)   # (x+1)^2 = x^2+2x+1 = 2x mod x^2+1
     assert comp == Poly([0, 2])
 
@@ -408,7 +418,7 @@ def test_charpoly_of_conjugated_triangular_matrices_with_large_entries(monkeypat
                       if c >= r else 0 for c in range(n)] for r in range(n)])
             u = _unimodular(rng, n, 3 * n)
             _, _, u_inv = rref_with_transform(u)
-            want = Poly.one()
+            want = Poly([1])
             for i in range(n):
                 want = want * Poly([-t.data[i][i], 1])
             assert charpoly(u @ t @ u_inv) == want
@@ -527,7 +537,7 @@ def test_minpoly_stops_at_the_first_dependent_power(monkeypatch):
     projection = Mat([[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
     assert minpoly(projection) == Poly([0, -1, 1])
     assert len(products) == 2                   # m and m^2
-    assert minpoly(Mat.zeros(0, 0)) == Poly.one()
+    assert minpoly(Mat.zeros(0, 0)) == Poly([1])
 
 
 def _fraction_minpoly(m):
@@ -627,7 +637,11 @@ def test_minpoly_divides_charpoly():
         assert (charpoly(m) % mu).is_zero()
         assert mu.eval_mat(m).is_zero()
         # minimal: I, m, ..., m^(deg-1) are independent
-        lower = Mat([m.pow(k).vec() for k in range(mu.degree)], cols=n * n)
+        power, vecs = Mat.identity(n), []
+        for _ in range(mu.degree):
+            vecs.append(power.vec())
+            power = power @ m
+        lower = Mat(vecs, cols=n * n)
         assert rank(lower) == mu.degree
         below_n += mu.degree < n
     assert below_n >= 5

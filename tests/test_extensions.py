@@ -10,6 +10,7 @@ from liekit.liecore import (
     change_basis,
     semidirect_sum,
 )
+from liekit import extensions
 from liekit.extensions import (
     NilradicalMismatch,
     extend_by_derivations,
@@ -106,7 +107,13 @@ def test_standard_extension_rejects_non_nilpotent():
 # ---------------------------------------------------------------------------
 # Malcev splitting
 
-def test_split_of_nilpotent_is_identity():
+def test_split_of_nilpotent_is_identity(monkeypatch):
+    # H = L and every semisimple part is 0: neither step can add anything
+    def unused(*args):
+        raise AssertionError("not needed on a nilpotent algebra")
+
+    monkeypatch.setattr(extensions, "cartan_subalgebra", unused)
+    monkeypatch.setattr(extensions, "jordan_chevalley", unused)
     L = heisenberg3()
     res = malcev_split_solvable(L)
     assert res.added_dim == 0
