@@ -5,13 +5,15 @@ kernels, characteristic polynomials and Jordan-Chevalley parts are exact,
 and identical inputs give bit-identical outputs.
 
 One elimination engine: rref, a sparse fraction-free elimination over the
-integers whose one row operation is _clear; it divides by each pivot once,
-at the end. minpoly reduces the integer powers of d m with the same _clear,
-one at a time, so that it stops at the degree. Subspace holds a canonical
-RREF basis (sums; membership and coordinates by one integer check,
-int_coords); rref_with_transform gives coordinates over the input rows,
-and kernel is the null rows of rref. jordan_chevalley takes the inverse
-of g' mod g for its Newton iteration from one kernel too.
+integers (pivot loop _eliminate) whose one row operation is _clear; it
+divides by each pivot once, at the end. The same loop and _clear with a
+modulus p give kernel_dim_at_least, the mod-p kernel test that stops once
+the rank decides it. minpoly reduces the integer powers of d m with the
+same _clear, one at a time, so that it stops at the degree. Subspace holds
+a canonical RREF basis (sums; membership and coordinates by one integer
+check, int_coords); rref_with_transform gives coordinates over the input
+rows, and kernel is the null rows of rref. jordan_chevalley takes the
+inverse of g' mod g for its Newton iteration from one kernel too.
 
 One characteristic-polynomial engine: _charpoly_mod (Hessenberg reduction
 and the leading-minor recurrence mod p) on the integral matrix d m, d the
@@ -189,13 +191,12 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column list; zero rows last.
 
     One sparse elimination over the integers. Each nonzero row is scaled by
-    the lcm of its denominators to a primitive integer row {column: int}. In
-    each column the candidate with the fewest nonzeros becomes the pivot
-    row, so sparse systems do not fill in, and _clear eliminates that column
-    from the rows below it (forward elimination), then from the rows above
-    it (back substitution). Only the final rows are divided by their pivots,
-    once per entry. The RREF is unique, so the pivot choice does not change
-    the result, only its cost.
+    the lcm of its denominators to a primitive integer row {column: int}.
+    _eliminate clears each pivot column from the rows below its pivot row
+    (forward elimination), then _clear clears it from the rows above (back
+    substitution). Only the final rows are divided by their pivots, once
+    per entry. The RREF is unique, so the pivot choice does not change the
+    result, only its cost.
     """
     cols = m.cols
     active = []
@@ -206,21 +207,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
             r = {j: q.numerator * (d // q.denominator) for j, q in nz}
             g = math.gcd(*r.values())
             active.append({j: v // g for j, v in r.items()} if g != 1 else r)
-    echelon: list[dict[int, int]] = []
-    pivots: list[int] = []
-    for c in range(cols):
-        best = -1
-        for i, r in enumerate(active):
-            if c in r and (best < 0 or len(r) < len(active[best])):
-                best = i
-        if best < 0:
-            continue
-        prow = active[best]
-        active[best] = active[-1]
-        active.pop()
-        active = _clear(active, prow, c)
-        echelon.append(prow)
-        pivots.append(c)
+    echelon, pivots = _eliminate(active, cols)
     # row k is final once the pivots after it are cleared from it
     for k in range(len(echelon) - 1, 0, -1):
         echelon[:k] = _clear(echelon[:k], echelon[k], pivots[k])
@@ -235,12 +222,48 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     return Mat(R, cols=cols), tuple(pivots)
 
 
+def _eliminate(active: list[dict[int, int]], cols: int, p: int = 0,
+               limit: int | None = None
+               ) -> tuple[list[dict[int, int]], list[int]]:
+    """Forward elimination of the rows {column: int} in active.
+
+    In each column the candidate with the fewest nonzeros becomes the pivot
+    row, so sparse systems do not fill in, and _clear eliminates that column
+    from the other active rows. Returns the echelon rows and their pivot
+    columns. With a modulus p the rows hold residues mod p and each pivot
+    row is made monic first. The loop stops once no active row is left or
+    limit pivots are found, whichever comes first.
+    """
+    echelon: list[dict[int, int]] = []
+    pivots: list[int] = []
+    for c in range(cols):
+        if not active or len(pivots) == limit:
+            break
+        best = -1
+        for i, r in enumerate(active):
+            if c in r and (best < 0 or len(r) < len(active[best])):
+                best = i
+        if best < 0:
+            continue
+        prow = active[best]
+        active[best] = active[-1]
+        active.pop()
+        if p and prow[c] != 1:
+            inv = pow(prow[c], -1, p)
+            prow = {j: v * inv % p for j, v in prow.items()}
+        active = _clear(active, prow, c, p)
+        echelon.append(prow)
+        pivots.append(c)
+    return echelon, pivots
+
+
 def _clear(rows: list[dict[int, int]], prow: dict[int, int],
-           c: int) -> list[dict[int, int]]:
+           c: int, p: int = 0) -> list[dict[int, int]]:
     """rows with column c eliminated by prow, zero rows dropped.
 
     With a/f = prow[c]/r[c] in lowest terms, r becomes (a r - f prow) / its
-    content, so every row stays a primitive integer row.
+    content, so every row stays a primitive integer row. With a modulus p
+    (rows of residues, prow monic) r becomes r - f prow mod p instead.
     """
     a = prow[c]
     out = []
@@ -254,18 +277,42 @@ def _clear(rows: list[dict[int, int]], prow: dict[int, int],
                     r[j] *= ag
             for j, v in prow.items():
                 x = r.get(j, 0) - fg * v
+                if p:
+                    x %= p
                 if x:
                     r[j] = x
                 else:
                     del r[j]
             if not r:
                 continue
-            g = math.gcd(*r.values())
+            g = 1 if p else math.gcd(*r.values())
             if g != 1:
                 for j in r:
                     r[j] //= g
         out.append(r)
     return out
+
+
+def kernel_dim_at_least(A: list[list[int]], k: int) -> bool:
+    """Whether dim ker(A mod p) >= k, p = 2^61 - 1, for an integer matrix A.
+
+    A is a list of rows of one length cols (no rows: the 0 x 0 matrix). The
+    rank of A mod p is at most its rank over Q, so False proves that the
+    rational kernel of A has dimension below k; True proves nothing over Q.
+    Runs rref's elimination (_eliminate, _clear) with the modulus p and
+    stops as soon as the rank passes cols - k.
+    """
+    cols = len(A[0]) if A else 0
+    if k <= 0:
+        return True
+    if k > cols:
+        return False
+    rows = []
+    for row in A:
+        r = {j: x % _P for j, x in enumerate(row) if x % _P}
+        if r:
+            rows.append(r)
+    return len(_eliminate(rows, cols, _P, cols - k + 1)[1]) <= cols - k
 
 
 def rref_with_transform(m: Mat) -> tuple[Mat, tuple[int, ...], Mat]:
@@ -716,18 +763,18 @@ def charpoly(m: Mat) -> Poly:
                  for k, c in enumerate(acc)])
 
 
-def zero_multiplicity_mod_p(m: Mat) -> int:
-    """Multiplicity of the root 0 of charpoly(d m) mod p = 2^61 - 1.
+def zero_multiplicity_mod_p(A: list[list[int]]) -> int:
+    """Multiplicity of the root 0 of charpoly(A) mod p = 2^61 - 1.
 
-    d m is integral (_scaled_rows) and its roots are d times those of m, so
-    over Q its zero multiplicity is that of charpoly(m). An exact coefficient
-    0 reduces to 0, so the count is never below
-    charpoly(m).trailing_zero_count(); it is a ranking heuristic, not a
-    certificate.
+    A is a square integer matrix, as a list of rows, such as d m from
+    _scaled_rows(m): its roots are d times those of m, so over Q its zero
+    multiplicity is that of charpoly(m). An exact coefficient 0 reduces to
+    0, so the count is never below charpoly(m).trailing_zero_count(), nor
+    below dim ker(A mod p) (kernel_dim_at_least); it is a ranking
+    heuristic, not a certificate.
     """
-    if not m.is_square():
+    if any(len(row) != len(A) for row in A):
         raise ValueError("zero_multiplicity_mod_p needs a square matrix")
-    _, A = _scaled_rows(m)
     return next(k for k, c in enumerate(_charpoly_mod(A, _P)) if c)
 
 

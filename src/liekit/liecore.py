@@ -288,10 +288,16 @@ def normalizer(L: LieAlgebra, s: Subspace) -> Subspace:
     """{x : [x, s] <= s}."""
     if s.dim == 0 or s.dim == L.dim:
         return L.full_space()
+    return kernel(normalizer_system(L, s))
+
+
+def normalizer_system(L: LieAlgebra, s: Subspace) -> Mat:
+    """The matrix whose kernel is the normalizer of s, for 0 < dim s < dim L:
+    one block per basis row v of s, the residual of [x, v] mod s."""
     # rows of proj pick out the coordinates of the residual mod s
     proj = _mod_projection(s)
     blocks = [proj @ (-L.ad(row)) for row in s.basis.data]  # [x,v] = -ad(v) x
-    return kernel(vstack(*blocks))
+    return vstack(*blocks)
 
 
 def _mod_projection(s: Subspace) -> Mat:

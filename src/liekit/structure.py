@@ -24,6 +24,7 @@ from .exactlin import (
     is_semisimple as mat_is_semisimple,
     jordan_chevalley,
     kernel,
+    kernel_dim_at_least,
     zero_multiplicity_mod_p,
 )
 from .liecore import (
@@ -34,6 +35,7 @@ from .liecore import (
     derived_algebra,
     killing_radical,
     normalizer,
+    normalizer_system,
     product_space,
     quotient,
     restrict,
@@ -124,16 +126,18 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
     Searches a pool of small-integer combinations for an element whose
     generalized null space (of its adjoint) is smallest, descends into that
     null space and repeats until the candidate is nilpotent; the
-    self-normalizing check runs against the full algebra. Output checks make
-    the answer seed-independent in validity. The generalized null space of
-    ad x with zero multiplicity k is the kernel of the integer power
-    (d ad x)^k, d the common denominator (_scaled_rows, _int_product).
+    self-normalizing check (_self_normalizing) runs against the full
+    algebra. Output checks make the answer seed-independent in validity.
 
-    Candidates are ranked by zero_multiplicity_mod_p of their adjoint: the
-    charpoly of its integral multiple, mod 2^61 - 1. That is a heuristic
-    only: the count is never below the exact one, so the generalized null
-    space is unchanged, and the returned subalgebra is still certified
-    nilpotent and self-normalizing over Q.
+    Each candidate's adjoint is scaled once to the integer matrix A = d ad x
+    (_scaled_rows), and A serves all three steps. A candidate is skipped when
+    kernel_dim_at_least(A, best) holds for the best count so far: the zero
+    multiplicity of A mod p is at least dim ker(A mod p), and a pick needs a
+    count strictly below best, so the skip changes no pick and no random
+    draw. The others are ranked by zero_multiplicity_mod_p(A), the charpoly
+    mod 2^61 - 1. That is a heuristic only: the count is never below the
+    exact one, so the generalized null space is unchanged. It is the kernel
+    of the integer power A^k, k the count (_int_product).
     """
     rng = _rng(rng)
     if L.dim == 0:
@@ -143,29 +147,28 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
     spread = 3
     for _round in range(4 * (L.dim + 2)):
         if sub.is_nilpotent():
-            nz = normalizer(L, current)
-            if nz.dim == current.dim:
+            if _self_normalizing(L, current):
                 return current
             # nilpotent but not self-normalizing: the search landed too low;
             # restart from scratch with a wider coefficient range
             current, sub, spread = L.full_space(), L, spread + 2
             continue
-        best_vec = None
+        best_A = None
         best_mult = sub.dim + 1
         for _ in range(_POOL):
             coeffs = [rng.randint(-spread, spread) for _ in range(sub.dim)]
             if not any(coeffs):
                 continue
-            adm = sub.ad(coeffs)
-            mult = zero_multiplicity_mod_p(adm)
+            A = _scaled_rows(sub.ad(coeffs))[1]
+            if kernel_dim_at_least(A, best_mult):
+                continue
+            mult = zero_multiplicity_mod_p(A)
             if mult < best_mult:
-                best_mult, best_vec = mult, (coeffs, adm)
-        if best_vec is None or best_mult >= sub.dim:
+                best_mult, best_A = mult, A
+        if best_A is None or best_mult >= sub.dim:
             spread += 2   # all sampled elements looked nilpotent; widen and retry
             continue
-        coeffs, adm = best_vec
-        A = _scaled_rows(adm)[1]
-        gen_null = kernel(Mat(reduce(_int_product, [A] * best_mult)))
+        gen_null = kernel(Mat(reduce(_int_product, [best_A] * best_mult)))
         # pull the nested basis back to L coordinates
         nxt = Subspace.span(L.dim, (gen_null.basis @ current.basis).data)
         if nxt.dim == current.dim:
@@ -174,6 +177,22 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
         current = nxt
         sub = restrict(L, current)
     raise AssertionError("Cartan subalgebra search failed to converge")
+
+
+def _self_normalizing(L: LieAlgebra, h: Subspace) -> bool:
+    """Whether the subalgebra h of L is its own normalizer N(h).
+
+    N(h) is the kernel of normalizer_system(L, h) and contains h. With S
+    that system scaled to integers, dim h <= dim ker S <= dim ker(S mod p),
+    so not kernel_dim_at_least(S, dim h + 1) proves N(h) = h. Otherwise the
+    exact normalizer decides.
+    """
+    if not 0 < h.dim < L.dim:
+        return h.dim == L.dim
+    S = _scaled_rows(normalizer_system(L, h))[1]
+    if not kernel_dim_at_least(S, h.dim + 1):
+        return True
+    return normalizer(L, h).dim == h.dim
 
 
 # ---------------------------------------------------------------------------

@@ -457,6 +457,10 @@ PINNED_JSON = {
         "66a7e9115172170612895d96748e142f86cf676b53b8ba6719d110cda22e5002",
     ("extend", "--standard", "heisenberg:3"):
         "b415c3531868225d83217e3d0adcfd6534d522072c1c845f5888e10ac663b0ec",
+    # Der(L) of dimension 45, where the mod-p kernel check skips all but a
+    # few of the ranked Cartan candidates
+    ("extend", "--standard", "heisenberg:9"):
+        "c7e5280f6ca4de673ba72e599faedbfd3050dcaa9bc2ba26d662399452fd0baa",
     ("split", "diagonal_torus_extension:3"):
         "11d526e8ee3c3157625b493602a434ebf496595893903d0070f3de7b6ea371e7",
     ("fingerprint", "favre7"):

@@ -18,6 +18,7 @@ from liekit.exactlin import (
     is_semisimple,
     jordan_chevalley,
     kernel,
+    kernel_dim_at_least,
     minpoly,
     poly_gcd,
     rank,
@@ -451,6 +452,11 @@ def _jordan(blocks):
     return Mat(rows, cols=n)
 
 
+def _zero_mult(m):
+    """zero_multiplicity_mod_p of d m, the integral multiple of m."""
+    return zero_multiplicity_mod_p(exactlin._scaled_rows(m)[1])
+
+
 def test_zero_multiplicity_mod_p_matches_exact_on_similar_jordan_forms():
     rng = random.Random(31)
     for _ in range(30):
@@ -470,20 +476,20 @@ def test_zero_multiplicity_mod_p_matches_exact_on_similar_jordan_forms():
         _, _, p_inv = rref_with_transform(p)  # rref(p) = I, so this is p^-1
         m = p @ j @ p_inv
         want = sum(size for _, size in zero_blocks)
-        assert zero_multiplicity_mod_p(m) == want
+        assert _zero_mult(m) == want
         assert charpoly(m).trailing_zero_count() == want
 
 
 def test_zero_multiplicity_mod_p_small_and_nilpotent_cases():
-    assert zero_multiplicity_mod_p(Mat([], cols=0)) == 0
-    assert zero_multiplicity_mod_p(Mat([[0]])) == 1
-    assert zero_multiplicity_mod_p(Mat([[F(-3, 7)]])) == 0
-    assert zero_multiplicity_mod_p(Mat.zeros(5, 5)) == 5
+    assert _zero_mult(Mat([], cols=0)) == 0
+    assert _zero_mult(Mat([[0]])) == 1
+    assert _zero_mult(Mat([[F(-3, 7)]])) == 0
+    assert _zero_mult(Mat.zeros(5, 5)) == 5
     rng = random.Random(37)
     for n in range(1, 7):
         upper = Mat([[rng.randint(-4, 4) if c > r else 0 for c in range(n)]
                      for r in range(n)])
-        assert zero_multiplicity_mod_p(upper) == n
+        assert _zero_mult(upper) == n
         assert charpoly(upper).trailing_zero_count() == n
 
 
@@ -491,11 +497,11 @@ def test_zero_multiplicity_mod_p_when_p_divides_a_denominator():
     p = 2 ** 61 - 1
     for m in (Mat([[1, F(1, p)], [0, 0]]), Mat([[1, F(1, 2 * p)], [0, 0]]),
               Mat([[F(1, p), 1], [0, F(2, 3)]]), Mat([[p, 1], [0, 0]])):
-        got = zero_multiplicity_mod_p(m)
+        got = _zero_mult(m)
         assert isinstance(got, int)
         assert got >= charpoly(m).trailing_zero_count()
     # p in a numerator only reduces to 0, which never lowers the count
-    assert zero_multiplicity_mod_p(Mat([[p, 1], [0, 0]])) == 2
+    assert _zero_mult(Mat([[p, 1], [0, 0]])) == 2
     assert charpoly(Mat([[p, 1], [0, 0]])).trailing_zero_count() == 1
     # every denominator the same multiple k p: d m is u v^T, with entries
     # prime to k p, and its one nonzero charpoly coefficient below x^n is
@@ -513,7 +519,62 @@ def test_zero_multiplicity_mod_p_when_p_divides_a_denominator():
         assert {q.denominator for row in m.data for q in row} == {k * p}
         want = charpoly(m).trailing_zero_count()
         assert want == len(u) - 1 + (sum(a * b for a, b in zip(u, v)) == 0)
-        assert zero_multiplicity_mod_p(m) == want
+        assert _zero_mult(m) == want
+
+
+def _rank_mod_p_cases(rng, rows, cols):
+    """Seeded integer matrices of rank 0, 1, ..., min(rows, cols); past
+    rank 8 only ranks 0, 1, the middle one and the top two."""
+    m = min(rows, cols)
+    for r in range(m + 1) if m <= 8 else sorted({0, 1, m // 2, m - 1, m}):
+        left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rows)]
+        right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(r)]
+        yield (exactlin._int_product(left, right) if r
+               else [[0] * cols for _ in range(rows)])
+
+
+def test_kernel_dim_at_least_matches_the_exact_rank():
+    rng = random.Random(47)
+    # square, tall (the 96 x 28 normalizer system shape) and wide
+    shapes = [(n, n) for n in range(1, 10)] + [(96, 28), (30, 7), (4, 11), (9, 30)]
+    for rows, cols in shapes:
+        for A in _rank_mod_p_cases(rng, rows, cols):
+            before = [list(row) for row in A]
+            want = cols - rank(Mat(A, cols=cols))
+            for k in range(-1, cols + 3):
+                assert kernel_dim_at_least(A, k) == (want >= k), (rows, cols, k)
+            assert A == before
+
+
+def test_kernel_dim_at_least_edge_cases():
+    for A in ([], [[]], [[], [], []]):   # 0 x 0 and 3 x 0: kernel 0
+        assert kernel_dim_at_least(A, -2)
+        assert kernel_dim_at_least(A, 0)
+        assert not kernel_dim_at_least(A, 1)
+    assert kernel_dim_at_least([[0, 0, 0]], 3)
+    assert not kernel_dim_at_least([[0, 0, 0]], 4)
+    assert not kernel_dim_at_least([[1, 2, 3]], 3)
+    assert kernel_dim_at_least([[1, 2, 3]], 2)
+    assert kernel_dim_at_least([[-5, 0], [0, 7]], 0)
+    assert not kernel_dim_at_least([[-5, 0], [0, 7]], 1)
+
+
+def test_kernel_dim_at_least_is_never_below_the_exact_kernel():
+    p = 2 ** 61 - 1
+    # p in an entry reduces to 0: the mod-p kernel is larger than over Q
+    assert rank(Mat([[p, 0], [0, 1]])) == 2
+    assert kernel_dim_at_least([[p, 0], [0, 1]], 1)
+    assert not kernel_dim_at_least([[p, 0], [0, 1]], 2)
+    assert kernel_dim_at_least([[p, 2 * p], [-3 * p, 5 * p]], 2)
+    assert kernel_dim_at_least([[1, 1], [1, 1 + p]], 1)   # det p
+    rng = random.Random(53)
+    for rows, cols in [(5, 5), (96, 28), (3, 8), (12, 4)]:
+        for A in _rank_mod_p_cases(rng, rows, cols):
+            A = [[x * p if rng.random() < 0.3 else x + p * rng.randint(-2, 2)
+                  for x in row] for row in A]
+            exact = cols - rank(Mat(A, cols=cols))
+            for k in range(exact + 1):
+                assert kernel_dim_at_least(A, k), (rows, cols, k)
 
 
 def test_minpoly_examples():

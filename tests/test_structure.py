@@ -195,6 +195,87 @@ def test_cartan_dimension_is_seed_stable():
     assert dims == {4}   # x plus all of h3
 
 
+def _cartan_cases():
+    """Catalog algebras and two abstract derivation algebras."""
+    fixed = [catalog.get(name).algebra
+             for name in ("favre7", "r2", "sl2", "so2_torus_extension")]
+    param = [catalog.get(name, n).algebra
+             for name, n in (("diagonal_torus_extension", 3), ("heisenberg", 5),
+                             ("filiform", 6), ("abelian", 3))]
+    ders = [derivations(catalog.get(name, n).algebra).to_abstract()
+            for name, n in (("heisenberg", 5), ("filiform", 6))]
+    return fixed + param + ders
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(structure, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(structure, name, counted)
+    return calls
+
+
+def test_cartan_prune_changes_no_pick(monkeypatch):
+    # the reference ranks every candidate and runs the exact normalizer
+    ranked = _counting(monkeypatch, "zero_multiplicity_mod_p")
+    pruned = reference = 0
+    for L in _cartan_cases():
+        for seed in range(1, 6):
+            rng = random.Random(seed)
+            got = cartan_subalgebra(L, rng)
+            pruned += len(ranked)
+            ranked.clear()
+            with monkeypatch.context() as m:
+                m.setattr(structure, "kernel_dim_at_least", lambda A, k: False)
+                m.setattr(structure, "_self_normalizing",
+                          lambda L, h: normalizer(L, h) == h)
+                ref_rng = random.Random(seed)
+                want = cartan_subalgebra(L, ref_rng)
+            reference += len(ranked)
+            ranked.clear()
+            assert got == want
+            assert rng.getstate() == ref_rng.getstate()
+    assert pruned < reference / 4
+
+
+def test_self_normalization_falls_back_to_the_exact_normalizer(monkeypatch):
+    for L in _cartan_cases():
+        h = cartan_subalgebra(L, random.Random(3))
+        if h.dim == L.dim:
+            continue   # nilpotent L: no system to check
+        with monkeypatch.context() as m:
+            m.setattr(structure, "kernel_dim_at_least", lambda A, k: True)
+            calls = _counting(m, "normalizer")
+            assert structure._self_normalizing(L, h)
+            assert len(calls) == 1
+
+
+def test_self_normalization_is_proved_mod_p_without_the_normalizer(monkeypatch):
+    L = sl2()
+
+    def refuse(L, s):
+        raise AssertionError("exact normalizer called")
+
+    monkeypatch.setattr(structure, "normalizer", refuse)
+    assert structure._self_normalizing(L, Subspace.span(3, [[0, 0, 1]]))
+    assert structure._self_normalizing(L, L.full_space())
+
+
+def test_self_normalization_rejects_a_nilpotent_non_cartan(monkeypatch):
+    L = sl2()
+    span_e = Subspace.span(3, [[1, 0, 0]])
+    assert restrict(L, span_e).is_nilpotent()
+    assert normalizer(L, span_e) == Subspace.span(3, [[1, 0, 0], [0, 0, 1]])
+    calls = _counting(monkeypatch, "normalizer")
+    assert not structure._self_normalizing(L, span_e)
+    assert len(calls) == 1
+    assert not structure._self_normalizing(L, Subspace.zero(3))
+
+
 # ---------------------------------------------------------------------------
 # nilradical
 
