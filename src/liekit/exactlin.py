@@ -4,16 +4,17 @@ Every result here is an exact Fraction; no floats ever enter, so ranks,
 kernels, characteristic polynomials and Jordan-Chevalley parts are exact,
 and identical inputs give bit-identical outputs.
 
-One elimination engine: rref, a sparse fraction-free elimination over the
+One elimination engine: _rref, a sparse fraction-free elimination over the
 integers (pivot loop _eliminate) whose one row operation is _clear; it
-divides by each pivot once, at the end. The same loop and _clear with a
-modulus p give kernel_dim_at_least, the mod-p kernel test that stops once
-the rank decides it. minpoly reduces the integer powers of d m with the
-same _clear, one at a time, so that it stops at the degree. Subspace holds
-a canonical RREF basis (sums; membership and coordinates by one integer
-check, int_coords); rref_with_transform gives coordinates over the input
-rows, and kernel is the null rows of rref. jordan_chevalley takes the
-inverse of g' mod g for its Newton iteration from one kernel too.
+takes rows of ints or Fractions, so systems built from integer data reach
+it without a Fraction, and divides by each pivot once, at the end. The
+same loop and _clear with a modulus p give kernel_dim_at_least, the mod-p
+kernel test that stops once the rank decides it. minpoly reduces the
+integer powers of d m with the same _clear, one at a time, so that it
+stops at the degree. Subspace holds a canonical RREF basis (sums;
+membership and coordinates by one integer check, int_coords, on its rows
+over one denominator, int_rows); kernel is the null rows of _rref.
+jordan_chevalley takes the inverse of g' mod g from one kernel too.
 
 One characteristic-polynomial engine: _charpoly_mod (Hessenberg reduction
 and the leading-minor recurrence mod p) on the integral matrix d m, d the
@@ -100,9 +101,6 @@ class Mat:
         return Mat([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
                    cols=self.cols)
 
-    def __neg__(self) -> "Mat":
-        return Mat([[-a for a in row] for row in self.data], cols=self.cols)
-
     def __mul__(self, scalar) -> "Mat":
         s = _rat(scalar)
         return Mat([[s * a for a in row] for row in self.data], cols=self.cols)
@@ -138,11 +136,6 @@ class Mat:
             out.append(s)
         return tuple(out)
 
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise ValueError("trace needs a square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), _ZERO)
-
     def is_zero(self) -> bool:
         return all(not x for row in self.data for x in row)
 
@@ -155,16 +148,6 @@ class Mat:
 
     def __repr__(self) -> str:
         return f"Mat({self.data!r})"
-
-
-def vstack(*mats: Mat) -> Mat:
-    cols = mats[0].cols
-    rows = []
-    for m in mats:
-        if m.cols != cols:
-            raise ValueError("column mismatch in vstack")
-        rows.extend(m.data)
-    return Mat(rows, cols=cols)
 
 
 def commutator(a: Mat, b: Mat) -> Mat:
@@ -184,11 +167,40 @@ def _int_product(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
     return out
 
 
+def _scaled_rows(m: Mat) -> tuple[int, list[list[int]]]:
+    """(d, d m) with d the lcm of all denominators of m, so d m is integral."""
+    d = math.lcm(*(q.denominator for row in m.data for q in row))
+    return d, [[q.numerator * (d // q.denominator) for q in row] for row in m.data]
+
+
+def _scaled_vec(v: Sequence, n: int) -> tuple[int, list[int]]:
+    """(d, d v) for a vector v of n entries (ints, or anything _rat reads),
+    d the lcm of their denominators."""
+    if len(v) != n:
+        raise ValueError("vector length mismatch")
+    q = [x if type(x) is int else _rat(x) for x in v]
+    d = math.lcm(*(x.denominator for x in q))
+    return d, [x.numerator * (d // x.denominator) for x in q]
+
+
+def _unscaled(w: Iterable[int], d: int) -> list[Fraction]:
+    """The vector w / d of Fractions, for an integer vector w."""
+    return [Fraction(x, d) if x else _ZERO for x in w]
+
+
 # ---------------------------------------------------------------------------
 # row reduction
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column list; zero rows last.
+    """Reduced row echelon form and the pivot column list; zero rows last."""
+    R, pivots = _rref(m.data, m.cols)
+    R.extend([_ZERO] * m.cols for _ in range(m.rows - len(R)))
+    return Mat(R, cols=m.cols), tuple(pivots)
+
+
+def _rref(rows: Iterable[Sequence], cols: int
+          ) -> tuple[list[list[Fraction]], list[int]]:
+    """The nonzero rows of the RREF of rows of ints or Fractions, and their pivots.
 
     One sparse elimination over the integers. Each nonzero row is scaled by
     the lcm of its denominators to a primitive integer row {column: int}.
@@ -198,9 +210,8 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     per entry. The RREF is unique, so the pivot choice does not change the
     result, only its cost.
     """
-    cols = m.cols
     active = []
-    for row in m.data:
+    for row in rows:
         nz = [(j, q) for j, q in enumerate(row) if q]
         if nz:
             d = math.lcm(*(q.denominator for _, q in nz))
@@ -218,8 +229,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
         for j, v in row.items():
             out[j] = Fraction(v, a)
         R.append(out)
-    R.extend([_ZERO] * cols for _ in range(m.rows - len(R)))
-    return Mat(R, cols=cols), tuple(pivots)
+    return R, pivots
 
 
 def _eliminate(active: list[dict[int, int]], cols: int, p: int = 0,
@@ -340,9 +350,9 @@ class Subspace:
     so equal subspaces compare equal componentwise.
 
     Membership is one exact integer check (int_coords) against E R, E the
-    common denominator of R, built on first use: w / D, w integral, lies in
-    the span exactly when E w = sum_i w[p_i] (E R)_i over the pivots p_i,
-    and its coordinates over the rows are then the w[p_i] / D.
+    common denominator of R (int_rows, built on first use): w / D, w
+    integral, lies in the span exactly when E w = sum_i w[p_i] (E R)_i over
+    the pivots p_i, and its coordinates over the rows are then the w[p_i] / D.
     """
 
     __slots__ = ("ambient", "basis", "pivots", "_int_rows")
@@ -351,16 +361,17 @@ class Subspace:
         self.ambient = ambient
         self.basis = basis
         self.pivots = pivots
-        self._int_rows: tuple[int, list[list[tuple[int, int]]]] | None = None
+        self._int_rows: tuple[int, list[list[int]]] | None = None
 
     @staticmethod
     def span(ambient: int, rows: Iterable[Sequence]) -> "Subspace":
-        rows = [list(r) for r in rows]
+        """The span of rows of ints or rationals, each of length ambient."""
+        rows = list(rows)
         for r in rows:
             if len(r) != ambient:
                 raise ValueError("vector length mismatch")
-        R, piv = rref(Mat(rows, cols=ambient))
-        return Subspace(ambient, Mat(R.data[: len(piv)], cols=ambient), piv)
+        R, piv = _rref(rows, ambient)
+        return Subspace(ambient, Mat(R, cols=ambient), tuple(piv))
 
     @staticmethod
     def zero(ambient: int) -> "Subspace":
@@ -377,35 +388,36 @@ class Subspace:
     def rows(self) -> list[tuple[Fraction, ...]]:
         return [tuple(r) for r in self.basis.data]
 
+    def int_rows(self) -> tuple[int, list[list[int]]]:
+        """(E, E R): the basis rows R over their common denominator E."""
+        if self._int_rows is None:
+            self._int_rows = _scaled_rows(self.basis)
+        return self._int_rows
+
     def int_coords(self, w: Sequence[int]) -> list[int] | None:
         """[w[p] for p in pivots] when the integer vector w lies in the span,
         else None: the coordinates of w / D over the rows, times D."""
         if len(w) != self.ambient:
             raise ValueError("vector length mismatch")
-        if self._int_rows is None:
-            e, rows = _scaled_rows(self.basis)
-            self._int_rows = (e, [[(j, x) for j, x in enumerate(r) if x]
-                                  for r in rows])
-        e, rows = self._int_rows
+        e, rows = self.int_rows()
         residual = [e * x for x in w]
         for p, row in zip(self.pivots, rows):
             f = w[p]
             if f:
-                for j, x in row:
-                    residual[j] -= f * x
+                residual = [r - f * x for r, x in zip(residual, row)]
         return None if any(residual) else [w[p] for p in self.pivots]
 
     def contains(self, v: Sequence) -> bool:
-        return self.int_coords(_scaled_rows(Mat([v]))[1][0]) is not None
+        return self.int_coords(_scaled_vec(v, self.ambient)[1]) is not None
 
     def coords(self, v: Sequence):
         """Coefficients of v over the RREF basis rows (its pivot entries), or None."""
-        m = Mat([v])
-        found = self.int_coords(_scaled_rows(m)[1][0]) is not None
-        return tuple(m.data[0][p] for p in self.pivots) if found else None
+        if not self.contains(v):
+            return None
+        return tuple(_rat(v[p]) for p in self.pivots)
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis.data)
+        return all(self.int_coords(r) is not None for r in other.int_rows()[1])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ambient == other.ambient
@@ -417,22 +429,23 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        return Subspace.span(self.ambient, list(self.basis.data) + list(other.basis.data))
+        return Subspace.span(self.ambient, self.int_rows()[1] + other.int_rows()[1])
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
 def _null_rows(rows: Sequence[Sequence], pivots: Sequence[int],
-               cols: int) -> list[list[Fraction]]:
-    """One vector per free column of an RREF matrix, spanning its null space."""
+               cols: int, one=1) -> list[list]:
+    """One vector per free column of an RREF matrix, spanning its null space
+    (E times those of R, for rows E R and one=E)."""
     pivset = set(pivots)
     out = []
     for c in range(cols):
         if c in pivset:
             continue
-        v = [_ZERO] * cols
-        v[c] = _ONE
+        v = [0] * cols
+        v[c] = one
         for i, p in enumerate(pivots):
             if rows[i][c]:
                 v[p] = -rows[i][c]
@@ -440,10 +453,15 @@ def _null_rows(rows: Sequence[Sequence], pivots: Sequence[int],
     return out
 
 
-def kernel(m: Mat) -> Subspace:
-    """Null space {v : m v = 0} as a Subspace of Q^cols: the null rows of rref(m)."""
-    R, piv = rref(m)
-    return Subspace.span(m.cols, _null_rows(R.data, piv, m.cols))
+def kernel(m: Mat | Sequence[Sequence], cols: int | None = None) -> Subspace:
+    """Null space {v : m v = 0} as a Subspace of Q^cols: the null rows of _rref.
+    m is a Mat, or a list of rows of ints or Fractions (cols needed if empty)."""
+    if isinstance(m, Mat):
+        m, cols = m.data, m.cols
+    elif cols is None:
+        cols = len(m[0])
+    R, piv = _rref(m, cols)
+    return Subspace.span(cols, _null_rows(R, piv, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +515,6 @@ class Poly:
         a = list(self.c) + [_ZERO] * (n - len(self.c))
         b = list(other.c) + [_ZERO] * (n - len(other.c))
         return Poly([x - y for x, y in zip(a, b)])
-
-    def __neg__(self) -> "Poly":
-        return Poly([-x for x in self.c])
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -677,12 +692,6 @@ def _crt(acc: list[int], M: int, res: list[int], p: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # characteristic and minimal polynomials
-
-def _scaled_rows(m: Mat) -> tuple[int, list[list[int]]]:
-    """(d, d m) with d the lcm of all denominators of m, so d m is integral."""
-    d = math.lcm(*(q.denominator for row in m.data for q in row))
-    return d, [[q.numerator * (d // q.denominator) for q in row] for row in m.data]
-
 
 def _charpoly_mod(A: list[list[int]], p: int) -> list[int]:
     """det(xI - A) mod p for an integer matrix A, coefficients lowest first.

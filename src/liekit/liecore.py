@@ -1,17 +1,23 @@
 """Structure-constant Lie algebras over Q and the constructions on them.
 
-An algebra is a dimension, basis labels and a sparse bracket table; all
-subspace outputs are canonical RREF bases from exactlin, so identical inputs
-give identical bases everywhere. A LinearLieAlgebra is a bracket-closed
-space of matrices (derivation algebras, tori, acting parts of semidirect
-sums). Every table built from another one (subalgebras, quotients, basis
-changes, matrix algebras) comes from induced_table.
+An algebra is a dimension, basis labels and a sparse bracket table, also
+held as integers over one denominator: int_bracket and int_ad are the only
+bracket loops, and bracket and ad divide their results once. Systems built
+from the table reach exactlin as integer rows (only their kernels and
+spans are used, which no nonzero row scaling changes); all subspace
+outputs are canonical RREF bases, so identical inputs give identical
+bases. A LinearLieAlgebra is a bracket-closed space of matrices
+(derivation algebras, tori, acting parts of semidirect sums). Every table
+built from another one (subalgebras, quotients, basis changes, matrix
+algebras) comes from induced_table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .exactlin import (
@@ -21,9 +27,10 @@ from .exactlin import (
     _null_rows,
     _rat,
     _scaled_rows,
+    _scaled_vec,
+    _unscaled,
     kernel,
     rref_with_transform,
-    vstack,
 )
 
 Vector = tuple[Fraction, ...]
@@ -73,26 +80,19 @@ class NotClosedError(LieError):
                          f"{pair} leaves the span")
 
 
-def _norm_vec(v: Sequence, dim: int) -> list[Fraction]:
-    w = [_rat(x) for x in v]
-    if len(w) != dim:
-        raise ValueError(f"vector length {len(w)} != dim {dim}")
-    return w
-
-
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by structure constants.
 
     The table stores, for each basis pair i < j (0-based), the nonzero
     coordinates of [e_i, e_j]; brackets with i >= j follow by antisymmetry.
-    The adjacency built from it maps i to {j: signed terms of [e_i, e_j]},
-    so bracket and ad only visit the nonzero coordinates of x. The table is
-    not changed after construction, so [L, L] and the lower central and
-    derived series are computed once per instance (see derived_algebra and
-    series).
+    den is the lcm of its denominators, and the adjacency built from it maps
+    i to {j: signed terms of den [e_i, e_j]}, all integers, so int_bracket
+    and int_ad only visit the nonzero coordinates of x. The table is not
+    changed after construction, so [L, L] and the lower central and derived
+    series are computed once per instance (see derived_algebra and series).
     """
 
-    __slots__ = ("dim", "labels", "table", "_adj", "_derived", "_series")
+    __slots__ = ("dim", "labels", "table", "den", "_adj", "_derived", "_series")
 
     def __init__(self, dim: int,
                  table: dict[tuple[int, int], Iterable[tuple[int, object]]],
@@ -124,52 +124,59 @@ class LieAlgebra:
             if nonzero:
                 clean[(i, j)] = tuple(nonzero)
         self.table = clean
-        adj: list[dict[int, tuple]] = [{} for _ in range(dim)]
+        self.den = den = math.lcm(*(c.denominator for t in clean.values() for _, c in t))
+        adj: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in range(dim)]
         for (i, j), terms in clean.items():
-            adj[i][j] = terms
-            adj[j][i] = tuple((k, -c) for k, c in terms)
+            ints = tuple((k, c.numerator * (den // c.denominator)) for k, c in terms)
+            adj[i][j] = ints
+            adj[j][i] = tuple((k, -c) for k, c in ints)
         self._adj = adj
         self._derived: Subspace | None = None
         self._series: dict[str, tuple[Subspace, ...]] = {}
 
     # -- basic bracket machinery -------------------------------------------
 
-    def bracket_basis(self, i: int, j: int) -> list[Fraction]:
-        out = [_ZERO] * self.dim
-        for k, c in self._adj[i].get(j, ()):
-            out[k] = c
-        return out
-
-    def bracket(self, x: Sequence, y: Sequence) -> list[Fraction]:
-        xv = _norm_vec(x, self.dim)
-        yv = _norm_vec(y, self.dim)
-        out = [_ZERO] * self.dim
+    def int_bracket(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
+        """den [x, y] for integer vectors x and y."""
+        out = [0] * self.dim
         # pair {i, j} adds (x_i y_j - x_j y_i) [e_i, e_j]; it is nonzero only
         # if x_i or x_j is, and is taken once from its smaller such endpoint
-        for i, a in enumerate(xv):
+        for i, a in enumerate(x):
             if not a:
                 continue
-            yi = yv[i]
+            yi = y[i]
             for j, terms in self._adj[i].items():
-                b = xv[j]
+                b = x[j]
                 if b and j < i:
                     continue
-                coef = a * yv[j] - b * yi
+                coef = a * y[j] - b * yi
                 if coef:
                     for k, c in terms:
                         out[k] += coef * c
         return out
 
-    def ad(self, x: Sequence) -> Mat:
-        """Matrix of y -> [x, y]; column j is [x, e_j]."""
-        xv = _norm_vec(x, self.dim)
-        rows = [[_ZERO] * self.dim for _ in range(self.dim)]
-        for i, a in enumerate(xv):
+    def int_ad(self, x: Sequence[int]) -> list[list[int]]:
+        """den ad x for an integer vector x, as rows; column j is den [x, e_j]."""
+        rows = [[0] * self.dim for _ in range(self.dim)]
+        for i, a in enumerate(x):
             if a:
                 for j, terms in self._adj[i].items():
                     for k, c in terms:
                         rows[k][j] += a * c
-        return Mat(rows, cols=self.dim)
+        return rows
+
+    def bracket_basis(self, i: int, j: int) -> list[Fraction]:
+        return self.bracket(self.basis_vector(i), self.basis_vector(j))
+
+    def bracket(self, x: Sequence, y: Sequence) -> list[Fraction]:
+        dx, xv = _scaled_vec(x, self.dim)
+        dy, yv = _scaled_vec(y, self.dim)
+        return _unscaled(self.int_bracket(xv, yv), dx * dy * self.den)
+
+    def ad(self, x: Sequence) -> Mat:
+        """Matrix of y -> [x, y]; column j is [x, e_j]."""
+        d, xv = _scaled_vec(x, self.dim)
+        return Mat([_unscaled(row, d * self.den) for row in self.int_ad(xv)], cols=self.dim)
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim)
@@ -207,30 +214,26 @@ def verify_structure(L: LieAlgebra) -> list[tuple[int, int, int]]:
     An empty report means the table is a Lie algebra (antisymmetry holds by
     construction since only i < j brackets are stored).
     """
-    bad = []
-    for i in range(L.dim):
-        ei = L.basis_vector(i)
-        for j in range(i + 1, L.dim):
-            ej = L.basis_vector(j)
-            bij = L.bracket_basis(i, j)
-            for k in range(j + 1, L.dim):
-                ek = L.basis_vector(k)
-                total = L.bracket(bij, ek)
-                for a, b in ((L.bracket_basis(j, k), ei), (L.bracket_basis(k, i), ej)):
-                    term = L.bracket(a, b)
-                    for t in range(L.dim):
-                        total[t] += term[t]
-                if any(total):
-                    bad.append((i, j, k))
-    return bad
+    e = [[int(t == i) for t in range(L.dim)] for i in range(L.dim)]
+
+    def term(i, j, k):   # den^2 [[e_i, e_j], e_k]
+        return L.int_bracket(L.int_bracket(e[i], e[j]), e[k])
+
+    return [(i, j, k) for i, j, k in combinations(range(L.dim), 3)
+            if any(map(sum, zip(term(i, j, k), term(j, k, i), term(k, i, j))))]
+
+
+def _basis_ads(L: LieAlgebra) -> list[list[list[int]]]:
+    """den ad e_i for every basis vector e_i, as integer rows."""
+    return [L.int_ad([int(t == i) for t in range(L.dim)]) for i in range(L.dim)]
 
 
 def product_space(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    """[a, b] = span of brackets of basis pairs."""
+    """[a, b] = span of brackets of basis pairs, taken on the integer rows."""
     rows = []
-    for x in a.basis.data:
-        for y in b.basis.data:
-            w = L.bracket(x, y)
+    for x in a.int_rows()[1]:
+        for y in b.int_rows()[1]:
+            w = L.int_bracket(x, y)
             if any(w):
                 rows.append(w)
     return Subspace.span(L.dim, rows)
@@ -278,31 +281,24 @@ def _compute_series(L: LieAlgebra, kind: str) -> tuple[Subspace, ...]:
 
 
 def center(L: LieAlgebra) -> Subspace:
-    if L.dim == 0:
-        return Subspace.zero(0)
-    stacked = vstack(*[L.ad(L.basis_vector(i)) for i in range(L.dim)])
-    return kernel(stacked)
+    """The common kernel of the den ad e_i, stacked."""
+    return kernel([row for ad in _basis_ads(L) for row in ad], L.dim)
 
 
 def normalizer(L: LieAlgebra, s: Subspace) -> Subspace:
     """{x : [x, s] <= s}."""
     if s.dim == 0 or s.dim == L.dim:
         return L.full_space()
-    return kernel(normalizer_system(L, s))
+    return kernel(normalizer_system(L, s), L.dim)
 
 
-def normalizer_system(L: LieAlgebra, s: Subspace) -> Mat:
-    """The matrix whose kernel is the normalizer of s, for 0 < dim s < dim L:
-    one block per basis row v of s, the residual of [x, v] mod s."""
-    # rows of proj pick out the coordinates of the residual mod s
-    proj = _mod_projection(s)
-    blocks = [proj @ (-L.ad(row)) for row in s.basis.data]  # [x,v] = -ad(v) x
-    return vstack(*blocks)
-
-
-def _mod_projection(s: Subspace) -> Mat:
-    """Linear map whose kernel is exactly s (residual coordinates mod s)."""
-    return Mat(_null_rows(s.basis.data, s.pivots, s.ambient), cols=s.ambient)
+def normalizer_system(L: LieAlgebra, s: Subspace) -> list[list[int]]:
+    """Integer rows whose kernel is the normalizer of s, 0 < dim s < dim L: one
+    block P den ad(-E v) per row v of s, (E, E R) = s.int_rows() and P the rows
+    with kernel s (_null_rows), E^2 den times the residual of [x, v] mod s."""
+    e, rows = s.int_rows()
+    proj = _null_rows(rows, s.pivots, s.ambient, e)
+    return [r for v in rows for r in _int_product(proj, L.int_ad([-x for x in v]))]
 
 
 def generated_subalgebra(L: LieAlgebra, seed: Subspace) -> Subspace:
@@ -364,7 +360,8 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Mat]:
     ideal's RREF basis; the projection sends x to the residual coordinates.
     """
     _ideal_check(L, ideal)
-    proj = _mod_projection(ideal)
+    # residual coordinates mod the ideal: a map whose kernel is the ideal
+    proj = Mat(_null_rows(ideal.basis.data, ideal.pivots, L.dim), cols=L.dim)
     free = [c for c in range(L.dim) if c not in set(ideal.pivots)]
     table = induced_table(len(free), lambda a, b: L.bracket_basis(free[a], free[b]),
                           proj.apply)
@@ -475,7 +472,7 @@ class LinearLieAlgebra:
                 for b, x in trow:
                     acc[b] += f * x
         den *= self._to_basis_den
-        return tuple(Fraction(x, den) if x else _ZERO for x in acc)
+        return tuple(_unscaled(acc, den))
 
     @property
     def dim(self) -> int:
@@ -548,19 +545,13 @@ def semidirect_sum(mats: Sequence[Mat], inner: LieAlgebra,
 
 
 def _leibniz_check(m: Mat, L: LieAlgebra, gen_index: int) -> None:
-    for (i, j) in _all_pairs(L.dim):
+    for (i, j) in combinations(range(L.dim), 2):
         lhs = m.apply(L.bracket_basis(i, j))
         rhs = L.bracket(m.column(i), L.basis_vector(j))
         term = L.bracket(L.basis_vector(i), m.column(j))
         rhs = [a + b for a, b in zip(rhs, term)]
         if list(lhs) != rhs:
             raise NotADerivationError(gen_index, (i, j))
-
-
-def _all_pairs(n: int):
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield (i, j)
 
 
 def killing_radical(L: LieAlgebra) -> Subspace:
@@ -571,9 +562,11 @@ def killing_radical(L: LieAlgebra) -> Subspace:
     derived = derived_algebra(L)
     if derived.dim == 0:
         return L.full_space()
-    ads = [L.ad(L.basis_vector(i)) for i in range(L.dim)]
+    # row of E y in [L, L]: tr(A_i B), A_i = den ad e_i and B = den ad(E y)
+    ads = _basis_ads(L)
     rows = []
-    for y in derived.basis.data:
-        ady = L.ad(y)
-        rows.append([(ads[i] @ ady).trace() for i in range(L.dim)])
-    return kernel(Mat(rows, cols=L.dim))
+    for y in derived.int_rows()[1]:
+        cols = list(zip(*L.int_ad(y)))   # tr(A B) = sum_k A[k] . B[:, k]
+        rows.append([sum(a * b for arow, col in zip(A, cols) for a, b in zip(arow, col))
+                     for A in ads])
+    return kernel(rows, L.dim)

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 
 from .exactlin import (
     Mat,
     Subspace,
     _int_product,
-    _scaled_rows,
     is_nilpotent as mat_is_nilpotent,
     is_semisimple as mat_is_semisimple,
     jordan_chevalley,
@@ -31,6 +29,7 @@ from .liecore import (
     LieAlgebra,
     LieError,
     LinearLieAlgebra,
+    _basis_ads,
     center,
     derived_algebra,
     killing_radical,
@@ -41,8 +40,6 @@ from .liecore import (
     restrict,
     series,
 )
-
-_ZERO = Fraction(0)
 
 DEFAULT_SEED = 2022
 
@@ -59,31 +56,29 @@ def derivations(L: LieAlgebra) -> LinearLieAlgebra:
 
     Solves the linear system D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] over the
     n^2 unknown entries; the kernel basis (canonical RREF) gives the basis.
+    The rows come straight from the integer adjacency of L: den times the
+    rational system, with the same kernel.
     """
     n = L.dim
+    adj = L._adj   # adj[a][b]: the terms (k, den c_ab^k) of den [e_a, e_b]
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
-            cij = L.bracket_basis(i, j)
-            for u in range(n):
-                row = [_ZERO] * (n * n)
-                # D[e_i, e_j] coordinate u: sum_s c_ij^s D[u][s]
-                for s in range(n):
-                    if cij[s]:
-                        row[u * n + s] += cij[s]
-                # -[D e_i, e_j] coordinate u: -sum_t D[t][i] c_tj^u
-                for t in range(n):
-                    ctj = L.bracket_basis(t, j)
-                    if ctj[u]:
-                        row[t * n + i] -= ctj[u]
-                # -[e_i, D e_j] coordinate u: -sum_t D[t][j] c_it^u
-                for t in range(n):
-                    cit = L.bracket_basis(i, t)
-                    if cit[u]:
-                        row[t * n + j] -= cit[u]
-                if any(row):
-                    rows.append(row)
-    ker = kernel(Mat(rows, cols=n * n))
+            block = [[0] * (n * n) for _ in range(n)]   # row u of the pair
+            # D[e_i, e_j] coordinate u: sum_s c_ij^s D[u][s]
+            for s, c in adj[i].get(j, ()):
+                for u in range(n):
+                    block[u][u * n + s] += c
+            # -[D e_i, e_j] coordinate u: -sum_t D[t][i] c_tj^u, c_tj = -c_jt
+            for t, terms in adj[j].items():
+                for u, c in terms:
+                    block[u][t * n + i] += c
+            # -[e_i, D e_j] coordinate u: -sum_t D[t][j] c_it^u
+            for t, terms in adj[i].items():
+                for u, c in terms:
+                    block[u][t * n + j] -= c
+            rows.extend(row for row in block if any(row))
+    ker = kernel(rows, n * n)
     mats = [Mat.from_flat(n, n, row) for row in ker.basis.data]
     der = LinearLieAlgebra(L, mats, is_derivation_algebra=True)
     # ad-images are always derivations; their span must land inside
@@ -95,9 +90,8 @@ def derivations(L: LieAlgebra) -> LinearLieAlgebra:
 
 def inner_derivations(L: LieAlgebra) -> Subspace:
     """span{ad x} inside gl(L), vectorized row-major; dim = dim L - dim Z."""
-    n = L.dim
-    return Subspace.span(n * n,
-                         [list(L.ad(L.basis_vector(i)).vec()) for i in range(n)])
+    return Subspace.span(L.dim ** 2, [[x for row in ad for x in row]
+                                      for ad in _basis_ads(L)])
 
 
 def is_characteristically_nilpotent(L: LieAlgebra) -> bool:
@@ -129,8 +123,10 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
     self-normalizing check (_self_normalizing) runs against the full
     algebra. Output checks make the answer seed-independent in validity.
 
-    Each candidate's adjoint is scaled once to the integer matrix A = d ad x
-    (_scaled_rows), and A serves all three steps. A candidate is skipped when
+    Each candidate's adjoint is the integer matrix A = den ad x (int_ad), and
+    A serves all three steps; A is den / d times d ad x, d its denominator,
+    so the counts agree with d ad x unless 2^61 - 1 divides den. A candidate
+    is skipped when
     kernel_dim_at_least(A, best) holds for the best count so far: the zero
     multiplicity of A mod p is at least dim ker(A mod p), and a pick needs a
     count strictly below best, so the skip changes no pick and no random
@@ -159,7 +155,7 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
             coeffs = [rng.randint(-spread, spread) for _ in range(sub.dim)]
             if not any(coeffs):
                 continue
-            A = _scaled_rows(sub.ad(coeffs))[1]
+            A = sub.int_ad(coeffs)
             if kernel_dim_at_least(A, best_mult):
                 continue
             mult = zero_multiplicity_mod_p(A)
@@ -168,9 +164,10 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
         if best_A is None or best_mult >= sub.dim:
             spread += 2   # all sampled elements looked nilpotent; widen and retry
             continue
-        gen_null = kernel(Mat(reduce(_int_product, [best_A] * best_mult)))
+        gen_null = kernel(reduce(_int_product, [best_A] * best_mult), sub.dim)
         # pull the nested basis back to L coordinates
-        nxt = Subspace.span(L.dim, (gen_null.basis @ current.basis).data)
+        nxt = Subspace.span(L.dim, _int_product(gen_null.int_rows()[1],
+                                                current.int_rows()[1]))
         if nxt.dim == current.dim:
             spread += 2
             continue
@@ -182,15 +179,14 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
 def _self_normalizing(L: LieAlgebra, h: Subspace) -> bool:
     """Whether the subalgebra h of L is its own normalizer N(h).
 
-    N(h) is the kernel of normalizer_system(L, h) and contains h. With S
-    that system scaled to integers, dim h <= dim ker S <= dim ker(S mod p),
-    so not kernel_dim_at_least(S, dim h + 1) proves N(h) = h. Otherwise the
+    N(h) is the kernel of the integer system S = normalizer_system(L, h) and
+    contains h, so dim h <= dim ker S <= dim ker(S mod p), and
+    not kernel_dim_at_least(S, dim h + 1) proves N(h) = h. Otherwise the
     exact normalizer decides.
     """
     if not 0 < h.dim < L.dim:
         return h.dim == L.dim
-    S = _scaled_rows(normalizer_system(L, h))[1]
-    if not kernel_dim_at_least(S, h.dim + 1):
+    if not kernel_dim_at_least(normalizer_system(L, h), h.dim + 1):
         return True
     return normalizer(L, h).dim == h.dim
 

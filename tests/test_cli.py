@@ -469,29 +469,49 @@ PINNED_JSON = {
         "d9264065bbe52d3b19c5d6960961239ab9bd600cd85271d885c51ab7545a1eaf",
     ("verify", "rank-bound", "so2_torus_extension"):
         "7da0018c6484ac3d4a72463bd6292d15b0b25088d10cd2caa0ec4e17a4b9bdf0",
-    # dense Der(L) and torus matrices, written by _write_dense_heisenberg5
+    # dense Der(L) and torus matrices, written by _write_basis_change
     ("torus", "heisenberg5_dense.json"):
         "c8608e0e476c9900b971f0e42c66748a88d412d2697309812f0ef33df4a64d0b",
+    # tables with denominators (bases of determinant 2 and 3)
+    ("nilradical", "so2_det2.json"):
+        "c7fbed2e3a516698aa6d814cccb08a4ed1e38b6fb4a738db69d185f3b88f5aa3",
+    ("split", "so2_det2.json"):
+        "57122da2762a02fa38217737087bd54c1821de45c0db7dec7dc61d836f5e2bad",
+    ("torus", "heisenberg5_det3.json"):
+        "4bbc953dd5084c1233f11b0e65c2d695ab9bc61c27d0381cf5ae921b42f9019a",
+}
+
+# file name -> (catalog name, parameter, seed, determinant of the basis)
+PINNED_FILES = {
+    "heisenberg5_dense.json": ("heisenberg", 5, 5, 1),
+    "so2_det2.json": ("so2_torus_extension", None, 6, 2),
+    "heisenberg5_det3.json": ("heisenberg", 5, 7, 3),
 }
 
 
-def _write_dense_heisenberg5(path):
-    """heisenberg:5 on a seeded unimodular basis, as a catalog file."""
-    rng = random.Random(5)
-    p = [[int(i == j) for j in range(5)] for i in range(5)]
+def _write_basis_change(path, name, param, seed, det):
+    """A catalog algebra on a seeded integer basis of determinant det, as a
+    catalog file: diag(1, ..., 1, det) and then 15 row operations, so the
+    constants have denominators unless det is 1."""
+    L = catalog.get(name, param).algebra
+    n = L.dim
+    rng = random.Random(seed)
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    p[-1][-1] = det
     for _ in range(15):
-        i, j = rng.sample(range(5), 2)
+        i, j = rng.sample(range(n), 2)
         c = rng.choice((-2, -1, 1, 2))
         p[i] = [a + c * b for a, b in zip(p[i], p[j])]
-    M = change_basis(catalog.get("heisenberg", 5).algebra, Mat(p))
-    catalog.store(catalog.CatalogEntry("heisenberg5_dense", (), M, {}), path)
+    M = change_basis(L, Mat(p))
+    catalog.store(catalog.CatalogEntry(path[:-len(".json")], (), M, {}), path)
 
 
 @pytest.mark.parametrize("argv", sorted(PINNED_JSON), ids=" ".join)
 def test_json_output_bytes_are_pinned(capsys, tmp_path, monkeypatch, argv):
     # file sources are read relative to tmp_path, so the report names no path
     monkeypatch.chdir(tmp_path)
-    _write_dense_heisenberg5("heisenberg5_dense.json")
+    for path, spec in PINNED_FILES.items():
+        _write_basis_change(path, *spec)
     code, out, _ = run(capsys, *argv, "--seed", "1", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_JSON[argv]

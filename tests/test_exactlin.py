@@ -25,7 +25,6 @@ from liekit.exactlin import (
     rref,
     rref_with_transform,
     squarefree_part,
-    vstack,
     zero_multiplicity_mod_p,
 )
 
@@ -46,7 +45,6 @@ def test_mat_basic_ops():
     assert (a + b - b) == a
     assert (2 * a).data[0][0] == F(2)
     assert a.transpose().data == [[F(1), F(3)], [F(2), F(4)]]
-    assert a.trace() == F(5)
     assert a.apply([1, 0]) == (F(1), F(3))
 
 
@@ -92,6 +90,7 @@ def test_kernel_trivial_and_line():
 def test_kernel_of_zero_map_is_everything():
     k = kernel(Mat.zeros(3, 3))
     assert k == Subspace.full(3)
+    assert kernel([], 3) == k
 
 
 def test_kernel_annihilates_and_rank_nullity():
@@ -99,6 +98,8 @@ def test_kernel_annihilates_and_rank_nullity():
     for _ in range(30):
         m = rand_mat(rng, rng.randint(1, 5), rng.randint(1, 5))
         k = kernel(m)
+        ints = [[int(x) for x in row] for row in m.data]
+        assert kernel(ints) == kernel(ints, m.cols) == k   # integer rows
         assert rank(m) + k.dim == m.cols
         for v in k.rows():
             assert all(x == 0 for x in m.apply(v))
@@ -236,6 +237,9 @@ def test_subspace_coords_roundtrip():
             recon[j] += c * row[j]
     assert recon == [F(2), F(4), F(5)]
     assert s.coords([1, 0, 0]) is None
+    # strings and floats are read as rationals
+    assert s.coords(["1/2", 1.0, "-3"]) == (F(1, 2), F(-3))
+    assert s.contains([0.25, "1/2", 7]) and not s.contains(["1/3", 0, 0])
 
 
 def test_subspace_coords_rejects_a_vector_of_the_wrong_length():
@@ -272,6 +276,9 @@ def test_subspace_membership_matches_the_fraction_oracle():
         gens = [[rand_rat(bits) if rng.random() < 0.6 else 0 for _ in range(n)]
                 for _ in range(k)]
         s = Subspace.span(n, gens)
+        e, er = s.int_rows()
+        assert er == [[e * x for x in row] for row in s.basis.data]
+        assert all(isinstance(x, int) for row in er for x in row)
         points = [[0] * n]
         for _ in range(4):
             cs = [rand_rat(bits) for _ in gens]
@@ -806,8 +813,3 @@ def test_jordan_chevalley_similarity_equivariance():
         conj = p @ m @ pinv
         assert jordan_chevalley(conj).s == p @ jordan_chevalley(m).s @ pinv
 
-
-def test_vstack():
-    a = Mat([[1, 2]])
-    b = Mat([[3, 4], [5, 6]])
-    assert vstack(a, b).data == [[F(1), F(2)], [F(3), F(4)], [F(5), F(6)]]

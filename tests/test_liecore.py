@@ -6,7 +6,7 @@ import random
 import pytest
 
 from liekit import catalog, liecore
-from liekit.exactlin import Mat, Subspace, commutator, rref_with_transform
+from liekit.exactlin import Mat, Subspace, commutator, kernel, rref_with_transform
 from liekit.liecore import (
     JacobiError,
     LieAlgebra,
@@ -376,8 +376,11 @@ def _fraction_table(ambient, mats):
     return table
 
 
-def _unimodular(rng, n, steps):
+def _unimodular(rng, n, steps, det=1):
+    """A seeded integer basis matrix of determinant det: diag(1, ..., 1, det)
+    followed by elementary row operations (unimodular for det = 1)."""
     p = [[int(i == j) for j in range(n)] for i in range(n)]
+    p[-1][-1] = det
     for _ in range(steps):
         i, j = rng.sample(range(n), 2)
         c = rng.choice((-2, -1, 1, 2))
@@ -502,8 +505,22 @@ def catalog_algebras():
             for param in CATALOG_PARAMS.get(name, (None,))]
 
 
+def rational_tables():
+    """Seeded images of three catalog algebras under integer basis matrices of
+    determinant 2, -3 and 3, so that their constants have denominators."""
+    rng = random.Random(29)
+    out = []
+    for (name, param), det in zip([("sl2", None), ("heisenberg", 5),
+                                   ("so2_torus_extension", None)], (2, -3, 3)):
+        L = catalog.get(name, param).algebra
+        M = change_basis(L, _unimodular(rng, L.dim, 3 * L.dim, det))
+        assert M.den > 1
+        out.append(M)
+    return out
+
+
 def test_sparse_bracket_and_ad_match_the_dense_definition():
-    algebras = catalog_algebras()
+    algebras = catalog_algebras() + rational_tables()
     algebras.append(derivations(catalog.get("heisenberg", 5).algebra).to_abstract())
     rng = random.Random(41)
 
@@ -523,3 +540,64 @@ def test_sparse_bracket_and_ad_match_the_dense_definition():
                 assert list(ad.column(j)) == dense_bracket(L, x, units[j])
             for y in samples[::3]:
                 assert L.bracket(x, y) == dense_bracket(L, x, y)
+        # the integer methods are den times the rational ones
+        ints = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(6)]
+        for x in ints:
+            assert L.int_ad(x) == [[L.den * c for c in row] for row in L.ad(x).data]
+            for y in ints:
+                assert L.int_bracket(x, y) == [L.den * c for c in L.bracket(x, y)]
+
+
+def fraction_derivations(L):
+    """Der(L) as the kernel of the dense Fraction Leibniz system over the n^2
+    entries of D: row (i, j, u) is coordinate u of
+    D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j]."""
+    n = L.dim
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            cij = L.bracket_basis(i, j)
+            for u in range(n):
+                row = [F(0)] * (n * n)
+                for s in range(n):
+                    row[u * n + s] += cij[s]
+                for t in range(n):
+                    row[t * n + i] -= L.bracket_basis(t, j)[u]
+                    row[t * n + j] -= L.bracket_basis(i, t)[u]
+                rows.append(row)
+    return kernel(Mat(rows, cols=n * n))
+
+
+def fraction_normalizer(L, s):
+    """{x : [x, s] <= s} as the kernel of the dense Fraction system: one block
+    proj @ (-ad v) per basis row v of s, where the rows of proj, one per free
+    column c of the RREF basis R, read the residual x_c - sum_i R[i][c] x_p_i."""
+    R = s.basis.data
+    proj = []
+    for c in range(L.dim):
+        if c not in s.pivots:
+            row = [F(0)] * L.dim
+            row[c] = F(1)
+            for i, p in enumerate(s.pivots):
+                row[p] = -R[i][c]
+            proj.append(row)
+    rows = []
+    for v in R:
+        rows.extend((Mat(proj, cols=L.dim) @ (-1 * L.ad(v))).data)
+    return kernel(Mat(rows, cols=L.dim))
+
+
+def test_derivations_and_normalizer_match_the_fraction_oracles():
+    rng = random.Random(17)
+    for L in rational_tables() + [sl2(), heisenberg3(), r2()]:
+        n = L.dim
+        der = derivations(L)
+        assert der.matrix_span() == fraction_derivations(L)
+        assert [m.vec() for m in der.basis] == [
+            tuple(r) for r in fraction_derivations(L).basis.data]
+        subspaces = [derived_algebra(L), center(L)]
+        subspaces += [Subspace.span(n, [[rng.randint(-2, 2) for _ in range(n)]
+                                        for _ in range(k)]) for k in (1, 1, 2, 2)]
+        for s in subspaces:
+            if 0 < s.dim < n:
+                assert normalizer(L, s) == fraction_normalizer(L, s)
