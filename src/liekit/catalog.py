@@ -201,11 +201,8 @@ def _diagonal_torus_extension(n: int) -> tuple[LieAlgebra, dict]:
     if n < 1:
         raise CatalogError("diagonal_torus_extension: dimension must be >= 1")
     space, _ = _abelian(n)
-    gens = []
-    for i in range(n):
-        m = Mat.zeros(n, n)
-        m.data[i][i] = Fraction(1)
-        gens.append(m)
+    gens = [Mat([[int(r == c == i) for c in range(n)] for r in range(n)])
+            for i in range(n)]
     labels = tuple(f"t{i}" for i in range(1, n + 1))
     ext = extend_by_derivations(space, gens, act_labels=labels)
     return ext.total, {"dim": 2 * n, "dim_nilradical": n, "solvable": True}
@@ -388,10 +385,8 @@ def build_snobl_counterexample(rng: random.Random | None = None) -> dict:
     n7 = get("favre7", rng=rng).algebra
     line = LieAlgebra(1, {}, labels=("Y",))
     N = direct_sum(line, n7)
-    X = Mat.zeros(8, 8)
-    X.data[0][0] = Fraction(1)
-    d = Mat.zeros(8, 8)
-    d.data[7][1] = Fraction(1)
+    X = Mat([[int(r == c == 0) for c in range(8)] for r in range(8)])
+    d = Mat([[int((r, c) == (7, 1)) for c in range(8)] for r in range(8)])
 
     R1 = extend_by_derivations(N, [X], act_labels=("w",), rng=rng)
     R2 = extend_by_derivations(N, [X + d], act_labels=("w",), rng=rng)

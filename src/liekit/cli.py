@@ -112,7 +112,7 @@ def _read_derivation_file(path: str, dim: int) -> tuple[list[Mat], list[str] | N
             raise InputError(f"{where}: {exc}") from None
     # one column per matrix: the first non-pivot column is the first matrix
     # that depends on the ones before it
-    _, piv = rref(Mat([m.vec() for m in mats], cols=dim * dim).transpose())
+    _, piv = rref(Mat.vecs(mats, dim * dim).transpose())
     dependent = [pos for pos in range(len(mats)) if pos not in piv]
     if dependent:
         raise InputError(f"{path}: matrices[{dependent[0]}] is a linear "

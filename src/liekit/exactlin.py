@@ -1,30 +1,35 @@
 """Exact linear and polynomial algebra over the rationals.
 
-Every result here is an exact Fraction; no floats ever enter, so ranks,
-kernels, characteristic polynomials and Jordan-Chevalley parts are exact,
-and identical inputs give bit-identical outputs.
+No floats ever enter, so ranks, kernels, characteristic polynomials and
+Jordan-Chevalley parts are exact, and identical inputs give bit-identical
+outputs.
+
+One matrix representation: a Mat is integer rows over one positive
+denominator, (den, ints) in lowest terms, and every operator runs on those;
+its Fraction entries (data) are a view for rendering.
 
 One elimination engine: _rref, a sparse fraction-free elimination over the
 integers (pivot loop _eliminate) whose one row operation is _clear; it
-takes rows of ints or Fractions, so systems built from integer data reach
-it without a Fraction, and divides by each pivot once, at the end. The
-same loop and _clear with a modulus p give kernel_dim_at_least, the mod-p
-kernel test that stops once the rank decides it. minpoly reduces the
-integer powers of d m with the same _clear, one at a time, so that it
+takes rows of ints or Fractions and returns the RREF as integer rows over
+one denominator, (E, E R), which rref, Subspace.span and kernel wrap as a
+Mat. The same loop and _clear with a modulus p give kernel_dim_at_least,
+the mod-p kernel test that stops once the rank decides it. minpoly reduces
+the powers of m.ints with the same _clear, one at a time, so that it
 stops at the degree. Subspace holds a canonical RREF basis (sums;
-membership and coordinates by one integer check, int_coords, on its rows
-over one denominator, int_rows); kernel is the null rows of _rref.
+membership and coordinates by one integer check, int_coords, on the
+basis's (den, ints), int_rows); kernel is the null rows of _rref.
 jordan_chevalley takes the inverse of g' mod g from one kernel too.
 
 One characteristic-polynomial engine: _charpoly_mod (Hessenberg reduction
-and the leading-minor recurrence mod p) on the integral matrix d m, d the
-lcm of the denominators of m. charpoly combines its residues by CRT (_crt,
-over the moduli of _primes) under Hadamard's bound, so it is exact;
+and the leading-minor recurrence mod p) on the integral matrix m.ints =
+d m, d = m.den. charpoly combines its residues by CRT (_crt, over the
+moduli of _primes) under Hadamard's bound, so it is exact;
 zero_multiplicity_mod_p reads one prime.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -38,38 +43,62 @@ def _rat(x) -> Fraction:
 
 
 class Mat:
-    """Dense rational matrix (row-major). Treat instances as immutable."""
+    """Dense rational matrix: entry (i, j) is ints[i][j] / den, where den > 0
+    shares no factor with all of ints, so equal matrices hold equal (den,
+    ints). Every operator runs on ints; data is a Fraction view built on
+    first use. Treat all three as immutable: a write into data is lost.
+    """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "den", "ints", "_data")
 
     def __init__(self, data: Sequence[Sequence], cols: int | None = None):
-        self.data = [[x if isinstance(x, Fraction) else Fraction(x) for x in row]
-                     for row in data]
-        self.rows = len(self.data)
-        if self.rows:
-            self.cols = len(self.data[0])
-        else:
-            self.cols = 0 if cols is None else cols
-        for row in self.data:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
+        q = [[x if type(x) is int else _rat(x) for x in row] for row in data]
+        cols = len(q[0]) if q else cols or 0
+        if any(len(row) != cols for row in q):
+            raise ValueError("ragged rows")
+        # the lcm of the denominators shares no factor with all of d m
+        d = math.lcm(*(x.denominator for row in q for x in row))
+        self.rows, self.cols, self.den, self._data = len(q), cols, d, None
+        self.ints = [[x.numerator * (d // x.denominator) for x in row] for row in q]
+
+    @staticmethod
+    def _of(den: int, ints: list[list[int]], cols: int) -> "Mat":
+        """The matrix ints / den, den > 0, with the common factor divided out."""
+        g = math.gcd(den, *itertools.chain.from_iterable(ints)) if den != 1 else 1
+        if g != 1:
+            den, ints = den // g, [[x // g for x in row] for row in ints]
+        m = Mat.__new__(Mat)
+        m.rows, m.cols, m.den, m.ints, m._data = len(ints), cols, den, ints, None
+        return m
+
+    @property
+    def data(self) -> list[list[Fraction]]:
+        if self._data is None:
+            self._data = [_unscaled(row, self.den) for row in self.ints]
+        return self._data
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
-        return Mat([[_ZERO] * cols for _ in range(rows)], cols=cols)
+        return Mat._of(1, [[0] * cols for _ in range(rows)], cols)
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        m = Mat.zeros(n, n)
-        for i in range(n):
-            m.data[i][i] = _ONE
-        return m
+        return Mat._of(1, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
     @staticmethod
-    def from_flat(rows: int, cols: int, flat: Sequence) -> "Mat":
+    def from_flat(rows: int, cols: int, flat: Sequence, den: int = 1) -> "Mat":
+        """The rows x cols matrix with the row-major entries flat / den."""
         if len(flat) != rows * cols:
             raise ValueError("flat length mismatch")
-        return Mat([flat[i * cols : (i + 1) * cols] for i in range(rows)], cols=cols)
+        m = Mat([flat[i * cols : (i + 1) * cols] for i in range(rows)], cols=cols)
+        return m if den == 1 else Mat._of(m.den * den, m.ints, cols)
+
+    @staticmethod
+    def vecs(mats: Sequence["Mat"], cols: int) -> "Mat":
+        """The matrix whose rows are the vec() of mats, each of cols entries."""
+        d = math.lcm(*(m.den for m in mats))
+        return Mat._of(d, [[x * (d // m.den) for row in m.ints for x in row]
+                           for m in mats], cols)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -86,65 +115,49 @@ class Mat:
         return tuple(x for row in self.data for x in row)
 
     def transpose(self) -> "Mat":
-        return Mat([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-                   cols=self.rows)
+        cols = [list(c) for c in zip(*self.ints)] or [[] for _ in range(self.cols)]
+        return Mat._of(self.den, cols, self.rows)
 
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return Mat([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-                   cols=self.cols)
+        d = math.lcm(self.den, other.den)
+        a, b = d // self.den, d // other.den
+        return Mat._of(d, [[a * x + b * y for x, y in zip(r1, r2)]
+                           for r1, r2 in zip(self.ints, other.ints)], self.cols)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return Mat([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-                   cols=self.cols)
+        return self + other * -1
 
     def __mul__(self, scalar) -> "Mat":
-        s = _rat(scalar)
-        return Mat([[s * a for a in row] for row in self.data], cols=self.cols)
+        s = scalar if type(scalar) is int else _rat(scalar)
+        return Mat._of(self.den * s.denominator,
+                       [[s.numerator * x for x in row] for row in self.ints], self.cols)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
-        out = [[_ZERO] * other.cols for _ in range(self.rows)]
-        odata = other.data
-        for i, arow in enumerate(self.data):
-            orow = out[i]
-            for k, aik in enumerate(arow):
-                if aik:
-                    brow = odata[k]
-                    for j, bkj in enumerate(brow):
-                        if bkj:
-                            orow[j] += aik * bkj
-        return Mat(out, cols=other.cols)
+        if not other.rows:
+            return Mat.zeros(self.rows, other.cols)
+        return Mat._of(self.den * other.den, _int_product(self.ints, other.ints),
+                       other.cols)
 
     def apply(self, v: Sequence) -> tuple[Fraction, ...]:
         """Matrix times column vector."""
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        vv = [_rat(x) for x in v]
-        out = []
-        for row in self.data:
-            s = _ZERO
-            for a, x in zip(row, vv):
-                if a and x:
-                    s += a * x
-            out.append(s)
-        return tuple(out)
+        d, w = _scaled_vec(v, self.cols)
+        return (self @ Mat._of(d, [[x] for x in w], 1)).column(0)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        return not any(map(any, self.ints))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Mat) and self.shape == other.shape
-                and self.data == other.data)
+                and self.den == other.den and self.ints == other.ints)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.vec())))
+        return hash((self.rows, self.cols, self.den, tuple(map(tuple, self.ints))))
 
     def __repr__(self) -> str:
         return f"Mat({self.data!r})"
@@ -167,12 +180,6 @@ def _int_product(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _scaled_rows(m: Mat) -> tuple[int, list[list[int]]]:
-    """(d, d m) with d the lcm of all denominators of m, so d m is integral."""
-    d = math.lcm(*(q.denominator for row in m.data for q in row))
-    return d, [[q.numerator * (d // q.denominator) for q in row] for row in m.data]
-
-
 def _scaled_vec(v: Sequence, n: int) -> tuple[int, list[int]]:
     """(d, d v) for a vector v of n entries (ints, or anything _rat reads),
     d the lcm of their denominators."""
@@ -193,22 +200,23 @@ def _unscaled(w: Iterable[int], d: int) -> list[Fraction]:
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column list; zero rows last."""
-    R, pivots = _rref(m.data, m.cols)
-    R.extend([_ZERO] * m.cols for _ in range(m.rows - len(R)))
-    return Mat(R, cols=m.cols), tuple(pivots)
+    e, R, pivots = _rref(m.ints, m.cols)
+    R.extend([0] * m.cols for _ in range(m.rows - len(R)))
+    return Mat._of(e, R, m.cols), tuple(pivots)
 
 
 def _rref(rows: Iterable[Sequence], cols: int
-          ) -> tuple[list[list[Fraction]], list[int]]:
-    """The nonzero rows of the RREF of rows of ints or Fractions, and their pivots.
+          ) -> tuple[int, list[list[int]], list[int]]:
+    """(E, E R, pivots) for the nonzero rows R of the RREF of rows of ints or
+    Fractions: E R is integral, and (E, E R) is the canonical form of Mat.
 
     One sparse elimination over the integers. Each nonzero row is scaled by
     the lcm of its denominators to a primitive integer row {column: int}.
     _eliminate clears each pivot column from the rows below its pivot row
     (forward elimination), then _clear clears it from the rows above (back
-    substitution). Only the final rows are divided by their pivots, once
-    per entry. The RREF is unique, so the pivot choice does not change the
-    result, only its cost.
+    substitution). Each final row is primitive with pivot entry a_k, so
+    E = lcm |a_k| and row k of E R is E / a_k times it. The RREF is unique,
+    so the pivot choice does not change the result, only its cost.
     """
     active = []
     for row in rows:
@@ -222,14 +230,15 @@ def _rref(rows: Iterable[Sequence], cols: int
     # row k is final once the pivots after it are cleared from it
     for k in range(len(echelon) - 1, 0, -1):
         echelon[:k] = _clear(echelon[:k], echelon[k], pivots[k])
+    e = math.lcm(*(row[c] for c, row in zip(pivots, echelon)))
     R = []
     for c, row in zip(pivots, echelon):
-        a = row[c]
-        out = [_ZERO] * cols
+        f = e // row[c]
+        out = [0] * cols
         for j, v in row.items():
-            out[j] = Fraction(v, a)
+            out[j] = f * v
         R.append(out)
-    return R, pivots
+    return e, R, pivots
 
 
 def _eliminate(active: list[dict[int, int]], cols: int, p: int = 0,
@@ -327,14 +336,16 @@ def kernel_dim_at_least(A: list[list[int]], k: int) -> bool:
 
 def rref_with_transform(m: Mat) -> tuple[Mat, tuple[int, ...], Mat]:
     """Like rref, but also returns invertible T with T @ m == R."""
-    aug = Mat([list(row) + list(trow) for row, trow in
-               zip(m.data, Mat.identity(m.rows).data)], cols=m.cols + m.rows)
+    d = m.den
+    aug = Mat._of(d, [row + [d * (i == j) for j in range(m.rows)]
+                      for i, row in enumerate(m.ints)], m.cols + m.rows)
     R_aug, piv_aug = rref(aug)
     # pivots in the identity block happen exactly for zero rows of the m part,
     # so the m-part pivots are those < m.cols
     pivots = tuple(p for p in piv_aug if p < m.cols)
-    R = Mat([row[: m.cols] for row in R_aug.data], cols=m.cols)
-    T = Mat([row[m.cols :] for row in R_aug.data], cols=m.rows)
+    e = R_aug.den
+    R = Mat._of(e, [row[: m.cols] for row in R_aug.ints], m.cols)
+    T = Mat._of(e, [row[m.cols :] for row in R_aug.ints], m.rows)
     return R, pivots, T
 
 
@@ -349,19 +360,18 @@ class Subspace:
     pivots strictly increasing and pivot entries 1 with zeros above and below,
     so equal subspaces compare equal componentwise.
 
-    Membership is one exact integer check (int_coords) against E R, E the
-    common denominator of R (int_rows, built on first use): w / D, w
-    integral, lies in the span exactly when E w = sum_i w[p_i] (E R)_i over
-    the pivots p_i, and its coordinates over the rows are then the w[p_i] / D.
+    Membership is one exact integer check (int_coords) against E R, the
+    basis held as (den, ints) (int_rows): w / D, w integral, lies in the
+    span exactly when E w = sum_i w[p_i] (E R)_i over the pivots p_i, and
+    its coordinates over the rows are then the w[p_i] / D.
     """
 
-    __slots__ = ("ambient", "basis", "pivots", "_int_rows")
+    __slots__ = ("ambient", "basis", "pivots")
 
     def __init__(self, ambient: int, basis: Mat, pivots: tuple[int, ...]):
         self.ambient = ambient
         self.basis = basis
         self.pivots = pivots
-        self._int_rows: tuple[int, list[list[int]]] | None = None
 
     @staticmethod
     def span(ambient: int, rows: Iterable[Sequence]) -> "Subspace":
@@ -370,12 +380,12 @@ class Subspace:
         for r in rows:
             if len(r) != ambient:
                 raise ValueError("vector length mismatch")
-        R, piv = _rref(rows, ambient)
-        return Subspace(ambient, Mat(R, cols=ambient), tuple(piv))
+        e, R, piv = _rref(rows, ambient)
+        return Subspace(ambient, Mat._of(e, R, ambient), tuple(piv))
 
     @staticmethod
     def zero(ambient: int) -> "Subspace":
-        return Subspace(ambient, Mat([], cols=ambient), ())
+        return Subspace(ambient, Mat.zeros(0, ambient), ())
 
     @staticmethod
     def full(ambient: int) -> "Subspace":
@@ -390,9 +400,7 @@ class Subspace:
 
     def int_rows(self) -> tuple[int, list[list[int]]]:
         """(E, E R): the basis rows R over their common denominator E."""
-        if self._int_rows is None:
-            self._int_rows = _scaled_rows(self.basis)
-        return self._int_rows
+        return self.basis.den, self.basis.ints
 
     def int_coords(self, w: Sequence[int]) -> list[int] | None:
         """[w[p] for p in pivots] when the integer vector w lies in the span,
@@ -457,11 +465,11 @@ def kernel(m: Mat | Sequence[Sequence], cols: int | None = None) -> Subspace:
     """Null space {v : m v = 0} as a Subspace of Q^cols: the null rows of _rref.
     m is a Mat, or a list of rows of ints or Fractions (cols needed if empty)."""
     if isinstance(m, Mat):
-        m, cols = m.data, m.cols
+        m, cols = m.ints, m.cols
     elif cols is None:
         cols = len(m[0])
-    R, piv = _rref(m, cols)
-    return Subspace.span(cols, _null_rows(R, piv, cols))
+    e, R, piv = _rref(m, cols)
+    return Subspace.span(cols, _null_rows(R, piv, cols, e))
 
 
 # ---------------------------------------------------------------------------
@@ -505,16 +513,11 @@ class Poly:
         return hash(self.c)
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.c), len(other.c))
-        a = list(self.c) + [_ZERO] * (n - len(self.c))
-        b = list(other.c) + [_ZERO] * (n - len(other.c))
-        return Poly([x + y for x, y in zip(a, b)])
+        return Poly([x + y for x, y in itertools.zip_longest(self.c, other.c,
+                                                             fillvalue=_ZERO)])
 
     def __sub__(self, other: "Poly") -> "Poly":
-        n = max(len(self.c), len(other.c))
-        a = list(self.c) + [_ZERO] * (n - len(self.c))
-        b = list(other.c) + [_ZERO] * (n - len(other.c))
-        return Poly([x - y for x, y in zip(a, b)])
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -628,10 +631,10 @@ def _derivative_inverse(g: Poly) -> Poly:
         p = (Poly.x() * p) % g
     cols.append([-_ONE] + [_ZERO] * (r - 1))
     ker = kernel(Mat(cols, cols=r).transpose())
-    if ker.dim != 1 or not ker.basis.data[0][r]:
+    if ker.dim != 1 or not ker.basis.ints[0][r]:
         raise AssertionError("squarefree part not coprime with its derivative")
-    line = ker.basis.data[0]
-    return Poly([x / line[r] for x in line[:r]])
+    line = ker.basis.ints[0]
+    return Poly([Fraction(x, line[r]) for x in line[:r]])
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +749,7 @@ def _charpoly_mod(A: list[list[int]], p: int) -> list[int]:
 def charpoly(m: Mat) -> Poly:
     """Characteristic polynomial det(xI - m), monic.
 
-    With A = d m integral (_scaled_rows), the coefficient of x^k is
+    With (d, A) = (m.den, m.ints), so A = d m, the coefficient of x^k is
     c_k(A) / d^(n-k). Up to sign, c_k(A) is the sum of the (n-k) x (n-k)
     principal minors of A, so |c_k(A)| <= prod_i (2 + isqrt(|A_i|^2)) by
     Hadamard's bound on each minor. _charpoly_mod runs over _primes until
@@ -757,7 +760,7 @@ def charpoly(m: Mat) -> Poly:
     if not m.is_square():
         raise ValueError("charpoly needs a square matrix")
     n = m.rows
-    d, A = _scaled_rows(m)
+    d, A = m.den, m.ints
     bound = 2
     for row in A:
         bound *= 2 + math.isqrt(sum(a * a for a in row))
@@ -775,8 +778,8 @@ def charpoly(m: Mat) -> Poly:
 def zero_multiplicity_mod_p(A: list[list[int]]) -> int:
     """Multiplicity of the root 0 of charpoly(A) mod p = 2^61 - 1.
 
-    A is a square integer matrix, as a list of rows, such as d m from
-    _scaled_rows(m): its roots are d times those of m, so over Q its zero
+    A is a square integer matrix, as a list of rows, such as m.ints = d m
+    (d = m.den): its roots are d times those of m, so over Q its zero
     multiplicity is that of charpoly(m). An exact coefficient 0 reduces to
     0, so the count is never below charpoly(m).trailing_zero_count(), nor
     below dim ker(A mod p) (kernel_dim_at_least); it is a ranking
@@ -790,7 +793,7 @@ def zero_multiplicity_mod_p(A: list[list[int]]) -> int:
 def minpoly(m: Mat) -> Poly:
     """Minimal polynomial: first monic dependency among powers of m.
 
-    With A = d m integral (_scaled_rows), the powers I, A, A^2, ... are
+    With (d, A) = (m.den, m.ints), so A = d m, the powers I, A, A^2, ... are
     formed one at a time (_int_product). Power k, flattened, gets the unit
     tag 1 in column n^2 + k and is reduced by _clear against the echelon
     rows of the powers before it, so its tag columns record the combination
@@ -802,7 +805,7 @@ def minpoly(m: Mat) -> Poly:
         raise ValueError("minpoly needs a square matrix")
     n = m.rows
     nn = n * n
-    d, A = _scaled_rows(m)
+    d, A = m.den, m.ints
     power = [[int(i == j) for j in range(n)] for i in range(n)]
     echelon: list[tuple[int, dict[int, int]]] = []
     for k in range(n + 1):

@@ -12,11 +12,12 @@ import random
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .exactlin import Mat, Subspace, is_semisimple, jordan_chevalley, rank
+from .exactlin import Mat, Subspace, _int_product, is_semisimple, jordan_chevalley, rank
 from .liecore import (
     Extension,
     LieAlgebra,
     LieError,
+    _units,
     center,
     derived_algebra,
     direct_sum,
@@ -129,13 +130,13 @@ def _split(L: LieAlgebra, rng: random.Random) -> SplittingResult:
     n = L.dim
     # nilpotent L: H = L and every s(ad h) is 0, so nothing would be kept
     h = Subspace.zero(n) if L.is_nilpotent() else cartan_subalgebra(L, rng)
-    parts = [jordan_chevalley(L.ad(row)).s for row in h.basis.data]
-    sigma = Subspace.span(n * n, [list(p.vec()) for p in parts])
+    parts = [jordan_chevalley(L.ad(row)).s for row in h.basis.ints]
+    e, rows = Subspace.span(n * n, Mat.vecs(parts, n * n).ints).int_rows()
     running = inner_derivations(L)
     kept: list[Mat] = []
-    for row in sigma.basis.data:
-        if not running.contains(row):
-            kept.append(Mat.from_flat(n, n, row))
+    for row in rows:
+        if running.int_coords(row) is None:
+            kept.append(Mat.from_flat(n, n, row, e))
             running = running + Subspace.span(n * n, [row])
     if not kept:
         result = SplittingResult(L, Mat.identity(n), Subspace.zero(n), 0)
@@ -155,21 +156,24 @@ def _check_splitting(L: LieAlgebra, r: SplittingResult,
     M, n = r.M, L.dim
     if rank(r.embedding) != n:
         raise AssertionError("embedding is not injective")
-    img_rows = list(r.embedding.data)
-    image = Subspace.span(M.dim, img_rows)
+    # the image of e_i is f_i / d; both sides below are L.den M.den d^2 times
+    # [f_i / d, f_j / d] and the image of [e_i, e_j], so both are integral
+    d, f = r.embedding.den, r.embedding.ints
+    image = Subspace.span(M.dim, f)
+    e = _units(n)
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = M.bracket(img_rows[i], img_rows[j])
-            target = L.bracket_basis(i, j)
-            rhs = [sum(target[k] * img_rows[k][c] for k in range(n))
-                   for c in range(M.dim)]
-            if list(lhs) != rhs:
+            lhs = [L.den * x for x in M.int_bracket(f[i], f[j])]
+            t = L.int_bracket(e[i], e[j])
+            rhs = [d * M.den * x for x in _int_product([t], f)[0]]
+            if lhs != rhs:
                 raise AssertionError("embedding is not a homomorphism")
     if not is_ideal(M, image):
         raise AssertionError("embedded copy is not an ideal")
     if r.torus_part.dim + n != M.dim or (r.torus_part + image).dim != M.dim:
         raise AssertionError("torus part does not complement the image")
-    combos = list(r.torus_part.basis.data)
+    # integer multiples of the torus rows: the same semisimplicity and zeros
+    combos = list(r.torus_part.int_rows()[1])
     for _ in range(4):
         if r.torus_part.dim == 0:
             break

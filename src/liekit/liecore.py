@@ -26,7 +26,6 @@ from .exactlin import (
     _int_product,
     _null_rows,
     _rat,
-    _scaled_rows,
     _scaled_vec,
     _unscaled,
     kernel,
@@ -88,11 +87,12 @@ class LieAlgebra:
     den is the lcm of its denominators, and the adjacency built from it maps
     i to {j: signed terms of den [e_i, e_j]}, all integers, so int_bracket
     and int_ad only visit the nonzero coordinates of x. The table is not
-    changed after construction, so [L, L] and the lower central and derived
-    series are computed once per instance (see derived_algebra and series).
+    changed after construction, so what depends on it alone ([L, L], the
+    series, the center, Der(L)) is computed once per instance, in _cache
+    (see _cached).
     """
 
-    __slots__ = ("dim", "labels", "table", "den", "_adj", "_derived", "_series")
+    __slots__ = ("dim", "labels", "table", "den", "_adj", "_cache")
 
     def __init__(self, dim: int,
                  table: dict[tuple[int, int], Iterable[tuple[int, object]]],
@@ -131,8 +131,7 @@ class LieAlgebra:
             adj[i][j] = ints
             adj[j][i] = tuple((k, -c) for k, c in ints)
         self._adj = adj
-        self._derived: Subspace | None = None
-        self._series: dict[str, tuple[Subspace, ...]] = {}
+        self._cache: dict[str, object] = {}
 
     # -- basic bracket machinery -------------------------------------------
 
@@ -176,7 +175,7 @@ class LieAlgebra:
     def ad(self, x: Sequence) -> Mat:
         """Matrix of y -> [x, y]; column j is [x, e_j]."""
         d, xv = _scaled_vec(x, self.dim)
-        return Mat([_unscaled(row, d * self.den) for row in self.int_ad(xv)], cols=self.dim)
+        return Mat._of(d * self.den, self.int_ad(xv), self.dim)
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim)
@@ -214,7 +213,7 @@ def verify_structure(L: LieAlgebra) -> list[tuple[int, int, int]]:
     An empty report means the table is a Lie algebra (antisymmetry holds by
     construction since only i < j brackets are stored).
     """
-    e = [[int(t == i) for t in range(L.dim)] for i in range(L.dim)]
+    e = _units(L.dim)
 
     def term(i, j, k):   # den^2 [[e_i, e_j], e_k]
         return L.int_bracket(L.int_bracket(e[i], e[j]), e[k])
@@ -223,9 +222,14 @@ def verify_structure(L: LieAlgebra) -> list[tuple[int, int, int]]:
             if any(map(sum, zip(term(i, j, k), term(j, k, i), term(k, i, j))))]
 
 
+def _units(n: int) -> list[list[int]]:
+    """The basis vectors e_0, ..., e_(n-1) of Q^n as integer vectors."""
+    return [[int(t == i) for t in range(n)] for i in range(n)]
+
+
 def _basis_ads(L: LieAlgebra) -> list[list[list[int]]]:
     """den ad e_i for every basis vector e_i, as integer rows."""
-    return [L.int_ad([int(t == i) for t in range(L.dim)]) for i in range(L.dim)]
+    return [L.int_ad(e) for e in _units(L.dim)]
 
 
 def product_space(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
@@ -239,6 +243,13 @@ def product_space(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     return Subspace.span(L.dim, rows)
 
 
+def _cached(L: LieAlgebra, key: str, build: Callable[[], object]):
+    """L's value under key, from build() on the first call: the one cache."""
+    if key not in L._cache:
+        L._cache[key] = build()
+    return L._cache[key]
+
+
 def series(L: LieAlgebra, kind: str) -> list[Subspace]:
     """Lower central or derived series, stopping at stabilization.
 
@@ -249,18 +260,13 @@ def series(L: LieAlgebra, kind: str) -> list[Subspace]:
     """
     if kind not in ("lower_central", "derived"):
         raise ValueError("kind must be 'lower_central' or 'derived'")
-    chain = L._series.get(kind)
-    if chain is None:
-        chain = L._series[kind] = _compute_series(L, kind)
-    return list(chain)
+    return list(_cached(L, kind, lambda: _compute_series(L, kind)))
 
 
 def derived_algebra(L: LieAlgebra) -> Subspace:
     """[L, L], computed once per algebra; both series start from it."""
-    if L._derived is None:
-        full = L.full_space()
-        L._derived = product_space(L, full, full)
-    return L._derived
+    return _cached(L, "derived_algebra",
+                  lambda: product_space(L, L.full_space(), L.full_space()))
 
 
 def _compute_series(L: LieAlgebra, kind: str) -> tuple[Subspace, ...]:
@@ -281,8 +287,9 @@ def _compute_series(L: LieAlgebra, kind: str) -> tuple[Subspace, ...]:
 
 
 def center(L: LieAlgebra) -> Subspace:
-    """The common kernel of the den ad e_i, stacked."""
-    return kernel([row for ad in _basis_ads(L) for row in ad], L.dim)
+    """The common kernel of the den ad e_i, stacked; computed once per algebra."""
+    return _cached(L, "center", lambda: kernel(
+        [row for ad in _basis_ads(L) for row in ad], L.dim))
 
 
 def normalizer(L: LieAlgebra, s: Subspace) -> Subspace:
@@ -321,12 +328,12 @@ def is_ideal(L: LieAlgebra, s: Subspace) -> bool:
 
 
 def _ideal_check(L: LieAlgebra, s: Subspace) -> None:
-    for i in range(L.dim):
-        ei = L.basis_vector(i)
-        for row in s.basis.data:
-            w = L.bracket(ei, row)
-            if not s.contains(w):
-                raise NotAnIdealError(i, tuple(row), tuple(w))
+    """Each [e_i, v] for v a row of E R (int_rows) lies in s, or raise."""
+    for i, ei in enumerate(_units(L.dim)):
+        for k, row in enumerate(s.int_rows()[1]):
+            if s.int_coords(L.int_bracket(ei, row)) is None:
+                v = s.basis.data[k]
+                raise NotAnIdealError(i, tuple(v), tuple(L.bracket(ei, v)))
 
 
 def induced_table(k: int, product: Callable[[int, int], object],
@@ -361,7 +368,8 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Mat]:
     """
     _ideal_check(L, ideal)
     # residual coordinates mod the ideal: a map whose kernel is the ideal
-    proj = Mat(_null_rows(ideal.basis.data, ideal.pivots, L.dim), cols=L.dim)
+    e, rows = ideal.int_rows()
+    proj = Mat._of(e, _null_rows(rows, ideal.pivots, L.dim, e), L.dim)
     free = [c for c in range(L.dim) if c not in set(ideal.pivots)]
     table = induced_table(len(free), lambda a, b: L.bracket_basis(free[a], free[b]),
                           proj.apply)
@@ -370,9 +378,15 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Mat]:
 
 
 def restrict(L: LieAlgebra, s: Subspace) -> LieAlgebra:
-    """The subalgebra on s's RREF basis, with NotClosedError on failure."""
-    rows = s.basis.data
-    table = induced_table(s.dim, lambda a, b: L.bracket(rows[a], rows[b]), s.coords)
+    """The subalgebra on s's RREF basis, with NotClosedError on failure;
+    on the rows E R (int_rows), brackets and coordinates scale by den E^2."""
+    e, rows = s.int_rows()
+
+    def coords(w: list[int]) -> list[Fraction] | None:
+        cs = s.int_coords(w)
+        return None if cs is None else _unscaled(cs, L.den * e * e)
+
+    table = induced_table(s.dim, lambda a, b: L.int_bracket(rows[a], rows[b]), coords)
     return LieAlgebra(s.dim, table, tuple(f"s{i + 1}" for i in range(s.dim)))
 
 
@@ -424,7 +438,7 @@ class LinearLieAlgebra:
     commutator of every pair of basis elements is re-expressed over the basis
     during construction, and failure raises NotClosedError with the pair.
     This runs over the integers. Basis matrix a is held as (d_a, d_a m_a)
-    (_scaled_rows), so [m_a, m_b] is an integer matrix over d_a d_b. With
+    (Mat.den, Mat.ints), so [m_a, m_b] is an integer matrix over d_a d_b. With
     R = T B the RREF of the stacked basis B, membership of w / D is the
     integer check Subspace.int_coords(w) on R, which gives D c_i, c_i the
     coordinates over the rows of R. With T held as t T, those over the basis
@@ -440,25 +454,23 @@ class LinearLieAlgebra:
         for m in self.basis:
             if m.shape != (n, n):
                 raise ValueError("basis matrices must match the ambient dimension")
-        R, piv, T = rref_with_transform(
-            Mat([m.vec() for m in self.basis], cols=n * n))
+        R, piv, T = rref_with_transform(Mat.vecs(self.basis, n * n))
         if len(piv) != len(self.basis):
             raise ValueError("matrix basis is linearly dependent")
         self._span = Subspace(n * n, R, piv)
-        self._scaled = [_scaled_rows(m) for m in self.basis]
-        self._to_basis_den, to_basis = _scaled_rows(T)
+        self._to_basis_den = T.den
         self._to_basis = [[(b, x) for b, x in enumerate(trow) if x]
-                          for trow in to_basis]
+                          for trow in T.ints]
         self.table = induced_table(len(self.basis), self._commutator,
                                    self._coords)
         self.is_derivation_algebra = is_derivation_algebra
 
     def _commutator(self, a: int, b: int) -> tuple[list[int], int]:
         """[m_a, m_b] vectorized row-major, as (integer vector, denominator)."""
-        da, A = self._scaled[a]
-        db, B = self._scaled[b]
-        return ([x - y for r1, r2 in zip(_int_product(A, B), _int_product(B, A))
-                 for x, y in zip(r1, r2)], da * db)
+        A, B = self.basis[a], self.basis[b]
+        return ([x - y for r1, r2 in zip(_int_product(A.ints, B.ints),
+                                         _int_product(B.ints, A.ints))
+                 for x, y in zip(r1, r2)], A.den * B.den)
 
     def _coords(self, vec: tuple[list[int], int]) -> tuple[Fraction, ...] | None:
         """Coordinates over the basis of w / D for vec = (w, D), or None."""
@@ -480,18 +492,13 @@ class LinearLieAlgebra:
 
     def element(self, coeffs: Sequence) -> Mat:
         n = self.ambient.dim
-        out = Mat.zeros(n, n)
-        for c, m in zip(coeffs, self.basis):
-            if c:
-                out = out + Fraction(c) * m
-        return out
+        return sum((c * m for c, m in zip(coeffs, self.basis) if c), Mat.zeros(n, n))
 
     def coords(self, m: Mat) -> tuple[Fraction, ...] | None:
         """Coefficients of m over the basis, or None when m is outside."""
         if m.shape != (self.ambient.dim, self.ambient.dim):
             raise ValueError("matrix shape must match the ambient dimension")
-        d, rows = _scaled_rows(m)
-        return self._coords(([x for row in rows for x in row], d))
+        return self._coords(([x for row in m.ints for x in row], m.den))
 
     def contains(self, m: Mat) -> bool:
         return self.coords(m) is not None
@@ -545,12 +552,15 @@ def semidirect_sum(mats: Sequence[Mat], inner: LieAlgebra,
 
 
 def _leibniz_check(m: Mat, L: LieAlgebra, gen_index: int) -> None:
+    """D [e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] for D = m, both sides
+    times den m.den: over the integers, with the columns of m.ints."""
+    cols = [list(c) for c in zip(*m.ints)]
+    e = _units(L.dim)
     for (i, j) in combinations(range(L.dim), 2):
-        lhs = m.apply(L.bracket_basis(i, j))
-        rhs = L.bracket(m.column(i), L.basis_vector(j))
-        term = L.bracket(L.basis_vector(i), m.column(j))
-        rhs = [a + b for a, b in zip(rhs, term)]
-        if list(lhs) != rhs:
+        lhs = _int_product([L.int_bracket(e[i], e[j])], cols)[0]
+        rhs = [a + b for a, b in zip(L.int_bracket(cols[i], e[j]),
+                                     L.int_bracket(e[i], cols[j]))]
+        if lhs != rhs:
             raise NotADerivationError(gen_index, (i, j))
 
 

@@ -30,6 +30,7 @@ from .liecore import (
     LieError,
     LinearLieAlgebra,
     _basis_ads,
+    _cached,
     center,
     derived_algebra,
     killing_radical,
@@ -57,8 +58,12 @@ def derivations(L: LieAlgebra) -> LinearLieAlgebra:
     Solves the linear system D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] over the
     n^2 unknown entries; the kernel basis (canonical RREF) gives the basis.
     The rows come straight from the integer adjacency of L: den times the
-    rational system, with the same kernel.
+    rational system, with the same kernel. Computed once per algebra.
     """
+    return _cached(L, "derivations", lambda: _derivations(L))
+
+
+def _derivations(L: LieAlgebra) -> LinearLieAlgebra:
     n = L.dim
     adj = L._adj   # adj[a][b]: the terms (k, den c_ab^k) of den [e_a, e_b]
     rows = []
@@ -78,8 +83,8 @@ def derivations(L: LieAlgebra) -> LinearLieAlgebra:
                 for u, c in terms:
                     block[u][t * n + j] -= c
             rows.extend(row for row in block if any(row))
-    ker = kernel(rows, n * n)
-    mats = [Mat.from_flat(n, n, row) for row in ker.basis.data]
+    e, kers = kernel(rows, n * n).int_rows()
+    mats = [Mat.from_flat(n, n, row, e) for row in kers]
     der = LinearLieAlgebra(L, mats, is_derivation_algebra=True)
     # ad-images are always derivations; their span must land inside
     inner = inner_derivations(L)
@@ -166,8 +171,7 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
             continue
         gen_null = kernel(reduce(_int_product, [best_A] * best_mult), sub.dim)
         # pull the nested basis back to L coordinates
-        nxt = Subspace.span(L.dim, _int_product(gen_null.int_rows()[1],
-                                                current.int_rows()[1]))
+        nxt = Subspace.span(L.dim, (gen_null.basis @ current.basis).ints)
         if nxt.dim == current.dim:
             spread += 2
             continue
@@ -211,7 +215,7 @@ def nilradical(L: LieAlgebra, rng: random.Random | None = None) -> Subspace:
     else:
         rad = killing_radical(L)
         inner = _solvable_nilradical(restrict(L, rad), rng)
-        result = Subspace.span(L.dim, (inner.basis @ rad.basis).data)
+        result = Subspace.span(L.dim, (inner.basis @ rad.basis).ints)
     _check_nilradical(L, result, rad, rng)
     return result
 
@@ -223,13 +227,9 @@ def _solvable_nilradical(L: LieAlgebra, rng: random.Random) -> Subspace:
         return L.full_space()
     h = cartan_subalgebra(L, rng)
     n = L.dim
-    cols = []
-    for row in h.basis.data:
-        s = jordan_chevalley(L.ad(row)).s
-        cols.append(list(s.vec()))
-    coeff_kernel = kernel(Mat(cols, cols=n * n).transpose())
-    rows = (list(derived_algebra(L).basis.data)
-            + (coeff_kernel.basis @ h.basis).data)
+    parts = [jordan_chevalley(L.ad(row)).s for row in h.basis.ints]
+    coeff_kernel = kernel(Mat.vecs(parts, n * n).transpose())
+    rows = derived_algebra(L).basis.ints + (coeff_kernel.basis @ h.basis).ints
     return Subspace.span(n, rows)
 
 
@@ -279,8 +279,8 @@ def maximal_torus(der: LinearLieAlgebra,
     mats = [der.element(row) for row in h.basis.data]
     parts = [jordan_chevalley(m).s for m in mats]
     n = der.ambient.dim
-    span = Subspace.span(n * n, [list(p.vec()) for p in parts])
-    basis = [Mat.from_flat(n, n, row) for row in span.basis.data]
+    e, rows = Subspace.span(n * n, Mat.vecs(parts, n * n).ints).int_rows()
+    basis = [Mat.from_flat(n, n, row, e) for row in rows]
     torus = LinearLieAlgebra(der.ambient, basis)
     _check_torus(torus, der, mats, parts, rng)
     return torus

@@ -48,6 +48,71 @@ def test_mat_basic_ops():
     assert a.apply([1, 0]) == (F(1), F(3))
 
 
+def _rand_fractions(rng, rows, cols, kind):
+    """rows x cols Fractions, about a third of them zero: small integers
+    ("int"), small fractions ("frac") or 150- to 250-bit fractions ("big")."""
+    def entry():
+        if rng.random() < 0.3:
+            return F(0)
+        if kind == "int":
+            return F(rng.randint(-9, 9))
+        if kind == "frac":
+            return F(rng.randint(-9, 9), rng.randint(1, 12))
+        bits = rng.randint(150, 250)
+        return F(rng.choice((-1, 1)) * rng.getrandbits(bits),
+                 rng.getrandbits(rng.randint(1, bits)) or 1)
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def _canonical(rows):
+    """(den, ints) of a list of Fraction rows, by the definition."""
+    d = math.lcm(*(q.denominator for r in rows for q in r))
+    return d, [[int(q * d) for q in r] for r in rows]
+
+
+@pytest.mark.parametrize("kind", ["int", "frac", "big"])
+def test_mat_operators_match_the_fraction_oracle(kind):
+    rng = random.Random({"int": 41, "frac": 42, "big": 43}[kind])
+    for _ in range(40):
+        r, k, c = (rng.randint(0, 4) for _ in range(3))
+        a, a2 = _rand_fractions(rng, r, k, kind), _rand_fractions(rng, r, k, kind)
+        b = _rand_fractions(rng, k, c, kind)
+        s = _rand_fractions(rng, 1, 1, kind)[0][0]
+        v = _rand_fractions(rng, 1, k, kind)[0]
+        A, A2, B = Mat(a, cols=k), Mat(a2, cols=k), Mat(b, cols=c)
+        cases = [
+            (A + A2, [[x + y for x, y in zip(p, q)] for p, q in zip(a, a2)], k),
+            (A - A2, [[x - y for x, y in zip(p, q)] for p, q in zip(a, a2)], k),
+            (s * A, [[s * x for x in p] for p in a], k),
+            (A * s, [[s * x for x in p] for p in a], k),
+            # k = 0 is the inner dimension 0: the r x c zero matrix
+            (A @ B, [[sum((a[i][t] * b[t][j] for t in range(k)), F(0)) for j in range(c)]
+                     for i in range(r)], c),
+            (A.transpose(), [[a[i][j] for i in range(r)] for j in range(k)], r),
+        ]
+        for got, want, cols in cases:
+            assert got.shape == (len(want), cols)
+            assert (got.den, got.ints) == _canonical(want)
+            assert got.data == want
+            assert got == Mat(want, cols=cols)
+            assert hash(got) == hash(Mat(want, cols=cols))
+        assert A.apply(v) == tuple(sum((x * y for x, y in zip(p, v)), F(0)) for p in a)
+        assert A.is_zero() == all(not x for p in a for x in p)
+        assert (A == A2) == (a == a2)
+        assert (A + A == 2 * A) and (A - A).is_zero()
+
+
+def test_mat_canonical_form():
+    m = Mat([["1/2", "1/3"]])
+    assert (m.den, m.ints) == (6, [[3, 2]])
+    assert Mat._of(12, [[6, 4]], 2) == m == Mat._of(6, [[3, 2]], 2)
+    assert hash(Mat._of(12, [[6, 4]], 2)) == hash(m)
+    assert (m * 6).den == 1 and (m * 6).ints == [[3, 2]]
+    zero = m * 0
+    assert (zero.den, zero.ints) == (1, [[0, 0]]) and zero == Mat.zeros(1, 2)
+    assert m != Mat([["1/2", "1/3"], [0, 0]]) and m.transpose() != m
+
+
 def test_rref_simple():
     R, piv = rref(Mat([[2, 4], [1, 2]]))
     assert R.data == [[F(1), F(2)], [F(0), F(0)]]
@@ -461,7 +526,7 @@ def _jordan(blocks):
 
 def _zero_mult(m):
     """zero_multiplicity_mod_p of d m, the integral multiple of m."""
-    return zero_multiplicity_mod_p(exactlin._scaled_rows(m)[1])
+    return zero_multiplicity_mod_p(m.ints)
 
 
 def test_zero_multiplicity_mod_p_matches_exact_on_similar_jordan_forms():

@@ -210,3 +210,19 @@ def test_togo_report_dict_round_trip():
     d = report.to_dict()
     assert d["equal"] is True
     assert d["dim_der_sum"] == report.predicted
+
+
+def test_check_splitting_proves_the_homomorphism_over_the_integers():
+    # p -> p/2, q -> q, z -> z/2 is an automorphism with a denominator, and
+    # z -> 2z maps [p, q] = z/2 onto the Heisenberg algebra
+    L = heisenberg3()
+    half = LieAlgebra(3, {(0, 1): [(2, "1/2")]})
+    for K, M, emb in ((L, L, Mat([["1/2", 0, 0], [0, 1, 0], [0, 0, "1/2"]])),
+                      (half, L, Mat([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))):
+        good = extensions.SplittingResult(M, emb, Subspace.zero(3), 0)
+        extensions._check_splitting(K, good, random.Random(1))
+    for M, emb in ((abelian(3), Mat.identity(3)),
+                   (L, Mat([["1/2", 0, 0], [0, 1, 0], [0, 0, 1]]))):
+        bad = extensions.SplittingResult(M, emb, Subspace.zero(3), 0)
+        with pytest.raises(AssertionError, match="embedding is not a homomorphism"):
+            extensions._check_splitting(L, bad, random.Random(1))

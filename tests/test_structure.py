@@ -320,6 +320,23 @@ def test_nilradical_computes_the_radical_only_for_non_solvable_algebras(
     assert calls == [3 + so2.dim]
 
 
+def test_derivations_and_center_are_computed_once_per_algebra(monkeypatch):
+    # the catalog gates of favre7 and fingerprint all read Der(L)
+    solved = []
+    real = structure._derivations
+
+    def counted(L):
+        solved.append(L)
+        return real(L)
+    monkeypatch.setattr(structure, "_derivations", counted)
+    L = catalog.get("favre7", rng=random.Random(7)).algebra
+    fingerprint(L, random.Random(7))
+    assert sum(x is L for x in solved) == 1
+    assert len({id(x) for x in solved}) == len(solved)
+    assert structure.derivations(L) is structure.derivations(L)
+    assert liecore.center(L) is liecore.center(L)
+
+
 def test_fingerprint_reads_l_l_and_the_series_cached_on_l(monkeypatch):
     # [L, L] is formed once, and no copy of L is restricted to all of L
     full_products, full_restrictions = [], []
