@@ -469,6 +469,11 @@ PINNED_JSON = {
         "d9264065bbe52d3b19c5d6960961239ab9bd600cd85271d885c51ab7545a1eaf",
     ("verify", "rank-bound", "so2_torus_extension"):
         "7da0018c6484ac3d4a72463bd6292d15b0b25088d10cd2caa0ec4e17a4b9bdf0",
+    ("verify", "rank-bound", "filiform:4"):
+        "05dc18d0fad033689ac2ed3af140d1b5f95670733f0e051531c2a39c0ba4232e",
+    # not solvable: the toric rank is a Cartan subalgebra of L / N; exits 1
+    ("verify", "rank-bound", "sl2"):
+        "307ab7a3239ce33c5182c916c6d0874420a2adab5a1b18eb23d429a9e8f4a814",
     # dense Der(L) and torus matrices, written by _write_basis_change
     ("torus", "heisenberg5_dense.json"):
         "c8608e0e476c9900b971f0e42c66748a88d412d2697309812f0ef33df4a64d0b",
@@ -480,6 +485,9 @@ PINNED_JSON = {
     ("torus", "heisenberg5_det3.json"):
         "4bbc953dd5084c1233f11b0e65c2d695ab9bc61c27d0381cf5ae921b42f9019a",
 }
+
+# exit code of a pinned command that does not exit 0
+PINNED_CODES = {("verify", "rank-bound", "sl2"): 1}
 
 # file name -> (catalog name, parameter, seed, determinant of the basis)
 PINNED_FILES = {
@@ -513,5 +521,24 @@ def test_json_output_bytes_are_pinned(capsys, tmp_path, monkeypatch, argv):
     for path, spec in PINNED_FILES.items():
         _write_basis_change(path, *spec)
     code, out, _ = run(capsys, *argv, "--seed", "1", "--format", "json")
-    assert code == 0
+    assert code == PINNED_CODES.get(argv, 0)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_JSON[argv]
+
+
+# sha256 of the --seed 1 --format text stdout: records, tuples and nested
+# lists of records as the text renderer writes them
+PINNED_TEXT = {
+    ("fingerprint", "favre7"):
+        "b551394bce15183400a9a922893440a6e79d40b9a66690c20a05cb92bc56a2eb",
+    ("verify", "togo", "heisenberg:3", "abelian:2"):
+        "962716aa6491430b890da5374360aea39cb44b0353b5714e387adca0fed78725",
+    ("demo", "snobl"):
+        "b005d5dd7dd9b705daeb21d0d6d8292872ad25770557cf74f4770a659ab2d213",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_TEXT), ids=" ".join)
+def test_text_output_bytes_are_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--seed", "1", "--format", "text")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_TEXT[argv]
