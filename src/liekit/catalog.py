@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Callable, Mapping
@@ -397,12 +397,14 @@ def build_snobl_counterexample(rng: random.Random | None = None) -> dict:
         "dim": [R1.total.dim, R2.total.dim],
         "dim_M": [fp1.dim_malcev, fp2.dim_malcev],
         "dim_Der": [fp1.dim_der, fp2.dim_der],
-        "fingerprints": [fp1.to_dict(), fp2.to_dict()],
+        "fingerprints": [asdict(fp1), asdict(fp2)],
         "non_isomorphic": fp1 != fp2,
     }
-    certificates["ok"] = (
-        certificates["dim"] == [9, 9]
-        and certificates["dim_M"] == [9, 10]
-        and certificates["dim_Der"][0] != certificates["dim_Der"][1]
-        and certificates["non_isomorphic"])
+    checks = {
+        "dims_are_9_9": certificates["dim"] == [9, 9],
+        "splitting_dims_are_9_10": certificates["dim_M"] == [9, 10],
+        "derivation_dims_differ": fp1.dim_der != fp2.dim_der,
+        "non_isomorphic": certificates["non_isomorphic"],
+    }
+    certificates.update(checks=checks, ok=all(checks.values()))
     return {"N": N, "R1": R1, "R2": R2, "certificates": certificates}

@@ -22,6 +22,7 @@ import random
 import re
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import catalog
@@ -172,7 +173,7 @@ def _cmd_torus(L, rng):
 
 
 def _cmd_fingerprint(L, rng):
-    return dict(fingerprint(L, rng).to_dict()), {}
+    return asdict(fingerprint(L, rng)), {}
 
 
 def _cmd_split(L, rng):
@@ -196,7 +197,7 @@ def _cmd_extend_standard(L, rng):
         "torus_dim": ext.provenance.get("torus_dim"),
         "basis": list(ext.total.labels),
     }
-    values.update(rank_bound=report.to_dict())
+    values.update(rank_bound=asdict(report))
     return values, {"validated": ext.validated, "rank_bound_ok": report.ok}
 
 
@@ -217,7 +218,7 @@ def _cmd_extend_by(L, rng, mats, labels):
         "dim_total": ext.total.dim,
         "added_dim": ext.total.dim - L.dim,
         "basis": list(ext.total.labels),
-        "rank_bound": report.to_dict(),
+        "rank_bound": asdict(report),
     }
     return values, {"nilradical_preserved": True, "validated": ext.validated,
                     "rank_bound_ok": report.ok}
@@ -229,11 +230,11 @@ def _cmd_rank_bound(L, rng):
     if L.is_nilpotent():
         ext = standard_solvable_extension(L, rng=rng)
         report = verify_rank_bound(ext, rng)
-        values = dict(report.to_dict(), checked_on="standard_extension",
+        values = dict(asdict(report), checked_on="standard_extension",
                       dim_total=ext.total.dim)
     else:
         report = rank_bound_of(L, rng)
-        values = dict(report.to_dict(), checked_on="input")
+        values = dict(asdict(report), checked_on="input")
     certs = {"rank_ok": report.rank_ok}
     if report.codim_ok is not None:
         certs["codim_ok"] = report.codim_ok
@@ -242,25 +243,13 @@ def _cmd_rank_bound(L, rng):
 
 def _cmd_togo(A, B, rng):
     report = togo_dim_check(A, B)
-    return report.to_dict(), {"equal": report.equal}
+    return asdict(report), {"equal": report.equal}
 
 
 def _cmd_demo_snobl(rng):
-    res = catalog.build_snobl_counterexample(rng)
-    certs = res["certificates"]
-    values = {
-        "dim": certs["dim"],
-        "dim_M": certs["dim_M"],
-        "dim_Der": certs["dim_Der"],
-        "non_isomorphic": certs["non_isomorphic"],
-        "fingerprints": certs["fingerprints"],
-    }
-    return values, {
-        "dims_are_9_9": certs["dim"] == [9, 9],
-        "splitting_dims_are_9_10": certs["dim_M"] == [9, 10],
-        "derivation_dims_differ": certs["dim_Der"][0] != certs["dim_Der"][1],
-        "non_isomorphic": certs["non_isomorphic"],
-    }
+    certs = catalog.build_snobl_counterexample(rng)["certificates"]
+    keys = ("dim", "dim_M", "dim_Der", "non_isomorphic", "fingerprints")
+    return {key: certs[key] for key in keys}, certs["checks"]
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +265,12 @@ def _text_lines(value, key, out):
     if isinstance(value, dict):
         for sub, item in value.items():
             _text_lines(item, f"{key}.{sub}" if key else str(sub), out)
-    elif isinstance(value, list) and value \
-            and all(isinstance(v, (list, dict)) for v in value):
+    elif isinstance(value, (list, tuple)) and value \
+            and all(isinstance(v, (list, tuple, dict)) for v in value):
         for pos, row in enumerate(value):
             _text_lines(row, f"{key}[{pos}]", out)
     else:
-        if isinstance(value, list):
+        if isinstance(value, (list, tuple)):
             text = "[" + ", ".join(_scalar(v) for v in value) + "]"
         else:
             text = _scalar(value)

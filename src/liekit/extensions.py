@@ -23,6 +23,7 @@ from .liecore import (
     direct_sum,
     is_ideal,
     product_space,
+    quotient,
     semidirect_sum,
 )
 from .structure import (
@@ -32,7 +33,6 @@ from .structure import (
     inner_derivations,
     maximal_torus,
     nilradical,
-    toric_rank,
 )
 
 __all__ = [
@@ -191,7 +191,7 @@ def _check_splitting(L: LieAlgebra, r: SplittingResult,
 
 @dataclass(frozen=True)
 class RankBoundReport:
-    toric_rank: int
+    toric_rank: int         # dim of a Cartan subalgebra of L / N
     gen_bound: int          # dim N - dim [N, N]
     rank_ok: bool
     solvable: bool
@@ -202,22 +202,13 @@ class RankBoundReport:
     def ok(self) -> bool:
         return self.rank_ok and (self.codim_ok is not False)
 
-    def to_dict(self) -> dict:
-        return {
-            "toric_rank": self.toric_rank,
-            "gen_bound": self.gen_bound,
-            "rank_ok": self.rank_ok,
-            "solvable": self.solvable,
-            "codim": self.codim,
-            "codim_ok": self.codim_ok,
-        }
-
 
 def _rank_report(L: LieAlgebra, nil: Subspace,
                  rng: random.Random) -> RankBoundReport:
+    """The report for L and its nilradical nil, which the caller certified."""
     commN = derived_algebra(L) if nil.dim == L.dim else product_space(L, nil, nil)
     g = nil.dim - commN.dim
-    rt = toric_rank(L, nil, rng)
+    rt = cartan_subalgebra(quotient(L, nil)[0], rng).dim
     solvable = L.is_solvable()
     codim = L.dim - nil.dim if solvable else None
     codim_ok = (codim <= g) if solvable else None
@@ -247,22 +238,8 @@ class TogoReport:
     dim_der_b: int
     hom_a_to_zb: int        # (dim A - dim [A,A]) * dim Z(B)
     hom_b_to_za: int
+    predicted: int          # the sum of the four counts above
     equal: bool
-
-    @property
-    def predicted(self) -> int:
-        return self.dim_der_a + self.dim_der_b + self.hom_a_to_zb + self.hom_b_to_za
-
-    def to_dict(self) -> dict:
-        return {
-            "dim_der_sum": self.dim_der_sum,
-            "dim_der_a": self.dim_der_a,
-            "dim_der_b": self.dim_der_b,
-            "hom_a_to_zb": self.hom_a_to_zb,
-            "hom_b_to_za": self.hom_b_to_za,
-            "predicted": self.predicted,
-            "equal": self.equal,
-        }
 
 
 def togo_dim_check(A: LieAlgebra, B: LieAlgebra) -> TogoReport:
@@ -282,6 +259,5 @@ def togo_dim_check(A: LieAlgebra, B: LieAlgebra) -> TogoReport:
     gb = B.dim - derived_algebra(B).dim
     za = center(A).dim
     zb = center(B).dim
-    report = TogoReport(lhs, da, db, ga * zb, gb * za,
-                        lhs == da + db + ga * zb + gb * za)
-    return report
+    predicted = da + db + ga * zb + gb * za
+    return TogoReport(lhs, da, db, ga * zb, gb * za, predicted, lhs == predicted)

@@ -446,8 +446,7 @@ class LinearLieAlgebra:
     entry per coordinate for the RREF bases of derivations and maximal_torus.
     """
 
-    def __init__(self, ambient: LieAlgebra, basis: Sequence[Mat],
-                 is_derivation_algebra: bool = False):
+    def __init__(self, ambient: LieAlgebra, basis: Sequence[Mat]):
         self.ambient = ambient
         self.basis = tuple(basis)
         n = ambient.dim
@@ -463,7 +462,6 @@ class LinearLieAlgebra:
                           for trow in T.ints]
         self.table = induced_table(len(self.basis), self._commutator,
                                    self._coords)
-        self.is_derivation_algebra = is_derivation_algebra
 
     def _commutator(self, a: int, b: int) -> tuple[list[int], int]:
         """[m_a, m_b] vectorized row-major, as (integer vector, denominator)."""

@@ -37,7 +37,6 @@ from .liecore import (
     normalizer,
     normalizer_system,
     product_space,
-    quotient,
     restrict,
     series,
 )
@@ -85,7 +84,7 @@ def _derivations(L: LieAlgebra) -> LinearLieAlgebra:
             rows.extend(row for row in block if any(row))
     e, kers = kernel(rows, n * n).int_rows()
     mats = [Mat.from_flat(n, n, row, e) for row in kers]
-    der = LinearLieAlgebra(L, mats, is_derivation_algebra=True)
+    der = LinearLieAlgebra(L, mats)
     # ad-images are always derivations; their span must land inside
     inner = inner_derivations(L)
     if not der.matrix_span().contains_space(inner):
@@ -267,10 +266,11 @@ def maximal_torus(der: LinearLieAlgebra,
     Takes the semisimple Jordan parts of a Cartan subalgebra of the
     derivation algebra; the map h -> semisimple part is linear there, which
     is spot-checked on basis pairs. Every output generator is verified to be
-    a semisimple derivation and the span to be abelian.
+    a semisimple derivation and the span to be abelian. der must be the
+    Der(L) that derivations(L) caches for its ambient L.
     """
     rng = _rng(rng)
-    if not der.is_derivation_algebra:
+    if der is not derivations(der.ambient):
         raise LieError("maximal_torus expects a full derivation algebra")
     if der.dim == 0:
         return LinearLieAlgebra(der.ambient, [])
@@ -313,22 +313,6 @@ def _check_torus(torus: LinearLieAlgebra, der: LinearLieAlgebra,
                 raise AssertionError("semisimple part is not additive on the Cartan")
 
 
-def toric_rank(L: LieAlgebra, nil: Subspace,
-               rng: random.Random | None = None) -> int:
-    """Dimension of a Cartan subalgebra of L / nilradical.
-
-    `nil` must equal the computed nilradical; for solvable L the quotient is
-    abelian and the rank is just its dimension.
-    """
-    rng = _rng(rng)
-    if nilradical(L, rng) != nil:
-        raise LieError("designated subspace is not the nilradical")
-    q, _ = quotient(L, nil)
-    if q.dim == 0:
-        return 0
-    return cartan_subalgebra(q, rng).dim
-
-
 # ---------------------------------------------------------------------------
 # fingerprint
 
@@ -343,18 +327,6 @@ class Fingerprint:
     dim_nilradical: int
     dim_der: int
     dim_malcev: int | None   # None when the algebra is not solvable
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "lower_central": list(self.lower_central),
-            "derived": list(self.derived),
-            "dim_center": self.dim_center,
-            "dim_commutator": self.dim_commutator,
-            "dim_nilradical": self.dim_nilradical,
-            "dim_der": self.dim_der,
-            "dim_malcev": self.dim_malcev,
-        }
 
 
 def fingerprint(L: LieAlgebra, rng: random.Random | None = None) -> Fingerprint:

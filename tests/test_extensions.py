@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -207,7 +208,7 @@ def test_togo_rejects_non_nilpotent():
 
 def test_togo_report_dict_round_trip():
     report = togo_dim_check(abelian(2), heisenberg3())
-    d = report.to_dict()
+    d = asdict(report)
     assert d["equal"] is True
     assert d["dim_der_sum"] == report.predicted
 

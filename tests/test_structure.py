@@ -25,7 +25,9 @@ from liekit.liecore import (
 )
 from liekit.extensions import (
     extend_by_derivations,
+    rank_bound_of,
     standard_solvable_extension,
+    verify_rank_bound,
 )
 from liekit.structure import (
     LinearLieAlgebra,
@@ -36,7 +38,6 @@ from liekit.structure import (
     is_characteristically_nilpotent,
     maximal_torus,
     nilradical,
-    toric_rank,
 )
 
 
@@ -83,9 +84,10 @@ def leibniz_holds(m, L):
 # derivations
 
 def test_derivations_abelian_is_full_matrix_algebra():
-    der = derivations(abelian(3))
+    L = abelian(3)
+    der = derivations(L)
     assert der.dim == 9
-    assert der.is_derivation_algebra
+    assert derivations(L) is der
     # gl_3 closure: [E01, E10] = E00 - E11 must have coordinates in the basis
     e01 = Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     e10 = Mat([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
@@ -438,16 +440,25 @@ def test_maximal_torus_requires_derivation_flag():
 
 
 def test_toric_rank():
-    assert toric_rank(heisenberg3(), heisenberg3().full_space()) == 0
-    assert toric_rank(r2(), nilradical(r2())) == 1
-    L = sl2_on_plane()
-    assert toric_rank(L, nilradical(L)) == 1
+    assert rank_bound_of(heisenberg3()).toric_rank == 0
+    assert rank_bound_of(r2()).toric_rank == 1
+    assert rank_bound_of(sl2_on_plane()).toric_rank == 1
 
 
-def test_toric_rank_rejects_wrong_subspace():
-    L = r2()
-    with pytest.raises(LieError):
-        toric_rank(L, L.full_space())
+def test_rank_bound_reuses_the_certified_nilradical(monkeypatch):
+    # the toric rank is read off the nilradical the caller certified: none
+    # is recomputed for a validated extension, one for a bare algebra
+    sl2_mats = [Mat([[0, 1], [0, 0]]), Mat([[0, 0], [1, 0]]), Mat([[1, 0], [0, -1]])]
+    exts = [standard_solvable_extension(heisenberg3()),
+            extend_by_derivations(abelian(2), sl2_mats)]
+    calls = _counting(monkeypatch, "_solvable_nilradical")
+    for ext in exts:
+        assert verify_rank_bound(ext).rank_ok
+    assert calls == []
+    for L in (r2(), heisenberg3(), sl2_on_plane()):
+        rank_bound_of(L)
+        assert len(calls) == 1
+        calls.clear()
 
 
 # ---------------------------------------------------------------------------
