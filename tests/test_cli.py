@@ -484,6 +484,21 @@ PINNED_JSON = {
         "57122da2762a02fa38217737087bd54c1821de45c0db7dec7dc61d836f5e2bad",
     ("torus", "heisenberg5_det3.json"):
         "4bbc953dd5084c1233f11b0e65c2d695ab9bc61c27d0381cf5ae921b42f9019a",
+    # the Cartan search itself: semisimple, solvable and nilpotent inputs
+    ("cartan", "sl2"):
+        "5fc4f72a708877794ab91bb67f8632b3c56a20abf2b113b4f00fe98056a72509",
+    ("cartan", "r2"):
+        "4d01487e0944ac25f8561040808a1f9743ddebe5b171fb9e014e6f216f70f7fe",
+    ("cartan", "so2_torus_extension"):
+        "303943391dc77b9a8a76e9a8f93a441c42c66fb4b8a636f619c525aa083dcacc",
+    ("cartan", "diagonal_torus_extension:3"):
+        "748d8c0a3464999f301f7d50ce1885fe18399827d7e8dbae4964a36da1044868",
+    ("cartan", "heisenberg:5"):
+        "9691941bd3d493a7ba4cb726347ece27a1ef8781f8260c6e0b80bcf740bd2596",
+    ("cartan", "so2_det2.json"):
+        "0b30d15b1001f87679c9bcdbf9797e507186319b213a5a94ab9c6f29b7f029f4",
+    ("cartan", "heisenberg5_det3.json"):
+        "9fbb69688b3dca0773fcfe82ea4eb4a41feb43f91756a45331a0260c455f14c9",
 }
 
 # exit code of a pinned command that does not exit 0
