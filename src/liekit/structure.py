@@ -102,10 +102,14 @@ def is_characteristically_nilpotent(L: LieAlgebra) -> bool:
     """Nilpotent with nilpotent derivation algebra.
 
     Checked two ways, both of which must agree: Der(L) nilpotent as an
-    abstract algebra, and every basis derivation nilpotent as a matrix.
+    abstract algebra, and every basis derivation nilpotent as a matrix. They
+    agree for dim L >= 2; for dim L = 1, Der(L) = gl_1 is abelian but holds
+    the torus of the identity.
     """
     if not L.is_nilpotent():
         raise LieError("characteristic nilpotency is defined for nilpotent algebras")
+    if L.dim == 1:
+        return False
     der = derivations(L)
     abstract_nilpotent = der.to_abstract().is_nilpotent()
     all_nilpotent_mats = all(mat_is_nilpotent(m) for m in der.basis)
@@ -121,61 +125,47 @@ def is_characteristically_nilpotent(L: LieAlgebra) -> bool:
 def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspace:
     """A Cartan subalgebra: nilpotent and self-normalizing, both certified.
 
-    Searches a pool of small-integer combinations for an element whose
-    generalized null space (of its adjoint) is smallest, descends into that
-    null space and repeats until the candidate is nilpotent; the
-    self-normalizing check (_self_normalizing) runs against the full
-    algebra. Output checks make the answer seed-independent in validity.
+    In characteristic 0 the Cartan subalgebras are the Engel subalgebras
+    L0(ad x) = ker (ad x)^k, k the zero multiplicity, of the regular x (k
+    smallest). Each attempt takes H = L0(ad x) for the pick x of a pool of
+    small-integer candidates and returns it once it is nilpotent; otherwise
+    the range widens and a new pool is drawn. H is self-normalizing, as
+    every Engel subalgebra is, and _self_normalizing proves it.
 
-    Each candidate's adjoint is the integer matrix A = den ad x (int_ad), and
-    A serves all three steps; A is den / d times d ad x, d its denominator,
-    so the counts agree with d ad x unless 2^61 - 1 divides den. A candidate
-    is skipped when
-    kernel_dim_at_least(A, best) holds for the best count so far: the zero
-    multiplicity of A mod p is at least dim ker(A mod p), and a pick needs a
-    count strictly below best, so the skip changes no pick and no random
-    draw. The others are ranked by zero_multiplicity_mod_p(A), the charpoly
-    mod 2^61 - 1. That is a heuristic only: the count is never below the
-    exact one, so the generalized null space is unchanged. It is the kernel
-    of the integer power A^k, k the count (_int_product).
+    A candidate's adjoint is A = den ad x (int_ad), den / d times d ad x for
+    d its denominator, so the counts below are those of d ad x unless
+    2^61 - 1 divides den. A candidate is skipped when
+    kernel_dim_at_least(A, best) holds for the best count so far: its count
+    mod p is at least dim ker(A mod p), and a pick needs one strictly below
+    best, so the skip changes no pick and no draw. The others are ranked by
+    zero_multiplicity_mod_p(A), the charpoly mod 2^61 - 1: a heuristic that
+    is never below the exact count, so H is the kernel of the integer power
+    A^k, k the count (_int_product).
     """
     rng = _rng(rng)
-    if L.dim == 0:
-        return Subspace.zero(0)
-    current = L.full_space()   # rows: basis of the working subalgebra, in L coords
-    sub = L
+    if L.is_nilpotent():
+        return L.full_space()
     spread = 3
     for _round in range(4 * (L.dim + 2)):
-        if sub.is_nilpotent():
-            if _self_normalizing(L, current):
-                return current
-            # nilpotent but not self-normalizing: the search landed too low;
-            # restart from scratch with a wider coefficient range
-            current, sub, spread = L.full_space(), L, spread + 2
-            continue
         best_A = None
-        best_mult = sub.dim + 1
+        best_mult = L.dim   # L0(ad x) = L when ad x is nilpotent: no pick
         for _ in range(_POOL):
-            coeffs = [rng.randint(-spread, spread) for _ in range(sub.dim)]
+            coeffs = [rng.randint(-spread, spread) for _ in range(L.dim)]
             if not any(coeffs):
                 continue
-            A = sub.int_ad(coeffs)
+            A = L.int_ad(coeffs)
             if kernel_dim_at_least(A, best_mult):
                 continue
             mult = zero_multiplicity_mod_p(A)
             if mult < best_mult:
                 best_mult, best_A = mult, A
-        if best_A is None or best_mult >= sub.dim:
-            spread += 2   # all sampled elements looked nilpotent; widen and retry
-            continue
-        gen_null = kernel(reduce(_int_product, [best_A] * best_mult), sub.dim)
-        # pull the nested basis back to L coordinates
-        nxt = Subspace.span(L.dim, (gen_null.basis @ current.basis).ints)
-        if nxt.dim == current.dim:
-            spread += 2
-            continue
-        current = nxt
-        sub = restrict(L, current)
+        if best_A is not None:
+            h = kernel(reduce(_int_product, [best_A] * best_mult), L.dim)
+            if restrict(L, h).is_nilpotent():
+                if not _self_normalizing(L, h):
+                    raise AssertionError("proof failed: L0(ad x) not self-normalizing")
+                return h
+        spread += 2   # no candidate or a non-regular pick; widen and redraw
     raise AssertionError("Cartan subalgebra search failed to converge")
 
 

@@ -1,15 +1,19 @@
 """End-to-end checks of the command-line surface and its exit codes."""
 
 import hashlib
+import importlib.util
 import json
-import random
+from pathlib import Path
 
 import pytest
 
-from liekit import catalog
 from liekit.cli import dispatch, main
-from liekit.exactlin import Mat
-from liekit.liecore import change_basis
+
+# the output-digest tool, which also writes the basis-change files pinned here
+_spec = importlib.util.spec_from_file_location(
+    "json_digests", Path(__file__).parents[1] / "tools" / "json_digests.py")
+json_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(json_digests)
 
 
 def run(capsys, *argv):
@@ -357,6 +361,28 @@ def test_failed_internal_check_exits_3_without_a_report(capsys, monkeypatch):
     assert main(["der", "heisenberg:3"]) == 3
 
 
+def test_failed_self_normalization_proof_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr("liekit.structure._self_normalizing", lambda L, h: False)
+    code, out, err = run(capsys, "cartan", "sl2", "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert "error: internal check failed: proof failed: L0(ad x)" in err
+
+
+@pytest.mark.parametrize("flag, want", [(False, 0), (True, 2)])
+def test_one_dimensional_algebra_is_not_characteristically_nilpotent(
+        capsys, tmp_path, flag, want):
+    # Der = gl_1 is abelian, yet the identity is not nilpotent
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"name": "line", "dim": 1, "basis": ["e1"],
+                                "brackets": [],
+                                "expected": {"characteristically_nilpotent": flag}}))
+    code, _, err = run(capsys, "info", str(path), "--format", "json")
+    assert code == want
+    if flag:
+        assert "expected True, computed False" in err
+
+
 def test_togo_rejects_non_nilpotent_input(capsys):
     code, out, err = run(capsys, "verify", "togo", "r2", "abelian:2")
     assert code == 2
@@ -512,29 +538,12 @@ PINNED_FILES = {
 }
 
 
-def _write_basis_change(path, name, param, seed, det):
-    """A catalog algebra on a seeded integer basis of determinant det, as a
-    catalog file: diag(1, ..., 1, det) and then 15 row operations, so the
-    constants have denominators unless det is 1."""
-    L = catalog.get(name, param).algebra
-    n = L.dim
-    rng = random.Random(seed)
-    p = [[int(i == j) for j in range(n)] for i in range(n)]
-    p[-1][-1] = det
-    for _ in range(15):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((-2, -1, 1, 2))
-        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
-    M = change_basis(L, Mat(p))
-    catalog.store(catalog.CatalogEntry(path[:-len(".json")], (), M, {}), path)
-
-
 @pytest.mark.parametrize("argv", sorted(PINNED_JSON), ids=" ".join)
 def test_json_output_bytes_are_pinned(capsys, tmp_path, monkeypatch, argv):
     # file sources are read relative to tmp_path, so the report names no path
     monkeypatch.chdir(tmp_path)
     for path, spec in PINNED_FILES.items():
-        _write_basis_change(path, *spec)
+        json_digests.write_basis_change(path, *spec)
     code, out, _ = run(capsys, *argv, "--seed", "1", "--format", "json")
     assert code == PINNED_CODES.get(argv, 0)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_JSON[argv]
@@ -557,3 +566,10 @@ def test_text_output_bytes_are_pinned(capsys, argv):
     code, out, _ = run(capsys, *argv, "--seed", "1", "--format", "text")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_TEXT[argv]
+
+
+def test_digest_tool_line_matches_the_pin():
+    argv = ("cartan", "sl2", "--seed", "1", "--format", "json")
+    assert argv in json_digests.commands()
+    line = json_digests.run(argv)
+    assert line == f"0 {PINNED_JSON[argv[:2]]} {' '.join(argv)}"

@@ -141,6 +141,8 @@ def test_characteristically_nilpotent_small_cases():
     assert is_characteristically_nilpotent(abelian(4)) is False
     # graded, so the weight derivation is semisimple and nonzero
     assert is_characteristically_nilpotent(filiform(5)) is False
+    # Der = gl_1 is abelian, yet the identity is a torus
+    assert is_characteristically_nilpotent(abelian(1)) is False
 
 
 def test_characteristic_nilpotency_rejects_non_nilpotent():
@@ -242,6 +244,32 @@ def test_cartan_prune_changes_no_pick(monkeypatch):
             assert got == want
             assert rng.getstate() == ref_rng.getstate()
     assert pruned < reference / 4
+
+
+class _ScriptedRandom(random.Random):
+    """A Random whose first randint draws come from a script."""
+
+    def __init__(self, script, seed):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def randint(self, a, b):
+        return self.script.pop(0) if self.script else super().randint(a, b)
+
+
+def test_cartan_redraws_after_a_non_regular_pick(monkeypatch):
+    # the one candidate of the first pool is (h, 0): its Engel subalgebra
+    # span{h} + sl2 has dimension 4 and is not nilpotent
+    L = direct_sum(sl2(), sl2())
+    monkeypatch.setattr(structure, "_POOL", 1)
+    restricted = _counting(monkeypatch, "restrict")
+    rng = _ScriptedRandom([0, 0, 1, 0, 0, 0], 11)
+    h = cartan_subalgebra(L, rng)
+    assert not rng.script
+    assert [s.dim for _, s in restricted][:1] == [4] and len(restricted) >= 2
+    assert h.dim == 2
+    assert restrict(L, h).is_nilpotent()
+    assert normalizer(L, h) == h
 
 
 def test_self_normalization_falls_back_to_the_exact_normalizer(monkeypatch):

@@ -1,0 +1,178 @@
+"""Digest the `--format json` stdout of a fixed set of liekit commands.
+
+Usage:
+
+    python tools/json_digests.py ROOT > digests.txt
+
+ROOT is a liekit checkout. Its `src/` is imported ahead of any installed
+copy, and every command runs in this one process through
+`liekit.cli.dispatch`. Each line is the exit code, the sha256 of stdout
+and the argv. Two checkouts print the same lines exactly when every command
+prints the same bytes and exits with the same code, so a refactor that
+must not change any output is checked with
+
+    python tools/json_digests.py PARENT > parent.txt
+    python tools/json_digests.py . > change.txt
+    diff parent.txt change.txt
+
+The set covers every subcommand, `extend --standard` and
+`verify rank-bound` on the catalog sources and on seeded basis changes
+(some with denominators), `extend --by` on derivation files, `verify togo`
+on pairs, `demo snobl`, and two input errors, each at seeds 1, 7 and 2022.
+Input files are written into a temporary directory, which is the working
+directory while the commands run, so no report names a path. Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+import traceback
+
+SEEDS = (1, 7, 2022)
+
+CATALOG = (
+    "abelian:0", "abelian:1", "abelian:2", "abelian:3",
+    "heisenberg:3", "heisenberg:5", "heisenberg:7",
+    "filiform:3", "filiform:4", "filiform:5", "filiform:6", "filiform:7",
+    "diagonal_torus_extension:1", "diagonal_torus_extension:2",
+    "diagonal_torus_extension:3",
+    "favre7", "r2", "sl2", "so2_torus_extension",
+)
+
+# file name -> (catalog name, parameter, seed, determinant of the basis)
+BASIS_CHANGES = {
+    "heisenberg5_dense.json": ("heisenberg", 5, 5, 1),
+    "filiform5_det3.json": ("filiform", 5, 3, 3),
+    "so2_det2.json": ("so2_torus_extension", None, 6, 2),
+    "diag3_det2.json": ("diagonal_torus_extension", 3, 4, 2),
+    "heisenberg5_det3.json": ("heisenberg", 5, 7, 3),
+}
+
+# one-dimensional algebras whose file asserts characteristic nilpotency
+CHAR_NILPOTENT_FILES = {"dim1_not_charnil.json": False,
+                        "dim1_charnil.json": True}
+
+SINGLE = ("info", "der", "nilradical", "cartan", "torus", "split",
+          "fingerprint")
+
+# file name -> (source, matrices); a nilpotent action is refused (exit 1)
+DERIVATION_FILES = {
+    "plane_identity.json": ("abelian:2", [[[1, 0], [0, 1]]]),
+    "plane_diagonal.json": ("abelian:2", [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]),
+    "plane_rotation.json": ("abelian:2", [[[0, -1], [1, 0]]]),
+    "plane_nilpotent.json": ("abelian:2", [[[0, 1], [0, 0]]]),
+    "plane_sl2.json": ("abelian:2", [[[1, 0], [0, -1]], [[0, 1], [0, 0]],
+                                     [[0, 0], [1, 0]]]),
+    "heisenberg3_diagonal.json": ("heisenberg:3", [[[1, 0, 0], [0, 0, 0],
+                                                    [0, 0, 1]],
+                                                   [[0, 0, 0], [0, 1, 0],
+                                                    [0, 0, 1]]]),
+}
+
+TOGO_PAIRS = (("heisenberg:3", "abelian:2"), ("abelian:1", "favre7"),
+              ("heisenberg:3", "heisenberg:3"), ("filiform:4", "abelian:1"),
+              ("heisenberg:5", "filiform:4"))
+
+INPUT_ERRORS = (("info", "no_such_algebra"), ("info", "r2:3"))
+
+
+def commands() -> list[tuple[str, ...]]:
+    sources = (*CATALOG, *BASIS_CHANGES)
+    argvs: list[tuple[str, ...]] = []
+    for src in sources:
+        argvs.extend((cmd, src) for cmd in SINGLE)
+        argvs.append(("extend", "--standard", src))
+        argvs.append(("verify", "rank-bound", src))
+    argvs.extend(("info", name) for name in CHAR_NILPOTENT_FILES)
+    argvs.extend(("extend", "--by", name, src)
+                 for name, (src, _) in DERIVATION_FILES.items())
+    argvs.extend(("verify", "togo", a, b) for a, b in TOGO_PAIRS)
+    argvs.append(("demo", "snobl"))
+    argvs.extend(INPUT_ERRORS)
+    return [(*argv, "--seed", str(seed), "--format", "json")
+            for argv in argvs for seed in SEEDS]
+
+
+def write_basis_change(path: str, name: str, param: int | None, seed: int,
+                       det: int) -> None:
+    """A catalog algebra on a seeded integer basis of determinant det, as a
+    catalog file: diag(1, ..., 1, det) and then 15 row operations, so the
+    constants have denominators unless det is 1."""
+    from liekit import catalog
+    from liekit.exactlin import Mat
+    from liekit.liecore import change_basis
+
+    L = catalog.get(name, param).algebra
+    n = L.dim
+    rng = random.Random(seed)
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    p[-1][-1] = det
+    for _ in range(15):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+    M = change_basis(L, Mat(p))
+    catalog.store(catalog.CatalogEntry(path[:-len(".json")], (), M, {}), path)
+
+
+def write_inputs() -> None:
+    """Write every input file into the working directory."""
+    for path, spec in BASIS_CHANGES.items():
+        write_basis_change(path, *spec)
+    for path, flag in CHAR_NILPOTENT_FILES.items():
+        doc = {"name": path[:-len(".json")], "dim": 1, "basis": ["e1"],
+               "brackets": [], "expected": {"characteristically_nilpotent": flag}}
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    for path, (_, mats) in DERIVATION_FILES.items():
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"matrices": mats}, fh)
+
+
+def run(argv: tuple[str, ...]) -> str:
+    """One output line: exit code, sha256 of stdout, argv."""
+    from liekit.cli import dispatch
+
+    out = io.StringIO()
+    error = ""
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = str(dispatch(list(argv))[0])
+        except SystemExit as exc:   # argparse refused the argv
+            code = f"exit:{exc.code}"
+        except Exception as exc:   # report it and go on with the next command
+            code, error = f"raised:{type(exc).__name__}", traceback.format_exc()
+    sys.stderr.write(error)
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return f"{code} {digest} {' '.join(argv)}"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: python tools/json_digests.py ROOT", file=sys.stderr)
+        return 2
+    sys.path.insert(0, os.path.join(os.path.abspath(argv[0]), "src"))
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            write_inputs()
+            for cmd in commands():
+                print(run(cmd), flush=True)
+        finally:
+            os.chdir(home)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
