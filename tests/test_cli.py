@@ -528,7 +528,8 @@ PINNED_JSON = {
 }
 
 # exit code of a pinned command that does not exit 0
-PINNED_CODES = {("verify", "rank-bound", "sl2"): 1}
+PINNED_CODES = {("verify", "rank-bound", "sl2"): 1,
+                ("extend", "--by", "plane_nilpotent.json", "abelian:2"): 1}
 
 # file name -> (catalog name, parameter, seed, determinant of the basis)
 PINNED_FILES = {
@@ -550,7 +551,8 @@ def test_json_output_bytes_are_pinned(capsys, tmp_path, monkeypatch, argv):
 
 
 # sha256 of the --seed 1 --format text stdout: records, tuples and nested
-# lists of records as the text renderer writes them
+# lists of records as the text renderer writes them, and one command of each
+# kind, so that the key order of every report is pinned
 PINNED_TEXT = {
     ("fingerprint", "favre7"):
         "b551394bce15183400a9a922893440a6e79d40b9a66690c20a05cb92bc56a2eb",
@@ -558,14 +560,62 @@ PINNED_TEXT = {
         "962716aa6491430b890da5374360aea39cb44b0353b5714e387adca0fed78725",
     ("demo", "snobl"):
         "b005d5dd7dd9b705daeb21d0d6d8292872ad25770557cf74f4770a659ab2d213",
+    ("info", "filiform:4"):
+        "6627e06719a502b6258ea4ec06786cea8c655747910f5fb39b6cd9724f77778a",
+    ("der", "heisenberg:3"):
+        "857408ebf12bcbe2e60efeb6661386680815e5c3c03bc8734a27b5561d8404b1",
+    ("nilradical", "diagonal_torus_extension:3"):
+        "f3f1f7500abb98b42dacf00e4b261f77fb682d0bcd545c650668ef47e385eba5",
+    ("cartan", "sl2"):
+        "58fce5edcf0ad05388aed7a65fd508038f86f078bfe4f531a2a8f660e1ca6eaf",
+    ("torus", "heisenberg:3"):
+        "0673239fa366b91d4fd225687db76558040156baca3956aa068ca9d273f0ea04",
+    ("split", "r2"):
+        "40160616926a4d5f2ac238f19255b61f3e1c25591860d37d5954486dacf6b5e2",
+    ("extend", "--standard", "heisenberg:3"):
+        "258386c87f87c44943872690d6d4e5614d506b8089107f3d6e0ff5116f803830",
+    # one derivation file that is accepted and one that is refused (exit 1)
+    ("extend", "--by", "plane_diagonal.json", "abelian:2"):
+        "cf26883e22dd9341ef3c2621632859ecf7dc0817d5bd76cdb21f574817c43f9c",
+    ("extend", "--by", "plane_nilpotent.json", "abelian:2"):
+        "0e66de75eed6c9e21bc31a9a21fafb4edafb2085fe0d619eca365220abb0b11e",
+    # both branches: the standard extension of a nilpotent source, and the
+    # source itself
+    ("verify", "rank-bound", "heisenberg:3"):
+        "fb67776378e457b4e670564738dd7c185a0da68ee95560bc58beaf08552999c8",
+    ("verify", "rank-bound", "r2"):
+        "57d4b4ab483b7fea5ad0d621945942e1394b8888d51ff568780ec272af92ad61",
 }
 
 
 @pytest.mark.parametrize("argv", sorted(PINNED_TEXT), ids=" ".join)
-def test_text_output_bytes_are_pinned(capsys, argv):
+def test_text_output_bytes_are_pinned(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    for path, (_, mats) in json_digests.DERIVATION_FILES.items():
+        (tmp_path / path).write_text(json.dumps({"matrices": mats}),
+                                     encoding="utf-8")
     code, out, _ = run(capsys, *argv, "--seed", "1", "--format", "text")
-    assert code == 0
+    assert code == PINNED_CODES.get(argv, 0)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_TEXT[argv]
+
+
+# the whole stderr of two input errors, which exit 2 before any report
+PINNED_STDERR = {
+    ("info", "no_such_algebra"):
+        "error: no_such_algebra: No such file or directory\n",
+    ("extend", "--by", "broken.json", "abelian:2"):
+        "error: broken.json: line 1: Expecting property name enclosed in "
+        "double quotes\n",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_STDERR), ids=" ".join)
+def test_input_error_stderr_is_pinned(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "broken.json").write_text("{", encoding="utf-8")
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, *argv, "--seed", "1", "--format", fmt)
+        assert (code, out, err) == (2, "", PINNED_STDERR[argv])
 
 
 def test_digest_tool_line_matches_the_pin():
