@@ -97,6 +97,8 @@ def _read_derivation_file(path: str, dim: int) -> tuple[list[Mat], list[str] | N
             raw = json.load(fh)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     if not isinstance(raw, dict) or not isinstance(raw.get("matrices"), list):

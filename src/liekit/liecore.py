@@ -404,7 +404,8 @@ def change_basis(L: LieAlgebra, p: Mat) -> LieAlgebra:
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
-    """Direct sum of ideals; blocks do not interact."""
+    """Direct sum of ideals; blocks do not interact. A label of b that is
+    taken gets primes appended until it is free."""
     table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for (i, j), terms in a.table.items():
         table[(i, j)] = list(terms)
@@ -413,7 +414,9 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
         table[(i + off, j + off)] = [(k + off, c) for k, c in terms]
     labels = list(a.labels)
     for lab in b.labels:
-        labels.append(lab if lab not in labels else lab + "'")
+        while lab in labels:
+            lab += "'"
+        labels.append(lab)
     return LieAlgebra(a.dim + b.dim, table, labels)
 
 

@@ -284,6 +284,40 @@ def test_extend_by_malformed_json_is_input_error(capsys, tmp_path):
     assert "line" in err
 
 
+def test_extend_by_file_that_is_not_utf8_is_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"matrices": "\xff"}')
+    code, out, err = run(capsys, "extend", "--by", str(path), "abelian:2")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: not UTF-8 text: ")
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# labels that clash in a direct sum get primes until they are free
+
+def abelian_file(tmp_path, name, basis):
+    return write_json(tmp_path, name, {"name": name, "dim": len(basis),
+                                       "basis": basis, "brackets": []})
+
+
+def test_togo_on_labels_x_xprime_and_x(capsys, tmp_path):
+    a = abelian_file(tmp_path, "a.json", ["x", "x'"])
+    b = abelian_file(tmp_path, "b.json", ["x"])
+    code, report, _ = run_json(capsys, "verify", "togo", a, b)
+    assert code == 0
+    assert report["certificates"]["equal"] is True
+
+
+def test_extend_by_generator_x_on_labels_xprime_and_x(capsys, tmp_path):
+    src = abelian_file(tmp_path, "n.json", ["x'", "x"])
+    by = write_json(tmp_path, "by.json", {"matrices": [[[1, 0], [0, 1]]],
+                                          "labels": ["x"]})
+    code, report, _ = run_json(capsys, "extend", "--by", by, src)
+    assert code == 0
+    assert report["values"]["basis"] == ["x", "x'", "x''"]
+
+
 # ---------------------------------------------------------------------------
 # error exits
 
@@ -619,7 +653,9 @@ def test_input_error_stderr_is_pinned(capsys, tmp_path, monkeypatch, argv):
 
 
 def test_digest_tool_line_matches_the_pin():
+    # exit code, stdout digest, digest of the empty stderr, argv
     argv = ("cartan", "sl2", "--seed", "1", "--format", "json")
     assert argv in json_digests.commands()
     line = json_digests.run(argv)
-    assert line == f"0 {PINNED_JSON[argv[:2]]} {' '.join(argv)}"
+    empty = hashlib.sha256(b"").hexdigest()
+    assert line == f"0 {PINNED_JSON[argv[:2]]} {empty} {' '.join(argv)}"

@@ -258,6 +258,12 @@ def test_direct_sum():
     assert verify_structure(t) == []
 
 
+def test_direct_sum_primes_a_clashing_label_until_it_is_free():
+    s = direct_sum(LieAlgebra(2, {}, labels=("x", "x'")),
+                   LieAlgebra(1, {}, labels=("x",)))
+    assert s.labels == ("x", "x'", "x''")
+
+
 def test_semidirect_trivial_action_is_inner_algebra():
     L = heisenberg3()
     ext = semidirect_sum([], L)

@@ -1,4 +1,4 @@
-"""Digest the `--format json` stdout of a fixed set of liekit commands.
+"""Digest the stdout and stderr of a fixed set of liekit commands.
 
 Usage:
 
@@ -6,10 +6,11 @@ Usage:
 
 ROOT is a liekit checkout. Its `src/` is imported ahead of any installed
 copy, and every command runs in this one process through
-`liekit.cli.dispatch`. Each line is the exit code, the sha256 of stdout
-and the argv. Two checkouts print the same lines exactly when every command
-prints the same bytes and exits with the same code, so a refactor that
-must not change any output is checked with
+`liekit.cli.dispatch`. Each line is the exit code, the sha256 of stdout,
+the sha256 of stderr without its `elapsed:` line, and the argv. Two
+checkouts print the same lines exactly when every command prints the same
+bytes and exits with the same code, so a refactor that must not change any
+output is checked with
 
     python tools/json_digests.py PARENT > parent.txt
     python tools/json_digests.py . > change.txt
@@ -18,7 +19,10 @@ must not change any output is checked with
 The set covers every subcommand, `extend --standard` and
 `verify rank-bound` on the catalog sources and on seeded basis changes
 (some with denominators), `extend --by` on derivation files, `verify togo`
-on pairs, `demo snobl`, and two input errors, each at seeds 1, 7 and 2022.
+on pairs, `demo snobl`, two input errors, two label clashes in direct sums
+and a derivation file that is not UTF-8, each at seeds 1, 7 and 2022 and
+with `--format json` and `--format text`. A line that starts with `3` (an
+internal check failed) or `raised:` (an uncaught exception) is a bug.
 Input files are written into a temporary directory, which is the working
 directory while the commands run, so no report names a path. Standard
 library only.
@@ -83,6 +87,17 @@ TOGO_PAIRS = (("heisenberg:3", "abelian:2"), ("abelian:1", "favre7"),
 
 INPUT_ERRORS = (("info", "no_such_algebra"), ("info", "r2:3"))
 
+# abelian algebras on labels that clash in a direct sum: the second x of
+# x + (x, x') and the generator x of x + (x', x) must both get a fresh label
+ABELIAN_FILES = {"x_xprime.json": ["x", "x'"], "x.json": ["x"],
+                 "xprime_x.json": ["x'", "x"]}
+
+LABEL_CLASHES = (("verify", "togo", "x_xprime.json", "x.json"),
+                 ("extend", "--by", "x_scale.json", "xprime_x.json"))
+
+# a derivation file holding the byte 0xff, which is not UTF-8
+NOT_UTF8 = ("extend", "--by", "not_utf8.json", "abelian:2")
+
 
 def commands() -> list[tuple[str, ...]]:
     sources = (*CATALOG, *BASIS_CHANGES)
@@ -97,8 +112,10 @@ def commands() -> list[tuple[str, ...]]:
     argvs.extend(("verify", "togo", a, b) for a, b in TOGO_PAIRS)
     argvs.append(("demo", "snobl"))
     argvs.extend(INPUT_ERRORS)
-    return [(*argv, "--seed", str(seed), "--format", "json")
-            for argv in argvs for seed in SEEDS]
+    argvs.extend(LABEL_CLASHES)
+    argvs.append(NOT_UTF8)
+    return [(*argv, "--seed", str(seed), "--format", fmt)
+            for argv in argvs for seed in SEEDS for fmt in ("json", "text")]
 
 
 def write_basis_change(path: str, name: str, param: int | None, seed: int,
@@ -135,16 +152,28 @@ def write_inputs() -> None:
     for path, (_, mats) in DERIVATION_FILES.items():
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"matrices": mats}, fh)
+    for path, basis in ABELIAN_FILES.items():
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"name": path[:-len(".json")], "dim": len(basis),
+                       "basis": basis, "brackets": []}, fh)
+    with open("x_scale.json", "w", encoding="utf-8") as fh:
+        json.dump({"matrices": [[[1, 0], [0, 1]]], "labels": ["x"]}, fh)
+    with open("not_utf8.json", "wb") as fh:
+        fh.write(b'{"matrices": "\xff"}')
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def run(argv: tuple[str, ...]) -> str:
-    """One output line: exit code, sha256 of stdout, argv."""
+    """One output line: exit code, sha256 of stdout, sha256 of stderr
+    without its `elapsed:` line, argv."""
     from liekit.cli import dispatch
 
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     error = ""
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = str(dispatch(list(argv))[0])
         except SystemExit as exc:   # argparse refused the argv
@@ -152,8 +181,9 @@ def run(argv: tuple[str, ...]) -> str:
         except Exception as exc:   # report it and go on with the next command
             code, error = f"raised:{type(exc).__name__}", traceback.format_exc()
     sys.stderr.write(error)
-    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-    return f"{code} {digest} {' '.join(argv)}"
+    kept = "".join(line for line in err.getvalue().splitlines(keepends=True)
+                   if not line.startswith("elapsed: "))
+    return f"{code} {sha256(out.getvalue())} {sha256(kept)} {' '.join(argv)}"
 
 
 def main(argv: list[str]) -> int:
