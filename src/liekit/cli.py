@@ -1,7 +1,8 @@
 """Command-line surface: run any analysis on a catalog name or a file.
 
-Every command is a thin wrapper over the library: it resolves its input and
-runs one library operation; the resulting report renders as text or JSON.
+The argument parser is the one table of commands. Every command is a thin
+wrapper over the library: it resolves its input and runs one library
+operation; the resulting report renders as text or JSON.
 The JSON rendering is schema-stable and, for a fixed seed and input, byte
 identical across runs; timing goes to stderr so it never perturbs output.
 
@@ -130,9 +131,11 @@ def _read_derivation_file(path: str, dim: int) -> tuple[list[Mat], list[str] | N
 
 
 # ---------------------------------------------------------------------------
-# command implementations: each returns (values, certificates)
+# commands: each resolves its sources into report["input"] and returns
+# (values, certificates)
 
-def _cmd_info(L, rng):
+def _cmd_info(args, rng, report):
+    L, report["input"] = _resolve(args.src, rng)
     return {
         "dim": L.dim,
         "basis": list(L.labels),
@@ -146,7 +149,8 @@ def _cmd_info(L, rng):
     }, {}
 
 
-def _cmd_der(L, rng):
+def _cmd_der(args, rng, report):
+    L, report["input"] = _resolve(args.src, rng)
     der = derivations(L)
     inner = inner_derivations(L)
     return {
@@ -156,17 +160,20 @@ def _cmd_der(L, rng):
     }, {}
 
 
-def _cmd_nilradical(L, rng):
+def _cmd_nilradical(args, rng, report):
+    L, report["input"] = _resolve(args.src, rng)
     nil = nilradical(L, rng)
     return {"dim": nil.dim, "basis": _rows(nil.basis)}, {}
 
 
-def _cmd_cartan(L, rng):
+def _cmd_cartan(args, rng, report):
+    L, report["input"] = _resolve(args.src, rng)
     h = cartan_subalgebra(L, rng)
     return {"dim": h.dim, "basis": _rows(h.basis)}, {}
 
 
-def _cmd_torus(L, rng):
+def _cmd_torus(args, rng, report):
+    L, report["input"] = _resolve(args.src, rng)
     torus = maximal_torus(derivations(L), rng)
     return {
         "dim": torus.dim,
@@ -174,11 +181,13 @@ def _cmd_torus(L, rng):
     }, {}
 
 
-def _cmd_fingerprint(L, rng):
+def _cmd_fingerprint(args, rng, report):
+    L, report["input"] = _resolve(args.src, rng)
     return asdict(fingerprint(L, rng)), {}
 
 
-def _cmd_split(L, rng):
+def _cmd_split(args, rng, report):
+    L, report["input"] = _resolve(args.src, rng)
     res = malcev_split_solvable(L, rng)
     return {
         "dim": L.dim,
@@ -189,66 +198,61 @@ def _cmd_split(L, rng):
     }, {}
 
 
-def _cmd_extend_standard(L, rng):
-    ext = standard_solvable_extension(L, rng=rng)
-    report = verify_rank_bound(ext, rng)
-    values = {
+def _cmd_extend(args, rng, report):
+    L, report["input"] = _resolve(args.src, rng)
+    if args.standard:
+        ext = standard_solvable_extension(L, rng=rng)
+        extra, certs = {"torus_dim": ext.complement.dim}, {}
+    else:
+        mats, labels = _read_derivation_file(args.by, L.dim)
+        try:
+            ext = extend_by_derivations(L, mats, act_labels=labels, rng=rng)
+        except NilradicalMismatch as exc:
+            return {
+                "dim": L.dim,
+                "generators": len(mats),
+                "expected_nilradical_dim": exc.expected.dim,
+                "computed_nilradical_dim": exc.computed.dim,
+            }, {"nilradical_preserved": False}
+        extra, certs = {}, {"nilradical_preserved": True}
+    bound = verify_rank_bound(ext, rng)
+    return {
         "dim": L.dim,
         "dim_total": ext.total.dim,
         "added_dim": ext.total.dim - L.dim,
-        "torus_dim": ext.provenance.get("torus_dim"),
+        **extra,
         "basis": list(ext.total.labels),
-    }
-    values.update(rank_bound=asdict(report))
-    return values, {"validated": ext.validated, "rank_bound_ok": report.ok}
+        "rank_bound": asdict(bound),
+    }, dict(certs, validated=ext.validated, rank_bound_ok=bound.ok)
 
 
-def _cmd_extend_by(L, rng, mats, labels):
-    try:
-        ext = extend_by_derivations(L, mats, act_labels=labels, rng=rng)
-    except NilradicalMismatch as exc:
-        values = {
-            "dim": L.dim,
-            "generators": len(mats),
-            "expected_nilradical_dim": exc.expected.dim,
-            "computed_nilradical_dim": exc.computed.dim,
-        }
-        return values, {"nilradical_preserved": False}
-    report = verify_rank_bound(ext, rng)
-    values = {
-        "dim": L.dim,
-        "dim_total": ext.total.dim,
-        "added_dim": ext.total.dim - L.dim,
-        "basis": list(ext.total.labels),
-        "rank_bound": asdict(report),
-    }
-    return values, {"nilradical_preserved": True, "validated": ext.validated,
-                    "rank_bound_ok": report.ok}
-
-
-def _cmd_rank_bound(L, rng):
+def _cmd_rank_bound(args, rng, report):
+    L, report["input"] = _resolve(args.src, rng)
     # on a bare nilpotent algebra the quotient by the nilradical is zero and
     # the bound holds vacuously, so check its standard extension instead
     if L.is_nilpotent():
         ext = standard_solvable_extension(L, rng=rng)
-        report = verify_rank_bound(ext, rng)
-        values = dict(asdict(report), checked_on="standard_extension",
+        bound = verify_rank_bound(ext, rng)
+        values = dict(asdict(bound), checked_on="standard_extension",
                       dim_total=ext.total.dim)
     else:
-        report = rank_bound_of(L, rng)
-        values = dict(asdict(report), checked_on="input")
-    certs = {"rank_ok": report.rank_ok}
-    if report.codim_ok is not None:
-        certs["codim_ok"] = report.codim_ok
+        bound = rank_bound_of(L, rng)
+        values = dict(asdict(bound), checked_on="input")
+    certs = {"rank_ok": bound.rank_ok}
+    if bound.codim_ok is not None:
+        certs["codim_ok"] = bound.codim_ok
     return values, certs
 
 
-def _cmd_togo(A, B, rng):
-    report = togo_dim_check(A, B)
-    return asdict(report), {"equal": report.equal}
+def _cmd_togo(args, rng, report):
+    a, ida = _resolve(args.srcA, rng)
+    b, idb = _resolve(args.srcB, rng)
+    report["input"] = {"a": ida, "b": idb}
+    togo = togo_dim_check(a, b)
+    return asdict(togo), {"equal": togo.equal}
 
 
-def _cmd_demo_snobl(rng):
+def _cmd_demo_snobl(args, rng, report):
     certs = catalog.build_snobl_counterexample(rng)["certificates"]
     keys = ("dim", "dim_M", "dim_Der", "non_isomorphic", "fingerprints")
     return {key: certs[key] for key in keys}, certs["checks"]
@@ -308,9 +312,11 @@ def _render(report: dict, fmt: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# argument grammar and dispatch
+# the command table and dispatch
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The one table of commands: each leaf parser names its handler (run)
+    and the command string of its report (name)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -323,17 +329,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact computations with finite-dimensional Lie algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in [
-        ("info", "basic invariants of an algebra"),
-        ("der", "derivation algebra dimensions"),
-        ("nilradical", "largest nilpotent ideal"),
-        ("cartan", "a Cartan subalgebra"),
-        ("torus", "maximal torus of the derivation algebra"),
-        ("split", "Malcev-type splitting"),
-        ("fingerprint", "isomorphism-invariant summary"),
+    for name, helptext, run in [
+        ("info", "basic invariants of an algebra", _cmd_info),
+        ("der", "derivation algebra dimensions", _cmd_der),
+        ("nilradical", "largest nilpotent ideal", _cmd_nilradical),
+        ("cartan", "a Cartan subalgebra", _cmd_cartan),
+        ("torus", "maximal torus of the derivation algebra", _cmd_torus),
+        ("split", "Malcev-type splitting", _cmd_split),
+        ("fingerprint", "isomorphism-invariant summary", _cmd_fingerprint),
     ]:
         p = sub.add_parser(name, parents=[common], help=helptext)
         p.add_argument("src", help="catalog name (name:param) or file path")
+        p.set_defaults(run=run, name=name)
 
     p = sub.add_parser("extend", parents=[common],
                        help="build a solvable extension")
@@ -343,69 +350,35 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--by", metavar="FILE",
                       help="JSON file with derivation matrices")
     p.add_argument("src", help="catalog name (name:param) or file path")
+    p.set_defaults(run=_cmd_extend, name="extend")
 
     p = sub.add_parser("verify", help="run a certificate check")
     vsub = p.add_subparsers(dest="check", required=True)
     v1 = vsub.add_parser("rank-bound", parents=[common])
     v1.add_argument("src")
+    v1.set_defaults(run=_cmd_rank_bound, name="verify rank-bound")
     v2 = vsub.add_parser("togo", parents=[common])
     v2.add_argument("srcA")
     v2.add_argument("srcB")
+    v2.set_defaults(run=_cmd_togo, name="verify togo")
 
     p = sub.add_parser("demo", help="reproduce a known computation")
     dsub = p.add_subparsers(dest="example", required=True)
-    dsub.add_parser("snobl", parents=[common])
+    d1 = dsub.add_parser("snobl", parents=[common])
+    d1.set_defaults(run=_cmd_demo_snobl, name="demo snobl")
     return parser
 
 
 def dispatch(argv: list[str]) -> tuple[int, dict]:
     """Parse argv, run one command, and return (exit code, report)."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     rng = random.Random(args.seed)
 
     started = time.monotonic()
-    command = args.command
-    if command == "verify":
-        command = f"verify {args.check}"
-    if command == "demo":
-        command = f"demo {args.example}"
-    report: dict = {"command": command, "seed": args.seed}
-
+    report: dict = {"command": args.name, "seed": args.seed}
     try:
-        if command == "demo snobl":
-            values, certs = _cmd_demo_snobl(rng)
-        elif command == "verify togo":
-            a, ida = _resolve(args.srcA, rng)
-            b, idb = _resolve(args.srcB, rng)
-            report["input"] = {"a": ida, "b": idb}
-            values, certs = _cmd_togo(a, b, rng)
-        elif command == "extend":
-            L, identity = _resolve(args.src, rng)
-            report["input"] = identity
-            if args.standard:
-                values, certs = _cmd_extend_standard(L, rng)
-            else:
-                mats, labels = _read_derivation_file(args.by, L.dim)
-                values, certs = _cmd_extend_by(L, rng, mats, labels)
-        else:
-            handler = {
-                "info": _cmd_info,
-                "der": _cmd_der,
-                "nilradical": _cmd_nilradical,
-                "cartan": _cmd_cartan,
-                "torus": _cmd_torus,
-                "split": _cmd_split,
-                "fingerprint": _cmd_fingerprint,
-                "verify rank-bound": _cmd_rank_bound,
-            }[command]
-            L, identity = _resolve(args.src, rng)
-            report["input"] = identity
-            values, certs = handler(L, rng)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2, report
-    except LieError as exc:
+        values, certs = args.run(args, rng, report)
+    except (InputError, LieError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, report
     except AssertionError as exc:

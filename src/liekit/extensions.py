@@ -74,9 +74,7 @@ def extend_by_derivations(N: LieAlgebra, gens: Sequence[Mat],
     computed = nilradical(ext.total, _rng(rng))
     if computed != ext.nilideal:
         raise NilradicalMismatch(ext.nilideal, computed)
-    prov = dict(ext.provenance, kind="derivation_extension",
-                generator_count=len(gens))
-    return replace(ext, provenance=prov, validated=True)
+    return replace(ext, validated=True)
 
 
 def standard_solvable_extension(N: LieAlgebra,
@@ -91,9 +89,7 @@ def standard_solvable_extension(N: LieAlgebra,
         raise LieError("standard extension is defined for nilpotent algebras")
     torus = maximal_torus(derivations(N), rng)
     labels = [f"s{i + 1}" for i in range(torus.dim)]
-    ext = extend_by_derivations(N, torus.basis, labels, rng)
-    prov = dict(ext.provenance, kind="standard_extension", torus_dim=torus.dim)
-    return replace(ext, provenance=prov)
+    return extend_by_derivations(N, torus.basis, labels, rng)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ algebras) comes from induced_table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
@@ -430,7 +430,6 @@ class Extension:
     total: LieAlgebra
     nilideal: Subspace
     complement: Subspace
-    provenance: dict = field(default_factory=dict)
     validated: bool = False
 
 
@@ -548,8 +547,7 @@ def semidirect_sum(mats: Sequence[Mat], inner: LieAlgebra,
         raise JacobiError(bad)
     nilideal = Subspace.span(d + n, [total.basis_vector(d + i) for i in range(n)])
     complement = Subspace.span(d + n, [total.basis_vector(i) for i in range(d)])
-    return Extension(total, nilideal, complement,
-                     provenance={"kind": "semidirect_sum", "acting_dim": d})
+    return Extension(total, nilideal, complement)
 
 
 def _leibniz_check(m: Mat, L: LieAlgebra, gen_index: int) -> None:

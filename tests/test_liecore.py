@@ -256,12 +256,10 @@ def test_direct_sum():
     t = direct_sum(heisenberg3(), heisenberg3())
     assert t.dim == 6 and center(t).dim == 2
     assert verify_structure(t) == []
-
-
-def test_direct_sum_primes_a_clashing_label_until_it_is_free():
-    s = direct_sum(LieAlgebra(2, {}, labels=("x", "x'")),
+    # a clashing label gets primes until it is free
+    u = direct_sum(LieAlgebra(2, {}, labels=("x", "x'")),
                    LieAlgebra(1, {}, labels=("x",)))
-    assert s.labels == ("x", "x'", "x''")
+    assert u.labels == ("x", "x'", "x''")
 
 
 def test_semidirect_trivial_action_is_inner_algebra():
