@@ -18,10 +18,11 @@ output is checked with
 
 The set covers every subcommand, `extend --standard` and
 `verify rank-bound` on the catalog sources and on seeded basis changes
-(some with denominators), `extend --by` on derivation files, `verify togo`
-on pairs, `demo snobl`, two input errors, two label clashes in direct sums
-and a derivation file that is not UTF-8, each at seeds 1, 7 and 2022 and
-with `--format json` and `--format text`. A line that starts with `3` (an
+(some with denominators), `extend --by` on derivation files (one with
+entries of about 260 bits), `verify togo` on pairs, `demo snobl`, two input
+errors, two label clashes in direct sums and a derivation file that is not
+UTF-8, each at seeds 1, 7 and 2022 and with `--format json` and
+`--format text`. A line that starts with `3` (an
 internal check failed) or `raised:` (an uncaught exception) is a bug.
 Input files are written into a temporary directory, which is the working
 directory while the commands run, so no report names a path. Standard
@@ -79,6 +80,10 @@ DERIVATION_FILES = {
                                                     [0, 0, 1]],
                                                    [[0, 0, 0], [0, 1, 0],
                                                     [0, 0, 1]]]),
+    # a_i + b_i = c on p_i, q_i, z; charpoly entries of about 260 bits
+    "heisenberg5_big_diagonal.json": ("heisenberg:5", [[
+        [2 ** 260 + 1, 0, 0, 0, 0], [0, 5, 0, 0, 0], [0, 0, 3, 0, 0],
+        [0, 0, 0, 2 ** 260 - 1, 0], [0, 0, 0, 0, 2 ** 260 + 4]]]),
 }
 
 TOGO_PAIRS = (("heisenberg:3", "abelian:2"), ("abelian:1", "favre7"),
