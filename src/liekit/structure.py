@@ -177,8 +177,6 @@ def _self_normalizing(L: LieAlgebra, h: Subspace) -> bool:
     not kernel_dim_at_least(S, dim h + 1) proves N(h) = h. Otherwise the
     exact normalizer decides.
     """
-    if not 0 < h.dim < L.dim:
-        return h.dim == L.dim
     if not kernel_dim_at_least(normalizer_system(L, h), h.dim + 1):
         return True
     return normalizer(L, h).dim == h.dim
