@@ -126,6 +126,8 @@ def _read_derivation_file(path: str, dim: int) -> tuple[list[Mat], list[str] | N
         if not isinstance(labels, list) or len(labels) != len(mats) \
                 or any(not isinstance(s, str) for s in labels):
             raise InputError(f"{path}: labels must name each matrix")
+        if len(set(labels)) != len(labels):
+            raise InputError(f"{path}: labels must be distinct")
         labels = list(labels)
     return mats, labels
 

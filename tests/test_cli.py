@@ -633,13 +633,15 @@ def test_text_output_bytes_are_pinned(capsys, tmp_path, monkeypatch, argv):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_TEXT[argv]
 
 
-# the whole stderr of two input errors, which exit 2 before any report
+# the whole stderr of three input errors, which exit 2 before any report
 PINNED_STDERR = {
     ("info", "no_such_algebra"):
         "error: no_such_algebra: No such file or directory\n",
     ("extend", "--by", "broken.json", "abelian:2"):
         "error: broken.json: line 1: Expecting property name enclosed in "
         "double quotes\n",
+    ("extend", "--by", "dup.json", "abelian:2"):
+        "error: dup.json: labels must be distinct\n",
 }
 
 
@@ -647,6 +649,8 @@ PINNED_STDERR = {
 def test_input_error_stderr_is_pinned(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "broken.json").write_text("{", encoding="utf-8")
+    write_json(tmp_path, "dup.json", {"matrices": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+                                      "labels": ["t", "t"]})
     for fmt in ("text", "json"):
         code, out, err = run(capsys, *argv, "--seed", "1", "--format", fmt)
         assert (code, out, err) == (2, "", PINNED_STDERR[argv])
