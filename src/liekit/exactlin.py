@@ -20,11 +20,11 @@ membership and coordinates by one integer check, int_coords, on the
 basis's (den, ints), int_rows); kernel is the null rows of _rref.
 jordan_chevalley takes the inverse of g' mod g from one kernel too.
 
-One characteristic-polynomial engine: _charpoly_mod (Hessenberg reduction
-and the leading-minor recurrence mod p) on the integral matrix m.ints =
-d m, d = m.den. charpoly combines its residues by CRT (_crt, over the
-moduli of _primes) under Hadamard's bound, so it is exact;
-zero_multiplicity_mod_p reads one prime.
+charpoly is Faddeev-LeVerrier over the integers on m.ints = d m, d = m.den,
+with exact divisions and a closing Cayley-Hamilton check; is_nilpotent
+calls it only on a matrix of trace 0. _charpoly_mod (Hessenberg reduction
+and the leading-minor recurrence mod _P = 2^61 - 1) serves the ranking
+heuristic zero_multiplicity_mod_p only.
 """
 
 from __future__ import annotations
@@ -638,72 +638,20 @@ def _derivative_inverse(g: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# primes and CRT for the modular characteristic polynomial
+# characteristic and minimal polynomials
 
 # the Mersenne prime 2^61 - 1: residues stay below 2^61, products below 2^122
 _P = (1 << 61) - 1
 
-# the first moduli of _primes: _P, then the next primes below it
-_PRIMES = (_P,) + tuple((1 << 61) - k for k in (31, 45, 229, 259, 283, 339, 391))
 
-# Miller-Rabin with the first twelve prime bases is deterministic below
-# 3.18 * 10^23 (Sorenson and Webster 2017), far above 2^61
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Primality for n below 3.18 * 10^23, by Miller-Rabin over _BASES."""
-    if n < 2:
-        return False
-    for b in _BASES:
-        if n % b == 0:
-            return n == b
-    s, t = 0, n - 1
-    while not t & 1:
-        s, t = s + 1, t >> 1
-    for b in _BASES:
-        x = pow(b, t, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes():
-    """_PRIMES, then the primes below them in decreasing order, found lazily."""
-    yield from _PRIMES
-    q = _PRIMES[-1]
-    while True:
-        q -= 2
-        if _is_prime(q):
-            yield q
-
-
-def _crt(acc: list[int], M: int, res: list[int], p: int) -> list[int]:
-    """Entrywise x = acc (mod M), x = res (mod p), 0 <= x < M p.
-
-    With M = 1 and acc all zero this is res itself.
-    """
-    inv = pow(M, -1, p)
-    return [a + M * ((b - a) * inv % p) for a, b in zip(acc, res)]
-
-
-# ---------------------------------------------------------------------------
-# characteristic and minimal polynomials
-
-def _charpoly_mod(A: list[list[int]], p: int) -> list[int]:
-    """det(xI - A) mod p for an integer matrix A, coefficients lowest first.
+def _charpoly_mod(A: list[list[int]]) -> list[int]:
+    """det(xI - A) mod _P for an integer matrix A, coefficients lowest first.
 
     Reduces to Hessenberg form by similarity transformations (first nonzero
-    pivot), then runs the leading-minor recurrence; O(n^3) operations mod p.
+    pivot), then runs the leading-minor recurrence; O(n^3) operations mod _P.
     """
     n = len(A)
-    H = [[a % p for a in row] for row in A]
+    H = [[a % _P for a in row] for row in A]
     for j in range(n - 2):
         piv = next((i for i in range(j + 1, n) if H[i][j]), -1)
         if piv < 0:
@@ -713,18 +661,18 @@ def _charpoly_mod(A: list[list[int]], p: int) -> list[int]:
             for row in H:
                 row[j + 1], row[piv] = row[piv], row[j + 1]
         rowp = H[j + 1]
-        inv = pow(rowp[j], -1, p)
+        inv = pow(rowp[j], -1, _P)
         for i in range(j + 2, n):
-            f = H[i][j] * inv % p
+            f = H[i][j] * inv % _P
             if f:
                 rowi = H[i]
                 for c in range(j, n):
                     if rowp[c]:
-                        rowi[c] = (rowi[c] - f * rowp[c]) % p
+                        rowi[c] = (rowi[c] - f * rowp[c]) % _P
                 # similarity: compensate with a column operation
                 for row in H:
                     if row[i]:
-                        row[j + 1] = (row[j + 1] + f * row[i]) % p
+                        row[j + 1] = (row[j + 1] + f * row[i]) % _P
     polys = [[1]]
     for mm in range(1, n + 1):
         prev = polys[mm - 1]
@@ -734,45 +682,47 @@ def _charpoly_mod(A: list[list[int]], p: int) -> list[int]:
             poly[k] -= d * c
         t = 1
         for i in range(1, mm):
-            t = t * H[mm - i][mm - i - 1] % p
+            t = t * H[mm - i][mm - i - 1] % _P
             if not t:
                 break
             coeff = H[mm - i - 1][mm - 1]
             if coeff:
-                f = t * coeff % p
+                f = t * coeff % _P
                 for k, c in enumerate(polys[mm - i - 1]):
                     poly[k] -= f * c
-        polys.append([c % p for c in poly])
+        polys.append([c % _P for c in poly])
     return polys[n]
 
 
 def charpoly(m: Mat) -> Poly:
     """Characteristic polynomial det(xI - m), monic.
 
-    With (d, A) = (m.den, m.ints), so A = d m, the coefficient of x^k is
-    c_k(A) / d^(n-k). Up to sign, c_k(A) is the sum of the (n-k) x (n-k)
-    principal minors of A, so |c_k(A)| <= prod_i (2 + isqrt(|A_i|^2)) by
-    Hadamard's bound on each minor. _charpoly_mod runs over _primes until
-    their product M exceeds twice that bound; the CRT residues, lifted to
-    (-M/2, M/2), are then the c_k(A) exactly. No prime is unlucky: A needs
-    no inverse mod p.
+    Faddeev-LeVerrier over the integers on A = m.ints = d m, d = m.den:
+    M_1 = I, c_(n-k) = -tr(A M_k) / k, an exact division, and
+    M_(k+1) = A M_k + c_(n-k) I, so that M_(n+1) = p(A) for the
+    characteristic polynomial p of A. Once some M_k is 0 every later
+    coefficient is 0, and the loop stops; it must stop by M_(n+1) = p(A) = 0
+    (Cayley-Hamilton), or the run is refused. The coefficient of x^k in
+    det(xI - m) is c_k / d^(n-k).
     """
     if not m.is_square():
         raise ValueError("charpoly needs a square matrix")
     n = m.rows
     d, A = m.den, m.ints
-    bound = 2
-    for row in A:
-        bound *= 2 + math.isqrt(sum(a * a for a in row))
-    acc, M = [0] * (n + 1), 1
-    for p in _primes():
-        acc = _crt(acc, M, _charpoly_mod(A, p), p)
-        M *= p
-        if M > bound:
+    c = [0] * n + [1]
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        M = _int_product(A, M)
+        c[n - k], r = divmod(-sum(M[i][i] for i in range(n)), k)
+        if r:
+            raise AssertionError(f"proof failed: tr(A M_{k}) is not divisible by {k}")
+        for i in range(n):
+            M[i][i] += c[n - k]
+        if not any(map(any, M)):
             break
-    half = M >> 1
-    return Poly([Fraction(c - M if c > half else c, d ** (n - k))
-                 for k, c in enumerate(acc)])
+    if any(map(any, M)):   # M_(n+1) = p(A)
+        raise AssertionError("proof failed: charpoly p has p(A) != 0 (Cayley-Hamilton)")
+    return Poly([Fraction(x, d ** (n - k)) for k, x in enumerate(c)])
 
 
 def zero_multiplicity_mod_p(A: list[list[int]]) -> int:
@@ -787,7 +737,7 @@ def zero_multiplicity_mod_p(A: list[list[int]]) -> int:
     """
     if any(len(row) != len(A) for row in A):
         raise ValueError("zero_multiplicity_mod_p needs a square matrix")
-    return next(k for k, c in enumerate(_charpoly_mod(A, _P)) if c)
+    return next(k for k, c in enumerate(_charpoly_mod(A)) if c)
 
 
 def minpoly(m: Mat) -> Poly:
@@ -825,9 +775,11 @@ def minpoly(m: Mat) -> Poly:
 
 
 def is_nilpotent(m: Mat) -> bool:
-    """Nilpotent operator test: characteristic polynomial is x^n."""
-    p = charpoly(m)
-    return all(not c for c in p.c[:-1])
+    """Nilpotent operator test: characteristic polynomial is x^n. A nonzero
+    trace disproves it before charpoly runs."""
+    if m.is_square() and sum(row[i] for i, row in enumerate(m.ints)):
+        return False
+    return all(not c for c in charpoly(m).c[:-1])
 
 
 def is_semisimple(m: Mat) -> bool:

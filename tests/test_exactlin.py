@@ -266,7 +266,7 @@ def test_kernel_falls_back_when_p_divides_a_denominator():
     assert _assert_matches_reference(m).rows() == [(F(1), F(-1, p))]
 
 
-def test_kernel_lifts_large_entries_by_crt():
+def test_kernel_of_100_bit_entries_matches_the_reference():
     # 2x2 minors of 100-bit entries: kernel entries of about 193 bits over
     # 193 bits
     rng = random.Random(5)
@@ -471,20 +471,9 @@ def _unimodular(rng, n, steps):
     return Mat(u)
 
 
-def test_charpoly_of_conjugated_triangular_matrices_with_large_entries(monkeypatch):
-    drawn = []    # primes used by each charpoly call
-    real = exactlin._primes
-
-    def counting():
-        drawn.append(0)
-        for p in real():
-            drawn[-1] += 1
-            yield p
-
-    monkeypatch.setattr(exactlin, "_primes", counting)
+def test_charpoly_of_conjugated_triangular_matrices_with_large_entries():
     rng = random.Random(43)
     for bits in (8, 60, 120, 250):
-        drawn.clear()
         for _ in range(4):
             n = rng.randint(2, 6)
             big = 1 << bits
@@ -497,18 +486,90 @@ def test_charpoly_of_conjugated_triangular_matrices_with_large_entries(monkeypat
                 want = want * Poly([-t.data[i][i], 1])
             assert charpoly(u @ t @ u_inv) == want
             assert charpoly(t) == want
-        assert len(drawn) == 8
-        if bits == 250:
-            assert min(drawn) > len(exactlin._PRIMES)
 
 
-def test_primes_are_the_table_then_miller_rabin_below_it():
-    by_division = [n for n in range(2, 10 ** 4)
-                   if all(n % k for k in range(2, math.isqrt(n) + 1))]
-    assert [n for n in range(10 ** 4) if exactlin._is_prime(n)] == by_division
-    first = list(itertools.islice(exactlin._primes(), 10))
-    assert tuple(first[:8]) == exactlin._PRIMES
-    assert first[8:] == [2 ** 61 - 403, 2 ** 61 - 465]
+def _leibniz_det(rows):
+    """Determinant of a square list of Fraction rows by the Leibniz sum."""
+    n = len(rows)
+    total = F(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def _minors_charpoly(m):
+    """det(xI - m) by the signed sums of principal minors: the coefficient
+    of x^k is (-1)^(n-k) times the sum of the (n-k) x (n-k) ones."""
+    n = m.rows
+    return Poly([(-1) ** (n - k) * sum(
+        _leibniz_det([[m.data[i][j] for j in idx] for i in idx])
+        for idx in itertools.combinations(range(n), n - k)) for k in range(n + 1)])
+
+
+def test_charpoly_equals_the_principal_minor_sums():
+    rng = random.Random(47)
+    for n in range(7):
+        for bits in (3, 250):
+            big = 1 << bits
+            m = Mat([[F(rng.randint(-big, big), rng.randint(1, 9))
+                      for _ in range(n)] for _ in range(n)])
+            assert charpoly(m) == _minors_charpoly(m)
+
+
+def test_charpoly_stops_once_a_power_of_a_nilpotent_matrix_is_zero(monkeypatch):
+    products = []
+    real = exactlin._int_product
+    monkeypatch.setattr(exactlin, "_int_product",
+                        lambda a, b: products.append(b) or real(a, b))
+    rng = random.Random(53)
+    for n in range(2, 7):
+        for index in range(1, n + 1):
+            # one Jordan block of size index at 0, conjugated by a
+            # unimodular u and scaled by 1/3
+            j = [[F(int(c == r + 1 and c < index), 3) for c in range(n)]
+                 for r in range(n)]
+            u = _unimodular(rng, n, 3 * n)
+            _, _, u_inv = rref_with_transform(u)
+            m = u @ Mat(j) @ u_inv
+            assert charpoly(m) == _minors_charpoly(m) == Poly([0] * n + [1])
+            products.clear()
+            charpoly(m)
+            assert len(products) == index   # A, A^2, ..., A^index = 0
+
+
+def test_is_nilpotent_refuses_a_nonzero_trace_without_charpoly(monkeypatch):
+    def refuse(m):
+        raise AssertionError("charpoly called on a matrix with nonzero trace")
+
+    monkeypatch.setattr(exactlin, "charpoly", refuse)
+    assert not is_nilpotent(Mat([[1]]))
+    assert not is_nilpotent(Mat([[0, 1, 0], [0, 0, 1], [0, 0, F(1, 7)]]))
+    assert not is_nilpotent(Mat([[F(2, 3), 5], [-1, 0]]))
+
+
+def test_trace_zero_matrices_that_are_not_nilpotent():
+    assert not is_nilpotent(Mat([[1, 0], [0, -1]]))
+    companion = Mat([[0, 0, 8], [1, 0, 0], [0, 1, 0]])   # of x^3 - 8
+    assert charpoly(companion) == Poly([-8, 0, 0, 1])
+    assert not is_nilpotent(companion)
+
+
+@pytest.mark.parametrize("bump, failure", [
+    (1, "not divisible"),      # tr(A M_2) = -1 is odd
+    (2, "Cayley-Hamilton"),    # the traces divide, but p(A) != 0
+])
+def test_corrupted_product_fails_the_charpoly_proof(monkeypatch, bump, failure):
+    real = exactlin._int_product
+
+    def corrupted(a, b):
+        out = real(a, b)
+        out[0][0] += bump
+        return out
+
+    monkeypatch.setattr(exactlin, "_int_product", corrupted)
+    with pytest.raises(AssertionError, match=f"proof failed: .*{failure}"):
+        charpoly(Mat([[1, 2], [3, 4]]))
 
 
 def _jordan(blocks):
