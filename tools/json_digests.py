@@ -19,10 +19,11 @@ output is checked with
 The set covers every subcommand, `extend --standard` and
 `verify rank-bound` on the catalog sources and on seeded basis changes
 (some with denominators), `extend --by` on derivation files (one with
-entries of about 260 bits), `verify togo` on pairs, `demo snobl`, two input
-errors, two label clashes in direct sums and a derivation file that is not
-UTF-8, each at seeds 1, 7 and 2022 and with `--format json` and
-`--format text`. A line that starts with `3` (an
+entries of about 260 bits, and one derivation written once as JSON
+numbers of 20 decimal places and once as strings), `verify togo` on
+pairs, `demo snobl`, two input errors, two label clashes in direct sums
+and a derivation file that is not UTF-8, each at seeds 1, 7 and 2022 and
+with `--format json` and `--format text`. A line that starts with `3` (an
 internal check failed) or `raised:` (an uncaught exception) is a bug.
 Input files are written into a temporary directory, which is the working
 directory while the commands run, so no report names a path. Standard
@@ -86,6 +87,19 @@ DERIVATION_FILES = {
         [0, 0, 0, 2 ** 260 - 1, 0], [0, 0, 0, 0, 2 ** 260 + 4]]]),
 }
 
+# file name -> (source, file text): diag(a, b, a + b) on heisenberg:3, with
+# entries that a float cannot hold, written as JSON numbers and as strings
+TEXT_DERIVATION_FILES = {
+    "heisenberg3_numbers.json": ("heisenberg:3", '{"matrices": [[['
+                                 '0.10000000000000000001, 0, 0], ['
+                                 '0, 0.00000000000000000001, 0], ['
+                                 '0, 0, 0.10000000000000000002]]]}'),
+    "heisenberg3_strings.json": ("heisenberg:3", '{"matrices": [[['
+                                 '"0.10000000000000000001", 0, 0], ['
+                                 '0, "0.00000000000000000001", 0], ['
+                                 '0, 0, "0.10000000000000000002"]]]}'),
+}
+
 TOGO_PAIRS = (("heisenberg:3", "abelian:2"), ("abelian:1", "favre7"),
               ("heisenberg:3", "heisenberg:3"), ("filiform:4", "abelian:1"),
               ("heisenberg:5", "filiform:4"))
@@ -114,6 +128,8 @@ def commands() -> list[tuple[str, ...]]:
     argvs.extend(("info", name) for name in CHAR_NILPOTENT_FILES)
     argvs.extend(("extend", "--by", name, src)
                  for name, (src, _) in DERIVATION_FILES.items())
+    argvs.extend(("extend", "--by", name, src)
+                 for name, (src, _) in TEXT_DERIVATION_FILES.items())
     argvs.extend(("verify", "togo", a, b) for a, b in TOGO_PAIRS)
     argvs.append(("demo", "snobl"))
     argvs.extend(INPUT_ERRORS)
@@ -157,6 +173,9 @@ def write_inputs() -> None:
     for path, (_, mats) in DERIVATION_FILES.items():
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"matrices": mats}, fh)
+    for path, (_, text) in TEXT_DERIVATION_FILES.items():
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     for path, basis in ABELIAN_FILES.items():
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"name": path[:-len(".json")], "dim": len(basis),
