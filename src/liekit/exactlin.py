@@ -13,12 +13,15 @@ integers (pivot loop _eliminate) whose one row operation is _clear; it
 takes rows of ints or Fractions and returns the RREF as integer rows over
 one denominator, (E, E R), which rref, Subspace.span and kernel wrap as a
 Mat. The same loop and _clear with a modulus p give kernel_dim_at_least,
-the mod-p kernel test that stops once the rank decides it. minpoly reduces
-the powers of m.ints with the same _clear, one at a time, so that it
-stops at the degree. Subspace holds a canonical RREF basis (sums;
-membership and coordinates by one integer check, int_coords, on the
-basis's (den, ints), int_rows); kernel is the null rows of _rref.
-jordan_chevalley takes the inverse of g' mod g from one kernel too.
+the mod-p kernel test that stops once the rank decides it. _annihilator
+reduces the Krylov vectors v, A v, A^2 v, ... (A = m.ints) with the same
+_clear and stops at the first dependency; minpoly is an lcm of such
+annihilators, certified by q(m) = 0, and squarefree_part(p) is the
+annihilator of p' under the companion matrix of p. Subspace holds a
+canonical RREF basis (sums; membership and coordinates by one integer
+check, int_coords, on the basis's (den, ints), int_rows); kernel is the
+null rows of _rref. jordan_chevalley takes the inverse of g' mod g from
+one kernel too.
 
 charpoly is Faddeev-LeVerrier over the integers on m.ints = d m, d = m.den,
 with exact divisions and a closing Cayley-Hamilton check; is_nilpotent
@@ -501,11 +504,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.c
 
-    def leading(self) -> Fraction:
-        if not self.c:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.c[-1]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.c == other.c
 
@@ -534,53 +532,35 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+    def __mod__(self, other: "Poly") -> "Poly":
+        """The remainder of self by other, by long division."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [_ZERO] * max(len(self.c) - len(other.c) + 1, 0)
-        r = list(self.c)
-        dlead = other.leading()
-        dd = other.degree
-        while len(r) - 1 >= dd and any(r):
-            while r and not r[-1]:
-                r.pop()
-            if len(r) - 1 < dd:
-                break
-            f = r[-1] / dlead
-            k = len(r) - 1 - dd
-            q[k] = f
-            for i, b in enumerate(other.c):
-                if b:
+        r, dd = list(self.c), other.degree
+        for k in range(len(r) - 1 - dd, -1, -1):
+            f = r[k + dd] / other.c[-1]
+            if f:
+                for i, b in enumerate(other.c):
                     r[k + i] -= f * b
-        return Poly(q), Poly(r)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.leading()
-        if lead == 1:
-            return self
-        return Poly([a / lead for a in self.c])
+        return Poly(r)
 
     def derivative(self) -> "Poly":
         return Poly([i * a for i, a in enumerate(self.c)][1:])
 
     def eval_mat(self, m: Mat) -> Mat:
+        """self(m) by integer Horner steps on A = m.ints = d m: with c_i = a_i / b,
+        they give sum_i a_i d^(k-i) A^i = b d^k self(m), k = degree."""
         if not m.is_square():
             raise ValueError("eval_mat needs a square matrix")
-        acc = Mat.zeros(m.rows, m.cols)
-        eye = Mat.identity(m.rows)
-        for a in reversed(self.c):
-            acc = acc @ m
-            if a:
-                acc = acc + a * eye
-        return acc
+        n, d = m.rows, m.den
+        b = math.lcm(*(a.denominator for a in self.c))
+        acc = [[0] * n for _ in range(n)]
+        for i, a in enumerate(reversed(self.c)):
+            acc = _int_product(acc, m.ints)
+            x = a.numerator * (b // a.denominator) * d ** i
+            for j in range(n):
+                acc[j][j] += x
+        return Mat._of(b * d ** max(self.degree, 0), acc, n)
 
     def compose_mod(self, q: "Poly", mod: "Poly") -> "Poly":
         """self(q) reduced modulo mod."""
@@ -589,31 +569,20 @@ class Poly:
             acc = (acc * q + Poly([a])) % mod
         return acc
 
-    def trailing_zero_count(self) -> int:
-        """Multiplicity of the root 0."""
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        n = 0
-        while not self.c[n]:
-            n += 1
-        return n
-
     def __repr__(self) -> str:
         return f"Poly({list(self.c)!r})"
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
 def squarefree_part(p: Poly) -> Poly:
-    """The radical p / gcd(p, p'), monic. Same roots, each simple."""
+    """The radical p / gcd(p, p'), monic. Same roots, each simple: the
+    annihilator of p' under the companion matrix C of p (multiplication by
+    x on Q[x]/(p)), since c(C) p' = 0 exactly when p divides c p'."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    g = poly_gcd(p, p.derivative())
-    return (p // g).monic()
+    r = p.degree
+    companion = [[int(i == j + 1) for j in range(r - 1)] + [-p.c[i] / p.c[-1]]
+                 for i in range(r)]
+    return _annihilator(Mat(companion, cols=r), _scaled_vec(p.derivative().c, r)[1])
 
 
 def _derivative_inverse(g: Poly) -> Poly:
@@ -731,8 +700,8 @@ def zero_multiplicity_mod_p(A: list[list[int]]) -> int:
     A is a square integer matrix, as a list of rows, such as m.ints = d m
     (d = m.den): its roots are d times those of m, so over Q its zero
     multiplicity is that of charpoly(m). An exact coefficient 0 reduces to
-    0, so the count is never below charpoly(m).trailing_zero_count(), nor
-    below dim ker(A mod p) (kernel_dim_at_least); it is a ranking
+    0, so the count is never below the multiplicity of the root 0 of
+    charpoly(m), nor below dim ker(A mod p) (kernel_dim_at_least); it is a ranking
     heuristic, not a certificate.
     """
     if any(len(row) != len(A) for row in A):
@@ -740,38 +709,53 @@ def zero_multiplicity_mod_p(A: list[list[int]]) -> int:
     return next(k for k, c in enumerate(_charpoly_mod(A)) if c)
 
 
-def minpoly(m: Mat) -> Poly:
-    """Minimal polynomial: first monic dependency among powers of m.
+def _annihilator(m: Mat, v: Sequence[int]) -> Poly:
+    """The least monic c with c(m) v = 0, for a square m and an integer v.
 
-    With (d, A) = (m.den, m.ints), so A = d m, the powers I, A, A^2, ... are
-    formed one at a time (_int_product). Power k, flattened, gets the unit
-    tag 1 in column n^2 + k and is reduced by _clear against the echelon
-    rows of the powers before it, so its tag columns record the combination
-    taken. The first power that reduces to tags only gives
-    sum_i c_i A^i = 0, so mu_m has the coefficients c_i d^i / (c_k d^k); no
-    power past the degree is formed.
+    With (d, A) = (m.den, m.ints), so A = d m, the Krylov vectors v, A v,
+    A^2 v, ... are formed one at a time (_int_product). Vector k gets the
+    unit tag 1 in column n + k and is reduced by _clear against the echelon
+    rows of the vectors before it, so its tag columns record the combination
+    taken. The first vector that reduces to tags only gives
+    sum_i c_i A^i v = 0, so c has the coefficients c_i d^i / (c_k d^k); no
+    vector past the degree is formed.
+    """
+    n = m.rows
+    d, columns = m.den, [list(col) for col in zip(*m.ints)]
+    w = list(v)
+    echelon: list[tuple[int, dict[int, int]]] = []
+    for k in range(n + 1):
+        row = {i: x for i, x in enumerate(w) if x}
+        row[n + k] = 1
+        for c, prow in echelon:
+            (row,) = _clear([row], prow, c)   # its tag n + k stays nonzero
+        c = min(row)
+        if c >= n:
+            lead = row[n + k] * d ** k
+            return Poly([Fraction(row.get(n + i, 0) * d ** i, lead)
+                         for i in range(k + 1)])
+        echelon.append((c, row))
+        (w,) = _int_product([w], columns)   # A w, as w^T A^T
+    raise AssertionError("Cayley-Hamilton: A^n v depends on the vectors before it")
+
+
+def minpoly(m: Mat) -> Poly:
+    """Minimal polynomial mu of m, the lcm of the annihilators of vectors.
+
+    q starts as the annihilator of v, v_i = i^2 + 1, which divides mu. While
+    q(m) != 0, q is multiplied by the annihilator of a nonzero column
+    q(m) e_j. That product is lcm(q, mu_(e_j)), which still divides mu, and
+    its degree is higher, so the loop ends, and the final q(m) = 0 proves
+    q = mu.
     """
     if not m.is_square():
         raise ValueError("minpoly needs a square matrix")
-    n = m.rows
-    nn = n * n
-    d, A = m.den, m.ints
-    power = [[int(i == j) for j in range(n)] for i in range(n)]
-    echelon: list[tuple[int, dict[int, int]]] = []
-    for k in range(n + 1):
-        flat = [x for r in power for x in r]
-        row = {i: x for i, x in enumerate(flat) if x}
-        row[nn + k] = 1
-        for c, prow in echelon:
-            (row,) = _clear([row], prow, c)   # its tag nn + k stays nonzero
-        c = min(row)
-        if c >= nn:
-            lead = row[nn + k] * d ** k
-            return Poly([Fraction(row.get(nn + i, 0) * d ** i, lead)
-                         for i in range(k + 1)])
-        echelon.append((c, row))
-        power = _int_product(power, A)
-    raise AssertionError("Cayley-Hamilton: m^n depends on lower powers")
+    q = _annihilator(m, [i * i + 1 for i in range(m.rows)])
+    while True:
+        u = next((col for col in zip(*q.eval_mat(m).ints) if any(col)), None)
+        if u is None:
+            return q
+        q = q * _annihilator(m, u)
 
 
 def is_nilpotent(m: Mat) -> bool:
@@ -785,7 +769,7 @@ def is_nilpotent(m: Mat) -> bool:
 def is_semisimple(m: Mat) -> bool:
     """Semisimple operator test: squarefree minimal polynomial."""
     mu = minpoly(m)
-    return poly_gcd(mu, mu.derivative()).degree == 0
+    return squarefree_part(mu).degree == mu.degree
 
 
 # ---------------------------------------------------------------------------
@@ -806,15 +790,16 @@ def jordan_chevalley(m: Mat) -> JordanChevalley:
     (_derivative_inverse). The iterate is tracked as a polynomial in m
     reduced mod the minimal polynomial, so each step costs a handful of small
     polynomial products and the count is bounded by ceil(log2 n) + 1. Purely
-    rational throughout.
+    rational throughout. A semisimple m (g = mu) is its own s, with the
+    witness x mod mu, and needs neither h nor Newton.
     """
     if not m.is_square():
         raise ValueError("jordan_chevalley needs a square matrix")
     n_dim = m.rows
-    if n_dim == 0:
-        return JordanChevalley(m, m, Poly.x())
     mu = minpoly(m)
     g = squarefree_part(mu)
+    if g == mu:
+        return JordanChevalley(m, Mat.zeros(n_dim, n_dim), Poly.x() % mu)
     h = _derivative_inverse(g)
     q = Poly.x() % mu
     limit = 1

@@ -20,7 +20,6 @@ from liekit.exactlin import (
     kernel,
     kernel_dim_at_least,
     minpoly,
-    poly_gcd,
     rank,
     rref,
     rref_with_transform,
@@ -275,7 +274,7 @@ def test_kernel_of_100_bit_entries_matches_the_reference():
     assert min(q.denominator.bit_length() for q in got.rows()[0][1:]) > 190
 
 
-def test_kernel_falls_back_past_the_last_prime():
+def test_kernel_of_300_bit_entries_matches_the_reference():
     rng = random.Random(6)
     m = Mat([[rng.getrandbits(300) | 1, rng.getrandbits(300) | 1]])
     got = _assert_matches_reference(m)
@@ -378,23 +377,69 @@ def test_poly_arith_and_divmod():
     x = Poly.x()
     p = (x - Poly([1])) * (x - Poly([2]))
     assert p == Poly([2, -3, 1])
-    q, r = divmod(p, x - Poly([1]))
-    assert q == x - Poly([2]) and r.is_zero()
+    assert (p % (x - Poly([1]))).is_zero()
+    assert p % (x - Poly([3])) == Poly([2])          # p(3)
+    assert p % (2 * x * x) == Poly([2, -3])
+    assert p % Poly([F(-1, 5)]) == Poly.zero() and x % p == x
+    with pytest.raises(ZeroDivisionError):
+        p % Poly.zero()
     assert p.derivative() == Poly([-3, 2])
 
 
-def test_poly_gcd():
-    x = Poly.x()
-    a = (x - Poly([1])) * (x - Poly([2]))
-    b = (x - Poly([1])) * (x - Poly([3]))
-    assert poly_gcd(a, b) == x - Poly([1])
+def _long_division(a, b):
+    """(q, r) with a = q b + r and deg r < deg b, by the schoolbook loop."""
+    q, r = [F(0)] * max(len(a.c) - len(b.c) + 1, 0), list(a.c)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + b.degree] / b.c[-1]
+        for i, x in enumerate(b.c):
+            r[k + i] -= q[k] * x
+    return Poly(q), Poly(r)
+
+
+def _euclid_gcd(a, b):
+    """The monic gcd of a and b, not both 0, by Euclid's algorithm."""
+    while not b.is_zero():
+        a, b = b, _long_division(a, b)[1]
+    return a * (1 / a.c[-1])
+
+
+def _euclid_squarefree_part(p):
+    """The reference radical: p / gcd(p, p') by Euclid, made monic."""
+    q = _long_division(p, _euclid_gcd(p, p.derivative()))[0]
+    return q * (1 / q.c[-1])
 
 
 def test_squarefree_part():
     x = Poly.x()
     p = (x - Poly([1])) * (x - Poly([1])) * (x + Poly([2]))
-    sf = squarefree_part(p)
-    assert sf == ((x - Poly([1])) * (x + Poly([2]))).monic()
+    assert squarefree_part(p) == (x - Poly([1])) * (x + Poly([2]))
+    square = (x * x + Poly([1])) * (x * x + Poly([1]))
+    assert squarefree_part(square) == squarefree_part(3 * square) == x * x + Poly([1])
+    rng = random.Random(19)
+
+    def coefficient(bits):   # an odd numerator, so never 0
+        numerator = rng.getrandbits(bits) - (1 << (bits - 1)) | 1
+        return F(numerator, rng.randint(1, 1 << bits))
+
+    cases = [Poly([7]), Poly([F(-2, 3)]), Poly([3, 5]), Poly([F(1, 7), -2]),
+             square * (x - Poly([2]))]
+    for bits in (4, 150):
+        for _ in range(12):
+            p = Poly([coefficient(bits)])
+            # linear and irreducible quadratic (x^2 + c, c > 0) factors, each
+            # one to three times
+            for _ in range(rng.randint(0, 3)):
+                f = rng.choice([x - Poly([coefficient(bits)]),
+                                x * x + Poly([abs(coefficient(bits)) + 1])])
+                for _ in range(rng.randint(1, 3)):
+                    p = p * f
+            cases.append(p)
+    repeated = 0
+    for p in cases:
+        want = _euclid_squarefree_part(p)
+        assert squarefree_part(p) == want
+        repeated += want.degree < p.degree
+    assert repeated >= 8
 
 
 def test_derivative_inverse_on_large_coefficients():
@@ -444,7 +489,7 @@ def test_charpoly_cayley_hamilton():
         n = rng.randint(1, 5)
         m = rand_mat(rng, n, n)
         p = charpoly(m)
-        assert p.degree == n and p.leading() == 1
+        assert p.degree == n and p.c[-1] == 1
         assert p.eval_mat(m).is_zero()
 
 
@@ -586,6 +631,10 @@ def _jordan(blocks):
     return Mat(rows, cols=n)
 
 
+def _zero_root_multiplicity(p):
+    return next(k for k, c in enumerate(p.c) if c)
+
+
 def _zero_mult(m):
     """zero_multiplicity_mod_p of d m, the integral multiple of m."""
     return zero_multiplicity_mod_p(m.ints)
@@ -611,7 +660,7 @@ def test_zero_multiplicity_mod_p_matches_exact_on_similar_jordan_forms():
         m = p @ j @ p_inv
         want = sum(size for _, size in zero_blocks)
         assert _zero_mult(m) == want
-        assert charpoly(m).trailing_zero_count() == want
+        assert _zero_root_multiplicity(charpoly(m)) == want
 
 
 def test_zero_multiplicity_mod_p_small_and_nilpotent_cases():
@@ -624,7 +673,7 @@ def test_zero_multiplicity_mod_p_small_and_nilpotent_cases():
         upper = Mat([[rng.randint(-4, 4) if c > r else 0 for c in range(n)]
                      for r in range(n)])
         assert _zero_mult(upper) == n
-        assert charpoly(upper).trailing_zero_count() == n
+        assert _zero_root_multiplicity(charpoly(upper)) == n
 
 
 def test_zero_multiplicity_mod_p_when_p_divides_a_denominator():
@@ -633,10 +682,10 @@ def test_zero_multiplicity_mod_p_when_p_divides_a_denominator():
               Mat([[F(1, p), 1], [0, F(2, 3)]]), Mat([[p, 1], [0, 0]])):
         got = _zero_mult(m)
         assert isinstance(got, int)
-        assert got >= charpoly(m).trailing_zero_count()
+        assert got >= _zero_root_multiplicity(charpoly(m))
     # p in a numerator only reduces to 0, which never lowers the count
     assert _zero_mult(Mat([[p, 1], [0, 0]])) == 2
-    assert charpoly(Mat([[p, 1], [0, 0]])).trailing_zero_count() == 1
+    assert _zero_root_multiplicity(charpoly(Mat([[p, 1], [0, 0]]))) == 1
     # every denominator the same multiple k p: d m is u v^T, with entries
     # prime to k p, and its one nonzero charpoly coefficient below x^n is
     # the trace v.u, which is small, so p divides it only when it is 0
@@ -651,7 +700,7 @@ def test_zero_multiplicity_mod_p_when_p_divides_a_denominator():
     for k, u, v in cases:
         m = Mat([[F(a * b, k * p) for b in v] for a in u])
         assert {q.denominator for row in m.data for q in row} == {k * p}
-        want = charpoly(m).trailing_zero_count()
+        want = _zero_root_multiplicity(charpoly(m))
         assert want == len(u) - 1 + (sum(a * b for a, b in zip(u, v)) == 0)
         assert _zero_mult(m) == want
 
@@ -722,16 +771,26 @@ def test_minpoly_examples():
 
 
 def test_minpoly_stops_at_the_first_dependent_power(monkeypatch):
-    products = []
-    real = exactlin._int_product
+    # a Krylov step A w is a product with one row; eval_mat's have n rows
+    steps, rounds = [], []
+    real_product, real_annihilator = exactlin._int_product, exactlin._annihilator
     monkeypatch.setattr(exactlin, "_int_product",
-                        lambda a, b: products.append(b) or real(a, b))
-    assert minpoly(Mat.identity(6)) == Poly([-1, 1])
-    assert len(products) == 1                   # m only
-    products.clear()
+                        lambda a, b: steps.append(len(a) == 1) or real_product(a, b))
+    monkeypatch.setattr(exactlin, "_annihilator",
+                        lambda m, v: rounds.append(tuple(v)) or real_annihilator(m, v))
     projection = Mat([[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
-    assert minpoly(projection) == Poly([0, -1, 1])
-    assert len(products) == 2                   # m and m^2
+    # m v = 0 for the starting vector v = (1, 2, 5), but mu = x (x - 2)
+    kills_v = Mat([[2, -1, 0], [0, 0, 0], [0, 0, 0]])
+    # (m, mu, Krylov steps, starting vectors): A v = v; A^2 v = A v; A v = 0,
+    # then A u = 2 u for the column u = (2, 0, 0) of q(m) = m
+    for m, mu, krylov, starts in [
+            (Mat.identity(6), Poly([-1, 1]), 1, [(1, 2, 5, 10, 17, 26)]),
+            (projection, Poly([0, -1, 1]), 2, [(1, 2, 5, 10)]),
+            (kills_v, Poly([0, -2, 1]), 2, [(1, 2, 5), (2, 0, 0)])]:
+        steps.clear()
+        rounds.clear()
+        assert minpoly(m) == mu
+        assert steps.count(True) == krylov and rounds == starts
     assert minpoly(Mat.zeros(0, 0)) == Poly([1])
 
 
@@ -765,6 +824,31 @@ def _fraction_minpoly(m):
                         {i: x * inv for i, x in coeffs.items()}))
         power = power @ m
     raise AssertionError("no dependency among the first n + 1 powers")
+
+
+def test_minpoly_completes_past_an_invariant_subspace(monkeypatch):
+    # m = B (I - v v^T / v.v) has m v = 0 for the starting vector
+    # v_i = i^2 + 1, so the first annihilator is x and the completion loop
+    # runs until q(m) = 0
+    rounds = []
+    real = exactlin._annihilator
+    monkeypatch.setattr(exactlin, "_annihilator",
+                        lambda m, v: rounds.append(v) or real(m, v))
+    rng = random.Random(59)
+    mats = [Mat([[2, -1, 0], [0, 0, 0], [0, 0, 0]])]
+    for n in (2, 3, 4, 5, 6):
+        for _ in range(3):
+            v = [i * i + 1 for i in range(n)]
+            vv = sum(x * x for x in v)
+            proj = Mat([[F(int(i == j) * vv - v[i] * v[j], vv) for j in range(n)]
+                        for i in range(n)])
+            b = Mat([[F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.6
+                      else 0 for _ in range(n)] for _ in range(n)])
+            mats.append(b @ proj)
+    for m in mats:
+        rounds.clear()
+        assert minpoly(m) == _fraction_minpoly(m)
+        assert len(rounds) >= 2 or m.is_zero()
 
 
 def test_minpoly_matches_the_fraction_oracle():
@@ -828,7 +912,7 @@ def test_minpoly_divides_charpoly():
     for m in mats:
         n = m.rows
         mu = minpoly(m)
-        assert mu.leading() == 1
+        assert mu.c[-1] == 1
         assert (charpoly(m) % mu).is_zero()
         assert mu.eval_mat(m).is_zero()
         # minimal: I, m, ..., m^(deg-1) are independent
@@ -863,7 +947,7 @@ def jc_postconditions(m, dec):
     assert commutator(s, n).is_zero()
     assert is_nilpotent(n)
     mu = minpoly(s)
-    assert poly_gcd(mu, mu.derivative()).degree == 0
+    assert _euclid_gcd(mu, mu.derivative()) == Poly([1])
     assert q.eval_mat(m) == s
 
 
@@ -888,6 +972,27 @@ def test_jordan_chevalley_semisimple_and_nilpotent_inputs():
     j = Mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     dec = jordan_chevalley(j)
     assert dec.s.is_zero() and dec.n == j
+
+
+def test_jordan_chevalley_of_a_semisimple_input_skips_newton(monkeypatch):
+    def refuse(g):
+        raise AssertionError("_derivative_inverse called")
+
+    monkeypatch.setattr(exactlin, "_derivative_inverse", refuse)
+    x = Poly.x()
+    t = Mat([[1, F(1, 2), 0], [0, 3, -1], [2, 0, 1]])
+    _, _, t_inv = rref_with_transform(t)
+    # diagonal, a rotation, scalars, a 1 x 1 with a denominator, a
+    # diagonalizable matrix with denominators, and (x^2 + 1)(x - 1)
+    for m in (Mat([[5, 0], [0, -1]]), Mat([[0, 1], [-1, 0]]), Mat.zeros(3, 3),
+              2 * Mat.identity(3), Mat([[F(-5, 3)]]),
+              t @ Mat([[F(1, 3), 0, 0], [0, -2, 0], [0, 0, F(1, 3)]]) @ t_inv,
+              Mat([[0, -1, 0], [1, 0, 0], [0, 0, 1]])):
+        dec = jordan_chevalley(m)
+        assert dec == (m, Mat.zeros(m.rows, m.rows), x % minpoly(m))
+        jc_postconditions(m, dec)
+    with pytest.raises(AssertionError, match="_derivative_inverse called"):
+        jordan_chevalley(Mat([[0, 1], [0, 0]]))
 
 
 def test_jordan_chevalley_non_diagonalizable_over_q():
