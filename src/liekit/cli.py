@@ -95,7 +95,8 @@ def _rows(mat: Mat) -> list[list[str]]:
 def _read_derivation_file(path: str, dim: int) -> tuple[list[Mat], list[str] | None]:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            # a number is read from its digits: a float would round it
+            raw = json.load(fh, parse_float=str)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

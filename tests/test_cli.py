@@ -559,6 +559,12 @@ PINNED_JSON = {
         "0b30d15b1001f87679c9bcdbf9797e507186319b213a5a94ab9c6f29b7f029f4",
     ("cartan", "heisenberg5_det3.json"):
         "9fbb69688b3dca0773fcfe82ea4eb4a41feb43f91756a45331a0260c455f14c9",
+    # one derivation with entries that a float cannot hold, written as JSON
+    # numbers and as strings: both are read exactly, so the bytes agree
+    ("extend", "--by", "heisenberg3_numbers.json", "heisenberg:3"):
+        "05da319315dd4ebf5f11bac09a998d7b5a31369bd398beead67f34961f556cbd",
+    ("extend", "--by", "heisenberg3_strings.json", "heisenberg:3"):
+        "05da319315dd4ebf5f11bac09a998d7b5a31369bd398beead67f34961f556cbd",
 }
 
 # exit code of a pinned command that does not exit 0
@@ -579,6 +585,8 @@ def test_json_output_bytes_are_pinned(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     for path, spec in PINNED_FILES.items():
         json_digests.write_basis_change(path, *spec)
+    for path, (_, text) in json_digests.TEXT_DERIVATION_FILES.items():
+        (tmp_path / path).write_text(text, encoding="utf-8")
     code, out, _ = run(capsys, *argv, "--seed", "1", "--format", "json")
     assert code == PINNED_CODES.get(argv, 0)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_JSON[argv]
