@@ -556,7 +556,7 @@ class Poly:
         b = math.lcm(*(a.denominator for a in self.c))
         acc = [[0] * n for _ in range(n)]
         for i, a in enumerate(reversed(self.c)):
-            acc = _int_product(acc, m.ints)
+            acc = _int_product(m.ints, acc)   # A acc = acc A skips the zeros of A
             x = a.numerator * (b // a.denominator) * d ** i
             for j in range(n):
                 acc[j][j] += x
@@ -712,17 +712,16 @@ def zero_multiplicity_mod_p(A: list[list[int]]) -> int:
 def _annihilator(m: Mat, v: Sequence[int]) -> Poly:
     """The least monic c with c(m) v = 0, for a square m and an integer v.
 
-    With (d, A) = (m.den, m.ints), so A = d m, the Krylov vectors v, A v,
-    A^2 v, ... are formed one at a time (_int_product). Vector k gets the
+    The Krylov vectors w_k = A^k v / g_k (A = m.ints = d m, d = m.den) are
+    formed one at a time, each A w_(k-1) over its content. Vector k gets the
     unit tag 1 in column n + k and is reduced by _clear against the echelon
-    rows of the vectors before it, so its tag columns record the combination
-    taken. The first vector that reduces to tags only gives
-    sum_i c_i A^i v = 0, so c has the coefficients c_i d^i / (c_k d^k); no
-    vector past the degree is formed.
+    rows before it, so its tags record the combination taken. The first one
+    that reduces to tags t only gives sum_i t_i w_i = 0, so c has the
+    coefficients t_i d^i (g_k / g_i) / (t_k d^k).
     """
-    n = m.rows
-    d, columns = m.den, [list(col) for col in zip(*m.ints)]
-    w = list(v)
+    n, d = m.rows, m.den
+    columns = [list(col) for col in zip(*m.ints)]
+    w, scale = list(v), [1]
     echelon: list[tuple[int, dict[int, int]]] = []
     for k in range(n + 1):
         row = {i: x for i, x in enumerate(w) if x}
@@ -732,21 +731,23 @@ def _annihilator(m: Mat, v: Sequence[int]) -> Poly:
         c = min(row)
         if c >= n:
             lead = row[n + k] * d ** k
-            return Poly([Fraction(row.get(n + i, 0) * d ** i, lead)
-                         for i in range(k + 1)])
+            return Poly([Fraction(row.get(n + i, 0) * d ** i * (scale[k] // scale[i]),
+                                  lead) for i in range(k + 1)])
         echelon.append((c, row))
         (w,) = _int_product([w], columns)   # A w, as w^T A^T
+        g = math.gcd(*w) or 1
+        w = [x // g for x in w]
+        scale.append(scale[k] * g)
     raise AssertionError("Cayley-Hamilton: A^n v depends on the vectors before it")
 
 
 def minpoly(m: Mat) -> Poly:
-    """Minimal polynomial mu of m, the lcm of the annihilators of vectors.
+    """Minimal polynomial mu of m, certified by mu(m) = 0.
 
-    q starts as the annihilator of v, v_i = i^2 + 1, which divides mu. While
+    q starts as the annihilator of v_i = i^2 + 1 (_annihilator). While
     q(m) != 0, q is multiplied by the annihilator of a nonzero column
-    q(m) e_j. That product is lcm(q, mu_(e_j)), which still divides mu, and
-    its degree is higher, so the loop ends, and the final q(m) = 0 proves
-    q = mu.
+    q(m) e_j: the product is lcm(q, mu_(e_j)), a divisor of mu of higher
+    degree, so the loop ends at q = mu.
     """
     if not m.is_square():
         raise ValueError("minpoly needs a square matrix")
@@ -790,8 +791,7 @@ def jordan_chevalley(m: Mat) -> JordanChevalley:
     (_derivative_inverse). The iterate is tracked as a polynomial in m
     reduced mod the minimal polynomial, so each step costs a handful of small
     polynomial products and the count is bounded by ceil(log2 n) + 1. Purely
-    rational throughout. A semisimple m (g = mu) is its own s, with the
-    witness x mod mu, and needs neither h nor Newton.
+    rational throughout. A semisimple m (g = mu) returns (m, 0, x mod mu).
     """
     if not m.is_square():
         raise ValueError("jordan_chevalley needs a square matrix")
