@@ -16,6 +16,10 @@ output is checked with
     python tools/json_digests.py . > change.txt
     diff parent.txt change.txt
 
+`tools/digests.txt` holds the lines of the committed tree, as printed by
+`python -W error tools/json_digests.py .`, and CI diffs its run against
+it; a change that means to alter an output updates that file with it.
+
 The set covers every subcommand, `extend --standard` and
 `verify rank-bound` on the catalog sources and on seeded basis changes
 (some with denominators), `extend --by` on derivation files (one with
