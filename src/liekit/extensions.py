@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .exactlin import Mat, Subspace, _int_product, is_semisimple, jordan_chevalley, rank
+from .exactlin import Mat, Subspace, _int_product, is_semisimple, rank
 from .liecore import (
     Extension,
     LieAlgebra,
@@ -28,6 +28,7 @@ from .liecore import (
 )
 from .structure import (
     _rng,
+    _toral_parts,
     cartan_subalgebra,
     derivations,
     inner_derivations,
@@ -124,9 +125,7 @@ def malcev_split_solvable(L: LieAlgebra,
 def _split(L: LieAlgebra, rng: random.Random) -> SplittingResult:
     """The construction and checks of malcev_split_solvable, one level deep."""
     n = L.dim
-    # nilpotent L: H = L and every s(ad h) is 0, so nothing would be kept
-    h = Subspace.zero(n) if L.is_nilpotent() else cartan_subalgebra(L, rng)
-    parts = [jordan_chevalley(L.ad(row)).s for row in h.basis.ints]
+    _, parts = _toral_parts(L, rng)   # none on a nilpotent L: nothing is kept
     e, rows = Subspace.span(n * n, Mat.vecs(parts, n * n).ints).int_rows()
     running = inner_derivations(L)
     kept: list[Mat] = []

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .exactlin import (
     Mat,
@@ -131,7 +131,7 @@ class LieAlgebra:
             adj[i][j] = ints
             adj[j][i] = tuple((k, -c) for k, c in ints)
         self._adj = adj
-        self._cache: dict[str, object] = {}
+        self._cache: dict[object, object] = {}
 
     # -- basic bracket machinery -------------------------------------------
 
@@ -243,7 +243,7 @@ def product_space(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     return Subspace.span(L.dim, rows)
 
 
-def _cached(L: LieAlgebra, key: str, build: Callable[[], object]):
+def _cached(L: LieAlgebra, key: Hashable, build: Callable[[], object]):
     """L's value under key, from build() on the first call: the one cache."""
     if key not in L._cache:
         L._cache[key] = build()

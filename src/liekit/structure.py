@@ -188,14 +188,18 @@ def _self_normalizing(L: LieAlgebra, h: Subspace) -> bool:
 def nilradical(L: LieAlgebra, rng: random.Random | None = None) -> Subspace:
     """The largest nilpotent ideal, with its defining contracts re-checked.
 
-    Solvable case: N = [L, L] + ker sigma|H, with H a Cartan subalgebra and
-    sigma(h) = s(ad h) the semisimple part, linear on H. This holds because
-    [L, L] lies in N, L = H + [L, L], and an h in H lies in N exactly when
-    ad h is nilpotent. Non-solvable case: recurse into the solvable radical.
-    The output is checked to be a nilpotent ideal containing [L, radical],
-    and sampled ad-nilpotent elements are checked to lie inside.
+    Solvable case: N = [L, L] + ker sigma|H, with H and sigma(h) = s(ad h),
+    linear on H, from _toral_parts. This holds because [L, L] lies in N,
+    L = H + [L, L], and an h in H lies in N exactly when ad h is nilpotent.
+    Non-solvable case: recurse into the solvable radical. The output is
+    checked to be a nilpotent ideal containing [L, radical], and sampled
+    ad-nilpotent elements are checked to lie inside. Kept on L per random
+    stream, keyed by rng as passed (see the module docstring).
     """
-    rng = _rng(rng)
+    return _cached(L, ("nilradical", rng), lambda: _nilradical(L, _rng(rng)))
+
+
+def _nilradical(L: LieAlgebra, rng: random.Random) -> Subspace:
     if L.is_solvable():
         rad = L.full_space()
         result = _solvable_nilradical(L, rng)
@@ -207,17 +211,22 @@ def nilradical(L: LieAlgebra, rng: random.Random | None = None) -> Subspace:
     return result
 
 
+def _toral_parts(L: LieAlgebra, rng: random.Random) -> tuple[Subspace, tuple[Mat, ...]]:
+    """A Cartan subalgebra H and [s(ad h) for h in its basis], per stream."""
+    def build():
+        # on a nilpotent L, H = L and every s(ad h) is 0; H = 0 adds nothing
+        h = Subspace.zero(L.dim) if L.is_nilpotent() else cartan_subalgebra(L, rng)
+        return h, tuple(jordan_chevalley(L.ad(row)).s for row in h.basis.ints)
+    return _cached(L, ("toral_parts", rng), build)
+
+
 def _solvable_nilradical(L: LieAlgebra, rng: random.Random) -> Subspace:
-    if L.dim == 0:
-        return Subspace.zero(0)
     if L.is_nilpotent():
         return L.full_space()
-    h = cartan_subalgebra(L, rng)
-    n = L.dim
-    parts = [jordan_chevalley(L.ad(row)).s for row in h.basis.ints]
-    coeff_kernel = kernel(Mat.vecs(parts, n * n).transpose())
+    h, parts = _toral_parts(L, rng)
+    coeff_kernel = kernel(Mat.vecs(parts, L.dim ** 2).transpose())
     rows = derived_algebra(L).basis.ints + (coeff_kernel.basis @ h.basis).ints
-    return Subspace.span(n, rows)
+    return Subspace.span(L.dim, rows)
 
 
 def _check_nilradical(L: LieAlgebra, nr: Subspace, rad: Subspace,

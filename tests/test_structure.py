@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from liekit import catalog, exactlin, extensions, liecore, structure
+from liekit import catalog, cli, exactlin, extensions, liecore, structure
 
 from liekit.exactlin import (
     Mat,
@@ -346,6 +346,51 @@ def test_nilradical_computes_the_radical_only_for_non_solvable_algebras(
     assert nilradical(direct_sum(sl2(), so2)) == Subspace.span(
         3 + so2.dim, [[0, 0, 0] + list(row) for row in nilradical(so2).rows()])
     assert calls == [3 + so2.dim]
+
+
+def test_nilradical_is_kept_per_random_stream(monkeypatch):
+    # each computed nilradical is checked once; a cached one draws nothing
+    checks = _counting(monkeypatch, "_check_nilradical")
+    L = direct_sum(r2(), heisenberg3())
+    rng = random.Random(5)
+    first = nilradical(L, rng)
+    state = rng.getstate()
+    assert nilradical(L, rng) == first
+    assert rng.getstate() == state
+    assert len(checks) == 1
+    other = random.Random(5)
+    assert nilradical(L, other) == first
+    assert other.getstate() != random.Random(5).getstate()   # it drew again
+    assert len(checks) == 2
+    # None is a fresh Random(DEFAULT_SEED) each time: the same draws, once
+    assert nilradical(L) == nilradical(L) == first
+    assert len(checks) == 3
+
+
+def test_snobl_build_runs_one_cartan_search_per_extension(monkeypatch):
+    # validating each extension draws its toral parts; the splitting and the
+    # nilradical of its fingerprint read them on the same stream
+    calls = _counting(monkeypatch, "cartan_subalgebra")
+    out = catalog.build_snobl_counterexample(random.Random(7))
+    assert out["certificates"]["ok"]
+    for key in ("R1", "R2"):
+        assert sum(L is out[key].total for L, _ in calls) == 1
+
+
+def test_fingerprint_command_runs_one_cartan_search_on_its_stream(
+        monkeypatch, capsys):
+    # the catalog gate's nilradical draws the toral parts on the CLI stream;
+    # the fingerprint's splitting and nilradical read them
+    streams = []
+    real = cli._resolve
+    monkeypatch.setattr(cli, "_resolve",
+                        lambda src, rng: streams.append(rng) or real(src, rng))
+    calls = _counting(monkeypatch, "cartan_subalgebra")
+    code, _ = cli.dispatch(["fingerprint", "diagonal_torus_extension:3",
+                            "--seed", "7", "--format", "json"])
+    assert code == 0
+    (rng,) = streams
+    assert sum(r is rng for _, r in calls) == 1
 
 
 def test_derivations_and_center_are_computed_once_per_algebra(monkeypatch):
