@@ -274,6 +274,8 @@ def _parse(text: str) -> tuple[str, LieAlgebra, dict]:
     except json.JSONDecodeError as exc:
         raise CatalogError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:   # an integer literal past the digit limit
+        raise CatalogError(str(exc)) from None
     if not isinstance(raw, dict):
         raise CatalogError("top level: expected a JSON object")
 

@@ -103,6 +103,8 @@ def _read_derivation_file(path: str, dim: int) -> tuple[list[Mat], list[str] | N
         raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:   # an integer literal past the digit limit
+        raise InputError(f"{path}: {exc}") from None
     if not isinstance(raw, dict) or not isinstance(raw.get("matrices"), list):
         raise InputError(f"{path}: expected {{\"matrices\": [...]}}")
     mats = []

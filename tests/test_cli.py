@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -290,6 +291,39 @@ def test_extend_by_file_that_is_not_utf8_is_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "extend", "--by", str(path), "abelian:2")
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path}: not UTF-8 text: ")
+    assert "Traceback" not in err
+
+
+def _over_the_digit_limit():
+    """A JSON integer literal longer than int() converts from text."""
+    return "1" * max(5000, sys.get_int_max_str_digits() + 1)
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python converts integer text of any length")
+
+
+@needs_digit_limit
+def test_extend_by_integer_past_the_digit_limit_is_input_error(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(f'{{"matrices": [[[{_over_the_digit_limit()}, 0], [0, 1]]]}}',
+                    encoding="utf-8")
+    code, out, err = run(capsys, "extend", "--by", str(path), "abelian:2")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and "digits" in err
+    assert "Traceback" not in err
+
+
+@needs_digit_limit
+def test_catalog_file_with_a_dim_past_the_digit_limit_is_input_error(
+        capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(f'{{"name": "long", "dim": {_over_the_digit_limit()}, '
+                    f'"basis": [], "brackets": []}}', encoding="utf-8")
+    code, out, err = run(capsys, "info", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and "digits" in err
     assert "Traceback" not in err
 
 
