@@ -92,6 +92,11 @@ def _derivations(L: LieAlgebra) -> LinearLieAlgebra:
     return der
 
 
+def _abstract_derivations(L: LieAlgebra) -> LieAlgebra:
+    """Der(L) as a structure-constant algebra, built once per algebra."""
+    return _cached(L, "abstract_derivations", lambda: derivations(L).to_abstract())
+
+
 def inner_derivations(L: LieAlgebra) -> Subspace:
     """span{ad x} inside gl(L), vectorized row-major; dim = dim L - dim Z."""
     return Subspace.span(L.dim ** 2, [[x for row in ad for x in row]
@@ -111,7 +116,7 @@ def is_characteristically_nilpotent(L: LieAlgebra) -> bool:
     if L.dim == 1:
         return False
     der = derivations(L)
-    abstract_nilpotent = der.to_abstract().is_nilpotent()
+    abstract_nilpotent = _abstract_derivations(L).is_nilpotent()
     all_nilpotent_mats = all(mat_is_nilpotent(m) for m in der.basis)
     if abstract_nilpotent != all_nilpotent_mats:
         raise AssertionError(
@@ -271,7 +276,7 @@ def maximal_torus(der: LinearLieAlgebra,
         raise LieError("maximal_torus expects a full derivation algebra")
     if der.dim == 0:
         return LinearLieAlgebra(der.ambient, [])
-    abstract = der.to_abstract()
+    abstract = _abstract_derivations(der.ambient)
     h = cartan_subalgebra(abstract, rng)
     mats = [der.element(row) for row in h.basis.data]
     parts = [jordan_chevalley(m).s for m in mats]

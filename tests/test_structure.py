@@ -410,6 +410,21 @@ def test_derivations_and_center_are_computed_once_per_algebra(monkeypatch):
     assert liecore.center(L) is liecore.center(L)
 
 
+def test_abstract_derivations_are_built_once_per_algebra(monkeypatch):
+    # the favre7 gate checks characteristic nilpotency and the torus
+    built = []
+    real = LinearLieAlgebra.to_abstract
+
+    def counted(der):
+        built.append(der.ambient)
+        return real(der)
+    monkeypatch.setattr(LinearLieAlgebra, "to_abstract", counted)
+    L = catalog.get("favre7", rng=random.Random(7)).algebra
+    assert is_characteristically_nilpotent(L)
+    assert maximal_torus(derivations(L), random.Random(7)).dim == 0
+    assert len(built) == 1 and built[0] is L
+
+
 def test_fingerprint_reads_l_l_and_the_series_cached_on_l(monkeypatch):
     # [L, L] is formed once, and no copy of L is restricted to all of L
     full_products, full_restrictions = [], []
