@@ -601,7 +601,8 @@ def _derivative_inverse(g: Poly) -> Poly:
     cols.append([-_ONE] + [_ZERO] * (r - 1))
     ker = kernel(Mat(cols, cols=r).transpose())
     if ker.dim != 1 or not ker.basis.ints[0][r]:
-        raise AssertionError("squarefree part not coprime with its derivative")
+        raise AssertionError(
+            "proof failed: squarefree part not coprime with its derivative")
     line = ker.basis.ints[0]
     return Poly([Fraction(x, line[r]) for x in line[:r]])
 
@@ -690,7 +691,8 @@ def charpoly(m: Mat) -> Poly:
         if not any(map(any, M)):
             break
     if any(map(any, M)):   # M_(n+1) = p(A)
-        raise AssertionError("proof failed: charpoly p has p(A) != 0 (Cayley-Hamilton)")
+        raise AssertionError(
+            "proof failed: charpoly p has p(A) != 0 (Cayley-Hamilton)")
     return Poly([Fraction(x, d ** (n - k)) for k, x in enumerate(c)])
 
 
@@ -738,7 +740,8 @@ def _annihilator(m: Mat, v: Sequence[int]) -> Poly:
         g = math.gcd(*w) or 1
         w = [x // g for x in w]
         scale.append(scale[k] * g)
-    raise AssertionError("Cayley-Hamilton: A^n v depends on the vectors before it")
+    raise AssertionError(
+        "proof failed: Cayley-Hamilton: A^n v depends on the vectors before it")
 
 
 def minpoly(m: Mat) -> Poly:

@@ -118,7 +118,8 @@ def malcev_split_solvable(L: LieAlgebra,
         raise LieError("splitting is implemented for solvable algebras only")
     result = _split(L, rng)
     if result.added_dim and _split(result.M, rng).added_dim:
-        raise AssertionError("splitting is not idempotent on its own output")
+        raise AssertionError(
+            "proof failed: splitting is not idempotent on its own output")
     return result
 
 
@@ -150,7 +151,7 @@ def _check_splitting(L: LieAlgebra, r: SplittingResult,
                      rng: random.Random) -> None:
     M, n = r.M, L.dim
     if rank(r.embedding) != n:
-        raise AssertionError("embedding is not injective")
+        raise AssertionError("proof failed: embedding is not injective")
     # the image of e_i is f_i / d; both sides below are L.den M.den d^2 times
     # [f_i / d, f_j / d] and the image of [e_i, e_j], so both are integral
     d, f = r.embedding.den, r.embedding.ints
@@ -162,26 +163,31 @@ def _check_splitting(L: LieAlgebra, r: SplittingResult,
             t = L.int_bracket(e[i], e[j])
             rhs = [d * M.den * x for x in _int_product([t], f)[0]]
             if lhs != rhs:
-                raise AssertionError("embedding is not a homomorphism")
+                raise AssertionError("proof failed: embedding is not a homomorphism")
     if not is_ideal(M, image):
-        raise AssertionError("embedded copy is not an ideal")
+        raise AssertionError("proof failed: embedded copy is not an ideal")
     if r.torus_part.dim + n != M.dim or (r.torus_part + image).dim != M.dim:
-        raise AssertionError("torus part does not complement the image")
-    # integer multiples of the torus rows: the same semisimplicity and zeros
-    combos = list(r.torus_part.int_rows()[1])
+        raise AssertionError("proof failed: torus part does not complement the image")
+    # the integer torus rows are proved; random combinations are sampled
+    rows = r.torus_part.int_rows()[1]
+    for v in rows:
+        if (why := _torus_failure(M, v)):
+            raise AssertionError(f"proof failed: {why}")
     for _ in range(4):
-        if r.torus_part.dim == 0:
-            break
-        cs = [rng.randint(-3, 3) for _ in range(r.torus_part.dim)]
-        if any(cs):
-            combos.append([sum(c * row[t] for c, row in zip(cs, combos[:r.torus_part.dim]))
-                           for t in range(M.dim)])
-    for v in combos:
-        adv = M.ad(v)
-        if not is_semisimple(adv):
-            raise AssertionError("torus element does not act semisimply")
-        if any(v) and adv.is_zero():
-            raise AssertionError("nonzero torus element acts trivially")
+        cs = [rng.randint(-3, 3) for _ in range(len(rows))]
+        v = [sum(c * row[t] for c, row in zip(cs, rows)) for t in range(M.dim)]
+        if any(cs) and (why := _torus_failure(M, v)):
+            raise AssertionError(f"sample failed: {why}")
+
+
+def _torus_failure(M: LieAlgebra, v: list[int]) -> str | None:
+    """Why the torus element v of M breaks the split form, or None."""
+    adv = M.ad(v)
+    if not is_semisimple(adv):
+        return "torus element does not act semisimply"
+    if any(v) and adv.is_zero():
+        return "nonzero torus element acts trivially"
+    return None
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,8 @@ def _derivations(L: LieAlgebra) -> LinearLieAlgebra:
     # ad-images are always derivations; their span must land inside
     inner = inner_derivations(L)
     if not der.matrix_span().contains_space(inner):
-        raise AssertionError("inner derivations escaped the computed Der(L)")
+        raise AssertionError(
+            "proof failed: inner derivations escaped the computed Der(L)")
     return der
 
 
@@ -120,7 +121,8 @@ def is_characteristically_nilpotent(L: LieAlgebra) -> bool:
     all_nilpotent_mats = all(mat_is_nilpotent(m) for m in der.basis)
     if abstract_nilpotent != all_nilpotent_mats:
         raise AssertionError(
-            "derivation nilpotency checks disagree; table is inconsistent")
+            "proof failed: derivation nilpotency checks disagree; "
+            "table is inconsistent")
     return abstract_nilpotent
 
 
@@ -168,7 +170,8 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
             h = kernel(reduce(_int_product, [best_A] * best_mult), L.dim)
             if restrict(L, h).is_nilpotent():
                 if not _self_normalizing(L, h):
-                    raise AssertionError("proof failed: L0(ad x) not self-normalizing")
+                    raise AssertionError(
+                        "proof failed: L0(ad x) not self-normalizing")
                 return h
         spread += 2   # no candidate or a non-regular pick; widen and redraw
     raise AssertionError("Cartan subalgebra search failed to converge")
@@ -244,18 +247,19 @@ def _check_nilradical(L: LieAlgebra, nr: Subspace, rad: Subspace,
         return derived_algebra(L) if s.dim == L.dim else product_space(L, full, s)
 
     if not nr.contains_space(with_l(rad)):
-        raise AssertionError("nilradical misses [L, radical]")
+        raise AssertionError("proof failed: nilradical misses [L, radical]")
     if not nr.contains_space(with_l(nr)):
-        raise AssertionError("nilradical is not an ideal")
+        raise AssertionError("proof failed: nilradical is not an ideal")
     # nr = L reads the series cached on L instead of a copy of L
     if nr.dim and not (L if nr.dim == L.dim else restrict(L, nr)).is_nilpotent():
-        raise AssertionError("computed nilradical is not nilpotent")
+        raise AssertionError("proof failed: computed nilradical is not nilpotent")
     # sampled sanity: ad-nilpotent elements must lie inside (solvable case)
     if L.is_solvable():
         for _ in range(16):
             v = [rng.randint(-2, 2) for _ in range(L.dim)]
             if mat_is_nilpotent(L.ad(v)) and not nr.contains(v):
-                raise AssertionError("ad-nilpotent element escaped the nilradical")
+                raise AssertionError(
+                    "sample failed: ad-nilpotent element escaped the nilradical")
 
 
 # ---------------------------------------------------------------------------
@@ -293,26 +297,24 @@ def _check_torus(torus: LinearLieAlgebra, der: LinearLieAlgebra,
                  rng: random.Random) -> None:
     # the table holds every commutator of basis pairs, checked exactly
     if torus.table:
-        raise AssertionError("torus is not abelian")
+        raise AssertionError("proof failed: torus is not abelian")
     for m in torus.basis:
         if not mat_is_semisimple(m):
-            raise AssertionError("torus generator is not semisimple")
+            raise AssertionError("proof failed: torus generator is not semisimple")
         if not der.contains(m):
-            raise AssertionError("torus generator is not a derivation")
+            raise AssertionError("proof failed: torus generator is not a derivation")
     # random combinations stay semisimple (sum of commuting semisimples)
     for _ in range(4):
-        if torus.dim == 0:
-            break
         coeffs = [rng.randint(-3, 3) for _ in range(torus.dim)]
-        if any(coeffs):
-            if not mat_is_semisimple(torus.element(coeffs)):
-                raise AssertionError("torus combination is not semisimple")
+        if any(coeffs) and not mat_is_semisimple(torus.element(coeffs)):
+            raise AssertionError("sample failed: torus combination is not semisimple")
     # linearity of the semisimple-part map on the Cartan, spot-checked
     for a in range(len(cartan_mats)):
         for b in range(a + 1, min(len(cartan_mats), a + 3)):
             lhs = jordan_chevalley(cartan_mats[a] + cartan_mats[b]).s
             if lhs != parts[a] + parts[b]:
-                raise AssertionError("semisimple part is not additive on the Cartan")
+                raise AssertionError(
+                    "sample failed: semisimple part is not additive on the Cartan")
 
 
 # ---------------------------------------------------------------------------
