@@ -88,8 +88,10 @@ class LieAlgebra:
     i to {j: signed terms of den [e_i, e_j]}, all integers, so int_bracket
     and int_ad only visit the nonzero coordinates of x. The table is not
     changed after construction, so what depends on it alone ([L, L], the
-    series, the center, Der(L)) is computed once per instance, in _cache
-    (see _cached).
+    series, the center, Der(L) and its structure-constant copy) is computed
+    once per instance, in _cache (see _cached). Randomized results (the
+    toral parts and the nilradical of structure) are kept there too, under
+    a key that holds the random stream that drew them.
     """
 
     __slots__ = ("dim", "labels", "table", "den", "_adj", "_cache")
@@ -244,7 +246,10 @@ def product_space(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
 
 
 def _cached(L: LieAlgebra, key: Hashable, build: Callable[[], object]):
-    """L's value under key, from build() on the first call: the one cache."""
+    """L's value under key, from build() on the first call: the one cache.
+
+    A randomized build keys on its random stream; only that stream reuses it.
+    """
     if key not in L._cache:
         L._cache[key] = build()
     return L._cache[key]

@@ -1,11 +1,19 @@
 """Structure theory: derivations, Cartan subalgebras, nilradicals, tori.
 
 The nilradical of a solvable L is [L, L] plus the ad-nilpotent part of one
-Cartan subalgebra H: N = [L, L] + ker sigma|H, sigma(h) = s(ad h).
+Cartan subalgebra H: N = [L, L] + ker sigma|H, sigma(h) = s(ad h). H and
+the parts sigma(h) over its basis (_toral_parts) also give the Malcev
+splitting its torus.
 
 Randomized searches (Cartan subalgebras and everything downstream) take an
 explicit random.Random; results are certified by output checks, so the seed
-only affects which certified answer is found, not its validity.
+only affects which certified answer is found, not its validity. The toral
+parts and the nilradical are kept in L's cache per random stream: the key
+holds the rng the caller passed, so a second call on the same stream draws
+nothing and another stream computes its own. None stands for a fresh
+Random(DEFAULT_SEED), which draws the same values every time, so all None
+calls share one entry. The Cartan subalgebra and the maximal torus are not
+kept: the cartan and torus commands print their picks.
 """
 
 from __future__ import annotations
