@@ -691,8 +691,7 @@ def charpoly(m: Mat) -> Poly:
         if not any(map(any, M)):
             break
     if any(map(any, M)):   # M_(n+1) = p(A)
-        raise AssertionError(
-            "proof failed: charpoly p has p(A) != 0 (Cayley-Hamilton)")
+        raise AssertionError("proof failed: charpoly p has p(A) != 0 (Cayley-Hamilton)")
     return Poly([Fraction(x, d ** (n - k)) for k, x in enumerate(c)])
 
 

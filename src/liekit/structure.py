@@ -178,8 +178,7 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
             h = kernel(reduce(_int_product, [best_A] * best_mult), L.dim)
             if restrict(L, h).is_nilpotent():
                 if not _self_normalizing(L, h):
-                    raise AssertionError(
-                        "proof failed: L0(ad x) not self-normalizing")
+                    raise AssertionError("proof failed: L0(ad x) not self-normalizing")
                 return h
         spread += 2   # no candidate or a non-regular pick; widen and redraw
     raise AssertionError("Cartan subalgebra search failed to converge")

@@ -228,3 +228,20 @@ def test_check_splitting_proves_the_homomorphism_over_the_integers():
         bad = extensions.SplittingResult(M, emb, Subspace.zero(3), 0)
         with pytest.raises(AssertionError, match="embedding is not a homomorphism"):
             extensions._check_splitting(L, bad, random.Random(1))
+
+
+def test_check_splitting_proves_the_torus_rows_and_samples_combinations(
+        monkeypatch):
+    # the plane extended by a nilpotent action: its torus row fails the proof
+    ext = semidirect_sum([Mat([[0, 1], [0, 0]])], abelian(2), ["t"])
+    emb = Mat([[0, 1, 0], [0, 0, 1]])
+    r = extensions.SplittingResult(ext.total, emb, ext.complement, 1)
+    with pytest.raises(AssertionError,
+                       match="^proof failed: torus element does not act semisimply$"):
+        extensions._check_splitting(abelian(2), r, random.Random(1))
+    # a row that passes and combinations that fail are a failed sample
+    rows = ext.complement.int_rows()[1]
+    monkeypatch.setattr(extensions, "_torus_failure",
+                        lambda M, v: None if v in rows else "refused")
+    with pytest.raises(AssertionError, match="^sample failed: refused$"):
+        extensions._check_splitting(abelian(2), r, random.Random(1))
