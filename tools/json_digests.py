@@ -22,7 +22,8 @@ it; a change that means to alter an output updates that file with it.
 
 The set covers every subcommand, `extend --standard` and
 `verify rank-bound` on the catalog sources and on seeded basis changes
-(some with denominators), `extend --by` on derivation files (one with
+(some with denominators), `torus heisenberg:9` (a Cartan search in
+Der(heisenberg:9), of dimension 45), `extend --by` on derivation files (one with
 entries of about 260 bits, and one derivation written once as JSON
 numbers of 20 decimal places and once as strings), `verify togo` on
 pairs, `demo snobl`, two input errors, two label clashes in direct sums
@@ -72,6 +73,9 @@ CHAR_NILPOTENT_FILES = {"dim1_not_charnil.json": False,
 
 SINGLE = ("info", "der", "nilradical", "cartan", "torus", "split",
           "fingerprint")
+
+# the largest Cartan search of the set: Der(heisenberg:9) has dimension 45
+LARGE = ("torus", "heisenberg:9")
 
 # file name -> (source, matrices); a nilpotent action is refused (exit 1)
 DERIVATION_FILES = {
@@ -129,6 +133,7 @@ def commands() -> list[tuple[str, ...]]:
         argvs.extend((cmd, src) for cmd in SINGLE)
         argvs.append(("extend", "--standard", src))
         argvs.append(("verify", "rank-bound", src))
+    argvs.append(LARGE)
     argvs.extend(("info", name) for name in CHAR_NILPOTENT_FILES)
     argvs.extend(("extend", "--by", name, src)
                  for name, (src, _) in DERIVATION_FILES.items())
