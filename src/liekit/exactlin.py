@@ -702,8 +702,7 @@ def zero_multiplicity_mod_p(A: list[list[int]]) -> int:
     (d = m.den): its roots are d times those of m, so over Q its zero
     multiplicity is that of charpoly(m). An exact coefficient 0 reduces to
     0, so the count is never below the multiplicity of the root 0 of
-    charpoly(m), nor below dim ker(A mod p) (kernel_dim_at_least); it is
-    a ranking heuristic, not a certificate.
+    charpoly(m); it is a ranking heuristic, not a certificate.
     """
     if any(len(row) != len(A) for row in A):
         raise ValueError("zero_multiplicity_mod_p needs a square matrix")

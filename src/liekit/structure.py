@@ -142,44 +142,43 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
 
     In characteristic 0 the Cartan subalgebras are the Engel subalgebras
     L0(ad x) = ker (ad x)^k, k the zero multiplicity, of the regular x (k
-    smallest). Each attempt takes H = L0(ad x) for the pick x of a pool of
-    small-integer candidates and returns it once it is nilpotent; otherwise
-    the range widens and a new pool is drawn. H is self-normalizing, as
+    smallest: the rank). Each attempt draws a pool of small-integer
+    candidates in full and then ranks them in order. On each strict new best
+    count m it forms H = ker A^m. If dim H = m and H is nilpotent, H is a
+    Cartan subalgebra and m the rank; a later count is at least its exact
+    multiplicity, so at least the rank, and cannot beat m: the search stops
+    there. Otherwise the last best's H is returned once it is nilpotent, or
+    the range widens and a new pool is drawn. Drawing each pool first keeps
+    the stream where it ends without the stop. H is self-normalizing, as
     every Engel subalgebra is, and _self_normalizing proves it.
 
     A candidate's adjoint is A = den ad x (int_ad), den / d times d ad x for
-    d its denominator, so the counts below are those of d ad x unless
-    2^61 - 1 divides den. A candidate is skipped when
-    kernel_dim_at_least(A, best) holds for the best count so far: its count
-    mod p is at least dim ker(A mod p), and a pick needs one strictly below
-    best, so the skip changes no pick and no draw. The others are ranked by
-    zero_multiplicity_mod_p(A), the charpoly mod 2^61 - 1: a heuristic that
-    is never below the exact count, so H is the kernel of the integer power
-    A^k, k the count (_int_product).
+    d its denominator, so the counts are those of d ad x unless 2^61 - 1
+    divides den. They come from zero_multiplicity_mod_p(A), the charpoly
+    mod 2^61 - 1: a heuristic that is never below the exact count, so H, the
+    kernel of the integer power A^m (_int_product), is L0(ad x).
     """
     rng = _rng(rng)
     if L.is_nilpotent():
         return L.full_space()
     spread = 3
     for _round in range(4 * (L.dim + 2)):
-        best_A = None
-        best_mult = L.dim   # L0(ad x) = L when ad x is nilpotent: no pick
-        for _ in range(_POOL):
-            coeffs = [rng.randint(-spread, spread) for _ in range(L.dim)]
-            if not any(coeffs):
-                continue
+        pool = [[rng.randint(-spread, spread) for _ in range(L.dim)]
+                for _ in range(_POOL)]
+        # L0(ad x) = L when ad x is nilpotent: no pick
+        best_mult, nilpotent = L.dim, False
+        for coeffs in filter(any, pool):
             A = L.int_ad(coeffs)
-            if kernel_dim_at_least(A, best_mult):
-                continue
             mult = zero_multiplicity_mod_p(A)
             if mult < best_mult:
-                best_mult, best_A = mult, A
-        if best_A is not None:
-            h = kernel(reduce(_int_product, [best_A] * best_mult), L.dim)
-            if restrict(L, h).is_nilpotent():
-                if not _self_normalizing(L, h):
-                    raise AssertionError("proof failed: L0(ad x) not self-normalizing")
-                return h
+                best_mult, h = mult, kernel(reduce(_int_product, [A] * mult), L.dim)
+                nilpotent = restrict(L, h).is_nilpotent()
+                if nilpotent and h.dim == mult:
+                    break   # mult is the rank: no later count is below it
+        if nilpotent:
+            if not _self_normalizing(L, h):
+                raise AssertionError("proof failed: L0(ad x) not self-normalizing")
+            return h
         spread += 2   # no candidate or a non-regular pick; widen and redraw
     raise AssertionError("Cartan subalgebra search failed to converge")
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -223,27 +224,51 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_cartan_prune_changes_no_pick(monkeypatch):
-    # the reference ranks every candidate and runs the exact normalizer
+def _full_pool_cartan(L, rng):
+    """The Cartan search without its early stop: every nonzero candidate of
+    every pool is ranked, and the exact normalizer decides. Returns H and the
+    number of candidates ranked."""
+    if L.is_nilpotent():
+        return L.full_space(), 0
+    ranked, spread = 0, 3
+    for _ in range(4 * (L.dim + 2)):
+        best_A, best_mult = None, L.dim
+        for _ in range(structure._POOL):
+            coeffs = [rng.randint(-spread, spread) for _ in range(L.dim)]
+            if not any(coeffs):
+                continue
+            A = L.int_ad(coeffs)
+            mult = exactlin.zero_multiplicity_mod_p(A)
+            ranked += 1
+            if mult < best_mult:
+                best_mult, best_A = mult, A
+        if best_A is not None:
+            h = exactlin.kernel(
+                reduce(exactlin._int_product, [best_A] * best_mult), L.dim)
+            if restrict(L, h).is_nilpotent() and normalizer(L, h) == h:
+                return h, ranked
+        spread += 2
+    raise AssertionError("no Cartan subalgebra found")
+
+
+def test_cartan_early_stop_changes_no_pick(monkeypatch):
+    # the pick and the end of the stream are those of the full pools; the
+    # catalog gates of _cartan_cases() rank before the count starts
+    cases = _cartan_cases()
     ranked = _counting(monkeypatch, "zero_multiplicity_mod_p")
-    pruned = reference = 0
-    for L in _cartan_cases():
+    stopped = reference = 0
+    for L in cases:
         for seed in range(1, 6):
-            rng = random.Random(seed)
+            ranked.clear()
+            rng, ref_rng = random.Random(seed), random.Random(seed)
             got = cartan_subalgebra(L, rng)
-            pruned += len(ranked)
-            ranked.clear()
-            with monkeypatch.context() as m:
-                m.setattr(structure, "kernel_dim_at_least", lambda A, k: False)
-                m.setattr(structure, "_self_normalizing",
-                          lambda L, h: normalizer(L, h) == h)
-                ref_rng = random.Random(seed)
-                want = cartan_subalgebra(L, ref_rng)
-            reference += len(ranked)
-            ranked.clear()
+            want, full = _full_pool_cartan(L, ref_rng)
             assert got == want
             assert rng.getstate() == ref_rng.getstate()
-    assert pruned < reference / 4
+            assert len(ranked) <= full
+            stopped += len(ranked)
+            reference += full
+    assert stopped < reference / 4
 
 
 class _ScriptedRandom(random.Random):
@@ -270,6 +295,38 @@ def test_cartan_redraws_after_a_non_regular_pick(monkeypatch):
     assert h.dim == 2
     assert restrict(L, h).is_nilpotent()
     assert normalizer(L, h) == h
+
+
+def test_cartan_ranks_on_after_a_failed_stop(monkeypatch):
+    # pool of two on sl2 + sl2: (h, 0) counts 4 and its Engel subalgebra
+    # span{h} + sl2 is not nilpotent, so the pool goes on; (h, h') counts 2
+    # and its Engel subalgebra span{h, h'} is the Cartan subalgebra
+    L = direct_sum(sl2(), sl2())
+    monkeypatch.setattr(structure, "_POOL", 2)
+    ranked = _counting(monkeypatch, "zero_multiplicity_mod_p")
+    restricted = _counting(monkeypatch, "restrict")
+    rng = _ScriptedRandom([0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 1], 11)
+    h = cartan_subalgebra(L, rng)
+    assert not rng.script
+    assert rng.getstate() == random.Random(11).getstate()   # one pool drawn
+    assert len(ranked) == 2
+    assert [s.dim for _, s in restricted] == [4, 2]
+    assert h == Subspace.span(6, [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1]])
+
+
+def test_cartan_does_not_stop_on_a_count_above_the_rank(monkeypatch):
+    # [s, y] = p y, [t, y] = y, [s, z] = z for p = 2^61 - 1: s counts 3 mod p
+    # but has the Engel subalgebra span{s, t} of dimension 2, so the pool
+    # goes on to s + t, which counts 2
+    p = 2 ** 61 - 1
+    L = LieAlgebra(4, {(0, 2): [(2, p)], (1, 2): [(2, 1)], (0, 3): [(3, 1)]},
+                   labels=("s", "t", "y", "z"))
+    monkeypatch.setattr(structure, "_POOL", 2)
+    ranked = _counting(monkeypatch, "zero_multiplicity_mod_p")
+    rng = _ScriptedRandom([1, 0, 0, 0, 1, 1, 0, 0], 11)
+    h = cartan_subalgebra(L, rng)
+    assert [exactlin.zero_multiplicity_mod_p(A) for (A,) in ranked] == [3, 2]
+    assert h == Subspace.span(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
 
 
 def test_self_normalization_falls_back_to_the_exact_normalizer(monkeypatch):
