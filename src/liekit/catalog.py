@@ -77,7 +77,7 @@ class CatalogEntry:
 # expected-invariant checks (hard gates whenever a key is present)
 
 def _check_expected(L: LieAlgebra, expected: Mapping[str, object],
-                    rng: random.Random) -> None:
+                    rng: random.Random | None) -> None:
     checks: dict[str, Callable[[], object]] = {
         "dim": lambda: L.dim,
         "dim_center": lambda: center(L).dim,
@@ -117,7 +117,7 @@ def _validated(name: str, params: tuple[int, ...], L: LieAlgebra,
         raise CatalogError(
             f"{name}: Jacobi identity fails on basis triple "
             f"({i + 1}, {j + 1}, {k + 1})")
-    _check_expected(L, expected, _rng(rng))
+    _check_expected(L, expected, rng)
     return CatalogEntry(name, params, L, dict(expected))
 
 

@@ -72,7 +72,7 @@ def extend_by_derivations(N: LieAlgebra, gens: Sequence[Mat],
     of N raises NilradicalMismatch carrying the computed ideal.
     """
     ext = semidirect_sum(gens, N, act_labels)
-    computed = nilradical(ext.total, _rng(rng))
+    computed = nilradical(ext.total, rng)
     if computed != ext.nilideal:
         raise NilradicalMismatch(ext.nilideal, computed)
     return replace(ext, validated=True)
@@ -85,7 +85,6 @@ def standard_solvable_extension(N: LieAlgebra,
     For a characteristically nilpotent N the torus is zero and the result is
     N itself with a zero complement.
     """
-    rng = _rng(rng)
     if not N.is_nilpotent():
         raise LieError("standard extension is defined for nilpotent algebras")
     torus = maximal_torus(derivations(N), rng)
@@ -113,7 +112,6 @@ def malcev_split_solvable(L: LieAlgebra,
     invariants are asserted before returning, and a split output is split
     again to check that nothing more is added.
     """
-    rng = _rng(rng)
     if not L.is_solvable():
         raise LieError("splitting is implemented for solvable algebras only")
     result = _split(L, rng)
@@ -123,7 +121,7 @@ def malcev_split_solvable(L: LieAlgebra,
     return result
 
 
-def _split(L: LieAlgebra, rng: random.Random) -> SplittingResult:
+def _split(L: LieAlgebra, rng: random.Random | None) -> SplittingResult:
     """The construction and checks of malcev_split_solvable, one level deep."""
     n = L.dim
     _, parts = _toral_parts(L, rng)   # none on a nilpotent L: nothing is kept
@@ -143,7 +141,7 @@ def _split(L: LieAlgebra, rng: random.Random) -> SplittingResult:
         emb_rows = [[0] * t + [1 if c == i else 0 for c in range(n)]
                     for i in range(n)]
         result = SplittingResult(ext.total, Mat(emb_rows), ext.complement, t)
-    _check_splitting(L, result, rng)
+    _check_splitting(L, result, _rng(rng))
     return result
 
 
@@ -205,7 +203,7 @@ class RankBoundReport:
 
 
 def _rank_report(L: LieAlgebra, nil: Subspace,
-                 rng: random.Random) -> RankBoundReport:
+                 rng: random.Random | None) -> RankBoundReport:
     """The report for L and its nilradical nil, which the caller certified."""
     commN = derived_algebra(L) if nil.dim == L.dim else product_space(L, nil, nil)
     g = nil.dim - commN.dim
@@ -219,7 +217,6 @@ def _rank_report(L: LieAlgebra, nil: Subspace,
 def verify_rank_bound(E: Extension,
                       rng: random.Random | None = None) -> RankBoundReport:
     """Check toric rank and codimension against the generator count of N."""
-    rng = _rng(rng)
     if not E.validated:
         raise LieError("rank bound check needs a validated extension")
     return _rank_report(E.total, E.nilideal, rng)
@@ -228,7 +225,6 @@ def verify_rank_bound(E: Extension,
 def rank_bound_of(L: LieAlgebra,
                   rng: random.Random | None = None) -> RankBoundReport:
     """Rank bound for a bare algebra; its nilradical is recomputed here."""
-    rng = _rng(rng)
     return _rank_report(L, nilradical(L, rng), rng)
 
 

@@ -10,10 +10,10 @@ explicit random.Random; results are certified by output checks, so the seed
 only affects which certified answer is found, not its validity. The toral
 parts and the nilradical are kept in L's cache per random stream: the key
 holds the rng the caller passed, so a second call on the same stream draws
-nothing and another stream computes its own. None stands for a fresh
-Random(DEFAULT_SEED), which draws the same values every time, so all None
-calls share one entry. The Cartan subalgebra and the maximal torus are not
-kept: the cartan and torus commands print their picks.
+nothing and another stream computes its own. None is kept in the key as
+passed, so all None calls share one entry; each draw under it takes a
+fresh Random(DEFAULT_SEED). The Cartan subalgebra and the maximal torus
+are not kept: the cartan and torus commands print their picks.
 """
 
 from __future__ import annotations
@@ -210,10 +210,10 @@ def nilradical(L: LieAlgebra, rng: random.Random | None = None) -> Subspace:
     ad-nilpotent elements are checked to lie inside. Kept on L per random
     stream, keyed by rng as passed (see the module docstring).
     """
-    return _cached(L, ("nilradical", rng), lambda: _nilradical(L, _rng(rng)))
+    return _cached(L, ("nilradical", rng), lambda: _nilradical(L, rng))
 
 
-def _nilradical(L: LieAlgebra, rng: random.Random) -> Subspace:
+def _nilradical(L: LieAlgebra, rng: random.Random | None) -> Subspace:
     if L.is_solvable():
         rad = L.full_space()
         result = _solvable_nilradical(L, rng)
@@ -221,11 +221,12 @@ def _nilradical(L: LieAlgebra, rng: random.Random) -> Subspace:
         rad = killing_radical(L)
         inner = _solvable_nilradical(restrict(L, rad), rng)
         result = Subspace.span(L.dim, (inner.basis @ rad.basis).ints)
-    _check_nilradical(L, result, rad, rng)
+    _check_nilradical(L, result, rad, _rng(rng))
     return result
 
 
-def _toral_parts(L: LieAlgebra, rng: random.Random) -> tuple[Subspace, tuple[Mat, ...]]:
+def _toral_parts(L: LieAlgebra,
+                 rng: random.Random | None) -> tuple[Subspace, tuple[Mat, ...]]:
     """A Cartan subalgebra H and [s(ad h) for h in its basis], per stream."""
     def build():
         # on a nilpotent L, H = L and every s(ad h) is 0; H = 0 adds nothing
@@ -234,7 +235,7 @@ def _toral_parts(L: LieAlgebra, rng: random.Random) -> tuple[Subspace, tuple[Mat
     return _cached(L, ("toral_parts", rng), build)
 
 
-def _solvable_nilradical(L: LieAlgebra, rng: random.Random) -> Subspace:
+def _solvable_nilradical(L: LieAlgebra, rng: random.Random | None) -> Subspace:
     if L.is_nilpotent():
         return L.full_space()
     h, parts = _toral_parts(L, rng)
@@ -340,7 +341,6 @@ class Fingerprint:
 
 
 def fingerprint(L: LieAlgebra, rng: random.Random | None = None) -> Fingerprint:
-    rng = _rng(rng)
     lc = tuple(s.dim for s in series(L, "lower_central"))
     dv = tuple(s.dim for s in series(L, "derived"))
     comm = derived_algebra(L)

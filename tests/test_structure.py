@@ -419,9 +419,20 @@ def test_nilradical_is_kept_per_random_stream(monkeypatch):
     assert nilradical(L, other) == first
     assert other.getstate() != random.Random(5).getstate()   # it drew again
     assert len(checks) == 2
-    # None is a fresh Random(DEFAULT_SEED) each time: the same draws, once
+    # None is one key of its own: computed once
     assert nilradical(L) == nilradical(L) == first
     assert len(checks) == 3
+
+
+def test_calls_without_a_stream_keep_one_cache_entry_each():
+    # rng=None reaches the cache keys as None, so repeated calls add nothing
+    for f in (fingerprint, extensions.malcev_split_solvable, rank_bound_of):
+        L = catalog.get("diagonal_torus_extension", 2).algebra
+        f(L)
+        size = len(L._cache)
+        for _ in range(19):
+            f(L)
+            assert len(L._cache) == size
 
 
 def test_snobl_build_runs_one_cartan_search_per_extension(monkeypatch):
