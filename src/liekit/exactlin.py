@@ -98,7 +98,7 @@ class Mat:
 
     @staticmethod
     def vecs(mats: Sequence["Mat"], cols: int) -> "Mat":
-        """The matrix whose rows are the vec() of mats, each of cols entries."""
+        """One row per matrix of mats: its entries, row-major, in cols columns."""
         d = math.lcm(*(m.den for m in mats))
         return Mat._of(d, [[x * (d // m.den) for row in m.ints for x in row]
                            for m in mats], cols)
@@ -112,10 +112,6 @@ class Mat:
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.data)
-
-    def vec(self) -> tuple[Fraction, ...]:
-        """Row-major flattening."""
-        return tuple(x for row in self.data for x in row)
 
     def transpose(self) -> "Mat":
         cols = [list(c) for c in zip(*self.ints)] or [[] for _ in range(self.cols)]

@@ -794,6 +794,11 @@ def test_minpoly_stops_at_the_first_dependent_power(monkeypatch):
     assert minpoly(Mat.zeros(0, 0)) == Poly([1])
 
 
+def _flat(m):
+    """The entries of m, row-major."""
+    return tuple(x for row in m.data for x in row)
+
+
 def _fraction_minpoly(m):
     """The incremental Fraction algorithm: I, m, m^2, ... reduced one at a
     time against the echelon rows before them, each row carrying its
@@ -809,7 +814,7 @@ def _fraction_minpoly(m):
     echelon = []
     power = Mat.identity(m.rows)
     for k in range(m.rows + 1):
-        v = {i: x for i, x in enumerate(power.vec()) if x}
+        v = {i: x for i, x in enumerate(_flat(power)) if x}
         coeffs = {k: F(1)}
         for p, row, row_coeffs in echelon:
             f = v.get(p)
@@ -918,7 +923,7 @@ def test_minpoly_divides_charpoly():
         # minimal: I, m, ..., m^(deg-1) are independent
         power, vecs = Mat.identity(n), []
         for _ in range(mu.degree):
-            vecs.append(power.vec())
+            vecs.append(_flat(power))
             power = power @ m
         lower = Mat(vecs, cols=n * n)
         assert rank(lower) == mu.degree

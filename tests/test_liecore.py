@@ -347,12 +347,17 @@ def test_linear_lie_algebra_coords_over_a_basis_that_is_not_rref():
             assert lin.coords(outside) is None
 
 
+def _flat(m):
+    """The entries of m, row-major."""
+    return tuple(x for row in m.data for x in row)
+
+
 def test_linear_lie_algebra_rejects_a_matrix_of_the_wrong_shape():
     e11 = Mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     lin = LinearLieAlgebra(abelian(3), [e11])
     assert lin.coords(e11) == (1,)
-    for m in (Mat([[1, 0], [0, 0]]), Mat([[1]]), Mat([e11.vec()]),
-              Mat([[x] for x in e11.vec()])):
+    for m in (Mat([[1, 0], [0, 0]]), Mat([[1]]), Mat([_flat(e11)]),
+              Mat([[x] for x in _flat(e11)])):
         with pytest.raises(ValueError):
             lin.coords(m)
         with pytest.raises(ValueError):
@@ -363,12 +368,12 @@ def _fraction_table(ambient, mats):
     """Structure constants over Fraction: each commutator reduced against the
     RREF span of the basis, its RREF coordinates mapped through T (R = T B)."""
     n = ambient.dim
-    R, piv, T = rref_with_transform(Mat([m.vec() for m in mats], cols=n * n))
+    R, piv, T = rref_with_transform(Mat([_flat(m) for m in mats], cols=n * n))
     to_basis = T.transpose()
     table = {}
     for a in range(len(mats)):
         for b in range(a + 1, len(mats)):
-            v = commutator(mats[a], mats[b]).vec()
+            v = _flat(commutator(mats[a], mats[b]))
             cs = [v[p] for p in piv]
             residual = list(v)
             for c, row in zip(cs, R.data):
@@ -419,7 +424,7 @@ def test_linear_lie_algebra_table_matches_the_fraction_oracle():
                 break
         basis = [sum((c * m for c, m in zip(row, mats)), Mat.zeros(n, n))
                  for row in p.data]
-        T = rref_with_transform(Mat([m.vec() for m in basis], cols=n * n))[2]
+        T = rref_with_transform(Mat([_flat(m) for m in basis], cols=n * n))[2]
         assert T != Mat.identity(k)
         cases.append((L, basis))
     for ambient, basis in cases:
@@ -436,12 +441,12 @@ def test_not_closed_error_names_a_later_pair_off_the_pivots():
         return Mat([[int((i, j) == (r, c)) for j in range(3)] for i in range(3)])
     x = unit(0, 1) + unit(1, 2)
     basis = [F(1, 2) * unit(0, 0), F(1, 3) * unit(1, 1), x]
-    assert Subspace.span(9, [m.vec() for m in basis]).pivots == (0, 1, 4)
+    assert Subspace.span(9, [_flat(m) for m in basis]).pivots == (0, 1, 4)
     # the first pair commutes; [E00/2, X] = E01/2 agrees with X/2 at every
     # pivot column and leaves the span only at column 5
     assert commutator(basis[0], basis[1]).is_zero()
     bad = commutator(basis[0], basis[2])
-    diff = (bad - F(1, 2) * x).vec()
+    diff = _flat(bad - F(1, 2) * x)
     assert [j for j, v in enumerate(diff) if v] == [5]
     with pytest.raises(NotClosedError) as exc:
         LinearLieAlgebra(abelian(3), basis)
@@ -597,7 +602,7 @@ def test_derivations_and_normalizer_match_the_fraction_oracles():
         n = L.dim
         der = derivations(L)
         assert der.matrix_span() == fraction_derivations(L)
-        assert [m.vec() for m in der.basis] == [
+        assert [_flat(m) for m in der.basis] == [
             tuple(r) for r in fraction_derivations(L).basis.data]
         subspaces = [derived_algebra(L), center(L)]
         subspaces += [Subspace.span(n, [[rng.randint(-2, 2) for _ in range(n)]
