@@ -200,6 +200,24 @@ def test_cartan_dimension_is_seed_stable():
     assert dims == {4}   # x plus all of h3
 
 
+def test_dimensions_and_fingerprint_are_seed_stable():
+    # heisenberg:7 and the larger sources are left out for time
+    sources = [("abelian", 3), ("heisenberg", 3), ("heisenberg", 5),
+               ("filiform", 4), ("filiform", 6), ("filiform", 7),
+               ("diagonal_torus_extension", 1), ("diagonal_torus_extension", 2),
+               ("diagonal_torus_extension", 3), ("favre7", None), ("r2", None),
+               ("sl2", None), ("so2_torus_extension", None)]
+    for name, param in sources:
+        L = catalog.get(name, param).algebra
+        outcomes = set()
+        for seed in range(1, 11):
+            rng = random.Random(seed)
+            outcomes.add((cartan_subalgebra(L, rng).dim,
+                          maximal_torus(derivations(L), rng).dim,
+                          nilradical(L, rng).dim, fingerprint(L, rng)))
+        assert len(outcomes) == 1, (name, param, outcomes)
+
+
 def _cartan_cases():
     """Catalog algebras and two abstract derivation algebras."""
     fixed = [catalog.get(name).algebra
