@@ -23,7 +23,9 @@ it; a change that means to alter an output updates that file with it.
 The set covers every subcommand, `extend --standard` and
 `verify rank-bound` on the catalog sources and on seeded basis changes
 (some with denominators), `torus heisenberg:9` (a Cartan search in
-Der(heisenberg:9), of dimension 45), `extend --by` on derivation files (one with
+Der(heisenberg:9), of dimension 45), `cartan`, `nilradical`, `split` and
+`fingerprint` on an algebra whose Cartan ranking mod 2^61 - 1 counts one
+candidate above its exact count, `extend --by` on derivation files (one with
 entries of about 260 bits, and one derivation written once as JSON
 numbers of 20 decimal places and once as strings), `verify togo` on
 pairs, `demo snobl`, two input errors, two label clashes in direct sums
@@ -76,6 +78,13 @@ SINGLE = ("info", "der", "nilradical", "cartan", "torus", "split",
 
 # the largest Cartan search of the set: Der(heisenberg:9) has dimension 45
 LARGE = ("torus", "heisenberg:9")
+
+# [s, y] = p y, [t, y] = y, [s, z] = z for p = 2^61 - 1, the modulus of the
+# Cartan ranking: ad s counts 3 mod p, above its exact count 2
+P_ADVERSARIAL = {"name": "p_adversarial", "dim": 4, "basis": ["s", "t", "y", "z"],
+                 "brackets": [[1, 3, [[3, str(2 ** 61 - 1)]]], [2, 3, [[3, "1"]]],
+                              [1, 4, [[4, "1"]]]]}
+P_ADVERSARIAL_COMMANDS = ("cartan", "nilradical", "split", "fingerprint")
 
 # file name -> (source, matrices); a nilpotent action is refused (exit 1)
 DERIVATION_FILES = {
@@ -134,6 +143,7 @@ def commands() -> list[tuple[str, ...]]:
         argvs.append(("extend", "--standard", src))
         argvs.append(("verify", "rank-bound", src))
     argvs.append(LARGE)
+    argvs.extend((cmd, "p_adversarial.json") for cmd in P_ADVERSARIAL_COMMANDS)
     argvs.extend(("info", name) for name in CHAR_NILPOTENT_FILES)
     argvs.extend(("extend", "--by", name, src)
                  for name, (src, _) in DERIVATION_FILES.items())
@@ -179,6 +189,8 @@ def write_inputs() -> None:
                "brackets": [], "expected": {"characteristically_nilpotent": flag}}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
+    with open("p_adversarial.json", "w", encoding="utf-8") as fh:
+        json.dump(P_ADVERSARIAL, fh)
     for path, (_, mats) in DERIVATION_FILES.items():
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"matrices": mats}, fh)
