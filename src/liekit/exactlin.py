@@ -12,11 +12,12 @@ One elimination engine: _rref, a sparse fraction-free elimination over the
 integers (pivot loop _eliminate) whose one row operation is _clear; it
 takes rows of ints or Fractions and returns the RREF as integer rows over
 one denominator, (E, E R), which rref, Subspace.span and kernel wrap as a
-Mat. The same loop and _clear with a modulus p give kernel_dim_at_least,
-the mod-p kernel test that stops once the rank decides it. _annihilator
-reduces the Krylov vectors v, A v, A^2 v, ... (A = m.ints) with the same
-_clear and stops at the first dependency; minpoly is an lcm of such
-annihilators, certified by q(m) = 0, and squarefree_part(p) is the
+Mat. The same loop and _clear with the modulus p = 2^61 - 1 give the rank
+mod p (_rank_mod_p) behind kernel_dim_at_least, the mod-p kernel test, and
+zero_multiplicity_mod_p, the count that ranks Cartan candidates.
+_annihilator reduces the Krylov vectors v, A v, A^2 v, ... (A = m.ints)
+with the same _clear and stops at the first dependency; minpoly is an lcm
+of such annihilators, certified by q(m) = 0, and squarefree_part(p) is the
 annihilator of p' under the companion matrix of p. Subspace holds a
 canonical RREF basis (sums; membership and coordinates by one integer
 check, int_coords, on the basis's (den, ints), int_rows); kernel is the
@@ -25,9 +26,7 @@ one kernel too.
 
 charpoly is Faddeev-LeVerrier over the integers on m.ints = d m, d = m.den,
 with exact divisions and a closing Cayley-Hamilton check; is_nilpotent
-calls it only on a matrix of trace 0. _charpoly_mod (Hessenberg reduction
-and the leading-minor recurrence mod _P = 2^61 - 1) serves the ranking
-heuristic zero_multiplicity_mod_p only.
+calls it only on a matrix of trace 0.
 """
 
 from __future__ import annotations
@@ -311,26 +310,30 @@ def _clear(rows: list[dict[int, int]], prow: dict[int, int],
     return out
 
 
+# the Mersenne prime 2^61 - 1: residues stay below 2^61, products below 2^122
+_P = (1 << 61) - 1
+
+
+def _rank_mod_p(A: list[list[int]], cols: int, limit: int | None = None) -> int:
+    """Rank of the integer matrix A mod _P by _eliminate, stopping at limit."""
+    rows = []
+    for row in A:
+        r = {j: x % _P for j, x in enumerate(row) if x % _P}
+        if r:
+            rows.append(r)
+    return len(_eliminate(rows, cols, _P, limit)[1])
+
+
 def kernel_dim_at_least(A: list[list[int]], k: int) -> bool:
     """Whether dim ker(A mod p) >= k, p = 2^61 - 1, for an integer matrix A.
 
     A is a list of rows of one length cols (no rows: the 0 x 0 matrix). The
     rank of A mod p is at most its rank over Q, so False proves that the
     rational kernel of A has dimension below k; True proves nothing over Q.
-    Runs rref's elimination (_eliminate, _clear) with the modulus p and
-    stops as soon as the rank passes cols - k.
+    The rank mod p (_rank_mod_p) stops as soon as it passes cols - k.
     """
     cols = len(A[0]) if A else 0
-    if k <= 0:
-        return True
-    if k > cols:
-        return False
-    rows = []
-    for row in A:
-        r = {j: x % _P for j, x in enumerate(row) if x % _P}
-        if r:
-            rows.append(r)
-    return len(_eliminate(rows, cols, _P, cols - k + 1)[1]) <= cols - k
+    return k <= cols and _rank_mod_p(A, cols, cols - k + 1) <= cols - k
 
 
 def rref_with_transform(m: Mat) -> tuple[Mat, tuple[int, ...], Mat]:
@@ -606,60 +609,6 @@ def _derivative_inverse(g: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 # characteristic and minimal polynomials
 
-# the Mersenne prime 2^61 - 1: residues stay below 2^61, products below 2^122
-_P = (1 << 61) - 1
-
-
-def _charpoly_mod(A: list[list[int]]) -> list[int]:
-    """det(xI - A) mod _P for an integer matrix A, coefficients lowest first.
-
-    Reduces to Hessenberg form by similarity transformations (first nonzero
-    pivot), then runs the leading-minor recurrence; O(n^3) operations mod _P.
-    """
-    n = len(A)
-    H = [[a % _P for a in row] for row in A]
-    for j in range(n - 2):
-        piv = next((i for i in range(j + 1, n) if H[i][j]), -1)
-        if piv < 0:
-            continue
-        if piv != j + 1:
-            H[j + 1], H[piv] = H[piv], H[j + 1]
-            for row in H:
-                row[j + 1], row[piv] = row[piv], row[j + 1]
-        rowp = H[j + 1]
-        inv = pow(rowp[j], -1, _P)
-        for i in range(j + 2, n):
-            f = H[i][j] * inv % _P
-            if f:
-                rowi = H[i]
-                for c in range(j, n):
-                    if rowp[c]:
-                        rowi[c] = (rowi[c] - f * rowp[c]) % _P
-                # similarity: compensate with a column operation
-                for row in H:
-                    if row[i]:
-                        row[j + 1] = (row[j + 1] + f * row[i]) % _P
-    polys = [[1]]
-    for mm in range(1, n + 1):
-        prev = polys[mm - 1]
-        d = H[mm - 1][mm - 1]
-        poly = [0] + prev                      # x * polys[mm-1]
-        for k, c in enumerate(prev):
-            poly[k] -= d * c
-        t = 1
-        for i in range(1, mm):
-            t = t * H[mm - i][mm - i - 1] % _P
-            if not t:
-                break
-            coeff = H[mm - i - 1][mm - 1]
-            if coeff:
-                f = t * coeff % _P
-                for k, c in enumerate(polys[mm - i - 1]):
-                    poly[k] -= f * c
-        polys.append([c % _P for c in poly])
-    return polys[n]
-
-
 def charpoly(m: Mat) -> Poly:
     """Characteristic polynomial det(xI - m), monic.
 
@@ -696,13 +645,20 @@ def zero_multiplicity_mod_p(A: list[list[int]]) -> int:
 
     A is a square integer matrix, as a list of rows, such as m.ints = d m
     (d = m.den): its roots are d times those of m, so over Q its zero
-    multiplicity is that of charpoly(m). An exact coefficient 0 reduces to
-    0, so the count is never below the multiplicity of the root 0 of
-    charpoly(m); it is a ranking heuristic, not a certificate.
+    multiplicity is that of charpoly(m). Mod p it is n - rank A^k for large
+    k: the ranks of A, A^2, A^4, ... mod p (_rank_mod_p) fall until a
+    squaring keeps the rank, which no later power then lowers. An exact
+    coefficient 0 reduces to 0, so the count is never below the exact one;
+    it is a ranking heuristic, not a certificate.
     """
-    if any(len(row) != len(A) for row in A):
+    n = len(A)
+    if any(len(row) != n for row in A):
         raise ValueError("zero_multiplicity_mod_p needs a square matrix")
-    return next(k for k, c in enumerate(_charpoly_mod(A)) if c)
+    B, last, r = A, n + 1, _rank_mod_p(A, n)
+    while 0 < r < last:
+        B = [[x % _P for x in row] for row in _int_product(B, B)]
+        last, r = r, _rank_mod_p(B, n)
+    return n - r
 
 
 def _annihilator(m: Mat, v: Sequence[int]) -> Poly:

@@ -154,9 +154,10 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
 
     A candidate's adjoint is A = den ad x (int_ad), den / d times d ad x for
     d its denominator, so the counts are those of d ad x unless 2^61 - 1
-    divides den. They come from zero_multiplicity_mod_p(A), the charpoly
-    mod 2^61 - 1: a heuristic that is never below the exact count, so H, the
-    kernel of the integer power A^m (_int_product), is L0(ad x).
+    divides den. They come from zero_multiplicity_mod_p(A), from ranks of
+    powers of A mod 2^61 - 1 by the one elimination loop: a heuristic never
+    below the exact count, so H, the kernel of the integer power A^m
+    (_int_product), is L0(ad x).
     """
     rng = _rng(rng)
     if L.is_nilpotent():

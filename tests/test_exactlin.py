@@ -674,6 +674,22 @@ def test_zero_multiplicity_mod_p_small_and_nilpotent_cases():
                      for r in range(n)])
         assert _zero_mult(upper) == n
         assert _zero_root_multiplicity(charpoly(upper)) == n
+    # a nilpotent Jordan block of size s next to an invertible one, in a
+    # unimodular basis: sizes on both sides of each power of two stop the
+    # squaring loop of the count after each number of squarings from 2 to 6
+    for s in (2, 3, 4, 5, 8, 9, 16, 17):
+        n = s + 3
+        u = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(2 * n):
+            i, k = rng.sample(range(n), 2)
+            c = rng.choice((-1, 1))
+            u[i] = [a + c * b for a, b in zip(u[i], u[k])]
+        u = Mat(u)
+        _, _, u_inv = rref_with_transform(u)   # rref(u) = I, so this is u^-1
+        m = u @ _jordan([(0, s), (F(-2), 2), (F(5), 1)]) @ u_inv
+        assert m.den == 1
+        assert _zero_root_multiplicity(charpoly(m)) == s
+        assert _zero_mult(m) == s
 
 
 def test_zero_multiplicity_mod_p_when_p_divides_a_denominator():

@@ -289,6 +289,21 @@ def test_cartan_early_stop_changes_no_pick(monkeypatch):
     assert stopped < reference / 4
 
 
+def test_cartan_counts_equal_the_exact_zero_multiplicity(monkeypatch):
+    # every matrix the search ranks, counted against its exact charpoly, an
+    # oracle that shares no code with the mod-p count
+    cases = _cartan_cases()
+    ranked = _counting(monkeypatch, "zero_multiplicity_mod_p")
+    for L in cases:
+        for seed in (1, 2, 3):
+            cartan_subalgebra(L, random.Random(seed))
+    assert ranked
+    for (A,) in ranked:
+        p = exactlin.charpoly(Mat(A))
+        assert exactlin.zero_multiplicity_mod_p(A) == next(
+            k for k, c in enumerate(p.c) if c)
+
+
 class _ScriptedRandom(random.Random):
     """A Random whose first randint draws come from a script."""
 
