@@ -290,8 +290,8 @@ def test_cartan_early_stop_changes_no_pick(monkeypatch):
 
 
 def test_cartan_counts_equal_the_exact_zero_multiplicity(monkeypatch):
-    # every matrix the search ranks, counted against its exact charpoly, an
-    # oracle that shares no code with the mod-p count
+    # every matrix the search ranks, counted against its exact charpoly over
+    # Q; the early-stop test ranks with the mod-p count in its oracle too
     cases = _cartan_cases()
     ranked = _counting(monkeypatch, "zero_multiplicity_mod_p")
     for L in cases:
