@@ -22,11 +22,12 @@ it; a change that means to alter an output updates that file with it.
 
 The set covers every subcommand, `extend --standard` and
 `verify rank-bound` on the catalog sources and on seeded basis changes
-(some with denominators), `torus heisenberg:9` (a Cartan search in
-Der(heisenberg:9), of dimension 45), `cartan`, `nilradical`, `split` and
-`fingerprint` on an algebra whose Cartan ranking mod 2^61 - 1 counts one
-candidate above its exact count, `extend --by` on derivation files (one with
-entries of about 260 bits, and one derivation written once as JSON
+(some with denominators, two dense and 7-dimensional), `torus
+heisenberg:9` (a Cartan search in Der(heisenberg:9), of dimension 45),
+`cartan`, `nilradical`, `split` and `fingerprint` on an algebra whose
+Cartan ranking mod 2^61 - 1 counts one candidate above its exact count,
+`extend --by` on derivation files (one with entries of about 260 bits,
+and one derivation written once as JSON
 numbers of 20 decimal places and once as strings), `verify togo` on
 pairs, `demo snobl`, two input errors, two label clashes in direct sums
 and a derivation file that is not UTF-8, each at seeds 1, 7 and 2022 and
@@ -67,6 +68,11 @@ BASIS_CHANGES = {
     "so2_det2.json": ("so2_torus_extension", None, 6, 2),
     "diag3_det2.json": ("diagonal_torus_extension", 3, 4, 2),
     "heisenberg5_det3.json": ("heisenberg", 5, 7, 3),
+    # 7-dimensional: the Leibniz system has 147 or 145 rows in 49 columns,
+    # and its rows past the first 49 cut the kernel of those 49 rows down
+    # (favre7 13 -> 10, filiform:7 29 -> 13)
+    "favre7_dense.json": ("favre7", None, 2, 1),
+    "filiform7_dense.json": ("filiform", 7, 4, 1),
 }
 
 # one-dimensional algebras whose file asserts characteristic nilpotency
