@@ -21,8 +21,8 @@ of such annihilators, certified by q(m) = 0, and squarefree_part(p) is the
 annihilator of p' under the companion matrix of p. Subspace holds a
 canonical RREF basis (sums; membership and coordinates by one integer
 check, int_coords, on the basis's (den, ints), int_rows); kernel is the
-null rows of _rref. jordan_chevalley takes the inverse of g' mod g from
-one kernel too.
+null rows of _rref of a square block, cut down by one projection of the
+rest. jordan_chevalley takes the inverse of g' mod g from one kernel too.
 
 charpoly is Faddeev-LeVerrier over the integers on m.ints = d m, d = m.den,
 with exact divisions and a closing Cayley-Hamilton check; is_nilpotent
@@ -464,14 +464,23 @@ def _null_rows(rows: Sequence[Sequence], pivots: Sequence[int],
 
 
 def kernel(m: Mat | Sequence[Sequence], cols: int | None = None) -> Subspace:
-    """Null space {v : m v = 0} as a Subspace of Q^cols: the null rows of _rref.
-    m is a Mat, or a list of rows of ints or Fractions (cols needed if empty)."""
+    """Null space {v : m v = 0} as a Subspace of Q^cols. m is a Mat, or a
+    list of rows of ints or Fractions (cols needed if empty). The null rows
+    B of _rref of the first cols rows A span ker A; the rest C is projected:
+    ker [A; C] = {x B : x in ker(C B^T)}, the span of N B for the null rows
+    N of _rref(C B^T). So a tall system's redundant rows, which would fill
+    in under the pivot loop, become len(B) entries each by one product."""
     if isinstance(m, Mat):
         m, cols = m.ints, m.cols
     elif cols is None:
         cols = len(m[0])
-    e, R, piv = _rref(m, cols)
-    return Subspace.span(cols, _null_rows(R, piv, cols, e))
+    e, R, piv = _rref(m[:cols], cols)
+    B = _null_rows(R, piv, cols, e)
+    M = _int_product(m[cols:], [list(c) for c in zip(*B)]) if B else []
+    if any(map(any, M)):
+        e, R, piv = _rref(M, len(B))
+        B = _int_product(_null_rows(R, piv, len(B), e), B)
+    return Subspace.span(cols, B)
 
 
 # ---------------------------------------------------------------------------

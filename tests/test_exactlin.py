@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from liekit import exactlin
+from liekit import catalog, exactlin, structure
 from liekit.exactlin import (
     Mat,
     Poly,
@@ -26,6 +26,7 @@ from liekit.exactlin import (
     squarefree_part,
     zero_multiplicity_mod_p,
 )
+from liekit.liecore import change_basis
 
 F = Fraction
 
@@ -279,6 +280,120 @@ def test_kernel_of_300_bit_entries_matches_the_reference():
     m = Mat([[rng.getrandbits(300) | 1, rng.getrandbits(300) | 1]])
     got = _assert_matches_reference(m)
     assert got.rows()[0][1].denominator.bit_length() > 290
+
+
+def _one_pass_kernel(rows, cols):
+    """The kernel from one _rref of every row: the oracle for the projection."""
+    e, R, piv = exactlin._rref(rows, cols)
+    return Subspace.span(cols, exactlin._null_rows(R, piv, cols, e))
+
+
+def _combination(rng, rows, cols):
+    """A seeded integer combination of rows (the zero row if there are none)."""
+    out = [0] * cols
+    for row in rows:
+        c = rng.randint(-3, 3)
+        out = [x + c * y for x, y in zip(out, row)]
+    return out
+
+
+def _tall_case(rng, kind):
+    """(rows, cols) of one kind of system for the projection in kernel."""
+    cols = 0 if kind == "no columns" else rng.randint(1, 9)
+    if kind in ("product", "fractions"):
+        # low rank r: a tall U times an r x cols V, entries Fractions or ints
+        r, height = rng.randint(0, cols), rng.randint(cols + 1, 3 * cols + 2)
+        den = 12 if kind == "fractions" else 1
+        V = [[F(rng.randint(-9, 9), rng.randint(1, den)) for _ in range(cols)]
+             for _ in range(r)]
+        rows = [_combination(rng, V, cols) for _ in range(height)]
+        return (rows if den > 1 else [[int(x) for x in row] for row in rows]), cols
+    if kind == "no columns":
+        return [[] for _ in range(rng.randint(0, 4))], cols
+    if kind == "not tall":
+        return [[rng.randint(-5, 5) for _ in range(cols)]
+                for _ in range(rng.randint(0, cols))], cols
+    # a square first block A of rank r and a tail of 1 to 2 cols rows
+    cols = max(cols, 2)   # _unimodular needs two rows
+    r = cols if kind == "full first block" else rng.randint(0, cols - 1)
+    A = [list(row) for row in _unimodular(rng, cols, 2 * cols).ints[:r]]
+    A += [_combination(rng, A, cols) for _ in range(cols - r)]
+    rng.shuffle(A)
+    tail = [_combination(rng, A, cols) for _ in range(rng.randint(1, 2 * cols))]
+    if kind == "cutting tail":
+        tail[rng.randrange(len(tail))][rng.randrange(cols)] += rng.choice((-1, 1))
+    return A + tail, cols
+
+
+def test_kernel_equals_the_one_pass_kernel_on_seeded_tall_systems():
+    rng = random.Random(1729)
+    kinds = ("product", "fractions", "no columns", "not tall", "full first block",
+             "redundant tail", "cutting tail")
+    seen = {kind: 0 for kind in kinds}
+    for trial in range(700):
+        kind = kinds[trial % len(kinds)]
+        rows, cols = _tall_case(rng, kind)
+        got = kernel(rows, cols)
+        assert got == _one_pass_kernel(rows, cols), (kind, rows, cols)
+        first = _one_pass_kernel(rows[:cols], cols).dim
+        # each kind reaches the branch it names
+        seen[kind] += {"product": len(rows) > cols and got.dim > 0,
+                       "fractions": any(type(x) is F for row in rows for x in row),
+                       "no columns": cols == 0 and got.dim == 0,
+                       "not tall": len(rows) <= cols,
+                       "full first block": first == 0 < len(rows) - cols,
+                       "redundant tail": first == got.dim > 0,
+                       "cutting tail": got.dim < first}[kind]
+    assert all(n >= 60 for n in seen.values()), seen
+
+
+def _leibniz_system(monkeypatch, name, param, seed):
+    """(rows, cols) that derivations solves for name:param on a seeded dense
+    unimodular basis."""
+    L = catalog.get(name, param).algebra
+    M = change_basis(L, _unimodular(random.Random(seed), L.dim, 3 * L.dim))
+    systems = []
+
+    def recording(rows, cols):
+        systems.append((rows, cols))
+        return kernel(rows, cols)
+
+    monkeypatch.setattr(structure, "kernel", recording)
+    structure.derivations(M)
+    monkeypatch.undo()
+    (system,) = systems
+    return system
+
+
+# (name, param, seed, dim ker of the first cols rows, dim Der): on favre7
+# the rows past the first cols cut the kernel down
+@pytest.mark.parametrize("name, param, seed, first, dim", [
+    ("favre7", None, 1, 13, 10), ("favre7", None, 5, 20, 10),
+    ("filiform", 8, 1, 15, 15)])
+def test_kernel_equals_the_one_pass_kernel_on_dense_leibniz_systems(
+        monkeypatch, name, param, seed, first, dim):
+    rows, cols = _leibniz_system(monkeypatch, name, param, seed)
+    assert len(rows) > cols
+    assert _one_pass_kernel(rows[:cols], cols).dim == first
+    assert kernel(rows, cols) == _one_pass_kernel(rows, cols)
+    assert kernel(rows, cols).dim == dim
+
+
+def test_kernel_of_the_dense_filiform8_leibniz_system_projects(monkeypatch):
+    rows, cols = _leibniz_system(monkeypatch, "filiform", 8, 1)
+    assert (len(rows), cols) == (224, 64)
+    calls = []
+    real = exactlin._rref
+
+    def counting(rows, cols):
+        rows = list(rows)
+        calls.append((len(rows), cols))
+        return real(rows, cols)
+
+    monkeypatch.setattr(exactlin, "_rref", counting)
+    assert kernel(rows, cols).dim == 15
+    assert calls and (224, 64) not in calls
+    assert max(n for n, width in calls if width == 64) == 64
 
 
 # ---------------------------------------------------------------------------
