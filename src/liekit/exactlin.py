@@ -476,7 +476,7 @@ def kernel(m: Mat | Sequence[Sequence], cols: int | None = None) -> Subspace:
         cols = len(m[0])
     e, R, piv = _rref(m[:cols], cols)
     B = _null_rows(R, piv, cols, e)
-    M = _int_product(m[cols:], [list(c) for c in zip(*B)]) if B else []
+    M = _int_product(m[cols:], [list(c) for c in zip(*B)])
     if any(map(any, M)):
         e, R, piv = _rref(M, len(B))
         B = _int_product(_null_rows(R, piv, len(B), e), B)
