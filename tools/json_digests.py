@@ -27,8 +27,9 @@ heisenberg:9` (a Cartan search in Der(heisenberg:9), of dimension 45),
 `cartan`, `nilradical`, `split` and `fingerprint` on an algebra whose
 Cartan ranking mod 2^61 - 1 counts one candidate above its exact count,
 `extend --by` on derivation files (one with entries of about 260 bits,
-and one derivation written once as JSON
-numbers of 20 decimal places and once as strings), `verify togo` on
+one derivation written once as JSON numbers of 20 decimal places and
+once as strings, two that break the Leibniz rule and one whose span is
+not bracket-closed), `verify togo` on
 pairs, `demo snobl`, two input errors, two label clashes in direct sums
 and a derivation file that is not UTF-8, each at seeds 1, 7 and 2022 and
 with `--format json` and `--format text`. A line that starts with `3` (an
@@ -92,7 +93,10 @@ P_ADVERSARIAL = {"name": "p_adversarial", "dim": 4, "basis": ["s", "t", "y", "z"
                               [1, 4, [[4, "1"]]]]}
 P_ADVERSARIAL_COMMANDS = ("cartan", "nilradical", "split", "fingerprint")
 
-# file name -> (source, matrices); a nilpotent action is refused (exit 1)
+# file name -> (source, matrices); a nilpotent action is refused (exit 1),
+# and so are, with exit 2, a matrix that breaks the Leibniz rule (the first
+# generator, and the second after a derivation) and a span of derivations
+# that is not closed under commutators
 DERIVATION_FILES = {
     "plane_identity.json": ("abelian:2", [[[1, 0], [0, 1]]]),
     "plane_diagonal.json": ("abelian:2", [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]),
@@ -108,6 +112,11 @@ DERIVATION_FILES = {
     "heisenberg5_big_diagonal.json": ("heisenberg:5", [[
         [2 ** 260 + 1, 0, 0, 0, 0], [0, 5, 0, 0, 0], [0, 0, 3, 0, 0],
         [0, 0, 0, 2 ** 260 - 1, 0], [0, 0, 0, 0, 2 ** 260 + 4]]]),
+    "heisenberg3_not_derivation.json": ("heisenberg:3", [[[1, 0, 0], [0, 0, 0],
+                                                          [0, 0, 0]]]),
+    "heisenberg3_second_not_derivation.json": ("heisenberg:3", [
+        [[1, 0, 0], [0, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 0], [0, 0, 0]]]),
+    "plane_not_closed.json": ("abelian:2", [[[0, 1], [0, 0]], [[0, 0], [1, 0]]]),
 }
 
 # file name -> (source, file text): diag(a, b, a + b) on heisenberg:3, with
