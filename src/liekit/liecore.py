@@ -347,10 +347,10 @@ def induced_table(k: int, product: Callable[[int, int], object],
     """Structure constants of a k-dimensional space closed under a product.
 
     `product(a, b)` is the product of basis elements a < b in ambient terms,
-    in whatever form `coords` reads (LinearLieAlgebra passes an integer
-    vector with its denominator), and `coords` re-expresses it over the basis
-    (None when it lies outside the span, which raises NotClosedError with the
-    pair).
+    in whatever form `coords` reads (an integer vector with its denominator
+    for the coordinates of _coordinates, a rational vector for the projection
+    of quotient), and `coords` re-expresses it over the basis (None when it
+    lies outside the span, which raises NotClosedError with the pair).
     """
     table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for a in range(k):
@@ -362,6 +362,41 @@ def induced_table(k: int, product: Callable[[int, int], object],
             if terms:
                 table[(a, b)] = terms
     return table
+
+
+def _coordinates(basis: Mat) -> Callable[[tuple[list[int], int]], tuple | None]:
+    """The map (w, D) -> coordinates of w / D over the independent rows of
+    basis B, or None outside their span. With R = T B the RREF and T held as
+    t T, Subspace.int_coords(w) on R gives D c_i, c_i those over the rows of
+    R, and sum_i D c_i (t T)_i / (D t) those over B, summed over the nonzeros
+    of t T: one per coordinate when B is in RREF (restrict, derivations)."""
+    R, piv, T = rref_with_transform(basis)
+    if len(piv) != basis.rows:
+        raise ValueError("basis rows are linearly dependent")
+    span = Subspace(basis.cols, R, piv)
+    to_basis = [[(b, x) for b, x in enumerate(trow) if x] for trow in T.ints]
+
+    def coords(vec: tuple[list[int], int]) -> tuple[Fraction, ...] | None:
+        w, den = vec
+        cs = span.int_coords(w)
+        if cs is None:
+            return None
+        acc = [0] * basis.rows
+        for f, trow in zip(cs, to_basis):
+            if f:
+                for b, x in trow:
+                    acc[b] += f * x
+        return tuple(_unscaled(acc, den * T.den))
+
+    return coords
+
+
+def _on_rows(L: LieAlgebra, basis: Mat, labels: Sequence[str] | None) -> LieAlgebra:
+    """The algebra on the rows of basis, (Mat.ints / d): products over den d^2."""
+    rows, den = basis.ints, L.den * basis.den ** 2
+    table = induced_table(basis.rows, lambda a, b: (L.int_bracket(rows[a], rows[b]), den),
+                          _coordinates(basis))
+    return LieAlgebra(basis.rows, table, labels)
 
 
 def quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Mat]:
@@ -383,29 +418,15 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Mat]:
 
 
 def restrict(L: LieAlgebra, s: Subspace) -> LieAlgebra:
-    """The subalgebra on s's RREF basis, with NotClosedError on failure;
-    on the rows E R (int_rows), brackets and coordinates scale by den E^2."""
-    e, rows = s.int_rows()
-
-    def coords(w: list[int]) -> list[Fraction] | None:
-        cs = s.int_coords(w)
-        return None if cs is None else _unscaled(cs, L.den * e * e)
-
-    table = induced_table(s.dim, lambda a, b: L.int_bracket(rows[a], rows[b]), coords)
-    return LieAlgebra(s.dim, table, tuple(f"s{i + 1}" for i in range(s.dim)))
+    """The subalgebra on s's RREF basis, with NotClosedError on failure."""
+    return _on_rows(L, s.basis, tuple(f"s{i + 1}" for i in range(s.dim)))
 
 
 def change_basis(L: LieAlgebra, p: Mat) -> LieAlgebra:
     """Same algebra written on the new basis given by the rows of p."""
     if p.shape != (L.dim, L.dim):
         raise ValueError("basis matrix must be dim x dim")
-    _, piv, p_inv = rref_with_transform(p)
-    if len(piv) != L.dim:
-        raise ValueError("basis matrix is singular")
-    # v = c p, so the coordinates c of v are v p^-1
-    table = induced_table(L.dim, lambda a, b: L.bracket(p.data[a], p.data[b]),
-                          p_inv.transpose().apply)
-    return LieAlgebra(L.dim, table, None)
+    return _on_rows(L, p, None)
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
@@ -445,12 +466,8 @@ class LinearLieAlgebra:
     commutator of every pair of basis elements is re-expressed over the basis
     during construction, and failure raises NotClosedError with the pair.
     This runs over the integers. Basis matrix a is held as (d_a, d_a m_a)
-    (Mat.den, Mat.ints), so [m_a, m_b] is an integer matrix over d_a d_b. With
-    R = T B the RREF of the stacked basis B, membership of w / D is the
-    integer check Subspace.int_coords(w) on R, which gives D c_i, c_i the
-    coordinates over the rows of R. With T held as t T, those over the basis
-    are sum_i D c_i (t T)_i / (D t), summed over the nonzeros of t T: one
-    entry per coordinate for the RREF bases of derivations and maximal_torus.
+    (Mat.den, Mat.ints), so [m_a, m_b] is an integer matrix over d_a d_b,
+    read by _coordinates on the basis flattened row-major.
     """
 
     def __init__(self, ambient: LieAlgebra, basis: Sequence[Mat]):
@@ -460,13 +477,7 @@ class LinearLieAlgebra:
         for m in self.basis:
             if m.shape != (n, n):
                 raise ValueError("basis matrices must match the ambient dimension")
-        R, piv, T = rref_with_transform(Mat.vecs(self.basis, n * n))
-        if len(piv) != len(self.basis):
-            raise ValueError("matrix basis is linearly dependent")
-        self._span = Subspace(n * n, R, piv)
-        self._to_basis_den = T.den
-        self._to_basis = [[(b, x) for b, x in enumerate(trow) if x]
-                          for trow in T.ints]
+        self._coords = _coordinates(Mat.vecs(self.basis, n * n))
         self.table = induced_table(len(self.basis), self._commutator,
                                    self._coords)
 
@@ -476,20 +487,6 @@ class LinearLieAlgebra:
         return ([x - y for r1, r2 in zip(_int_product(A.ints, B.ints),
                                          _int_product(B.ints, A.ints))
                  for x, y in zip(r1, r2)], A.den * B.den)
-
-    def _coords(self, vec: tuple[list[int], int]) -> tuple[Fraction, ...] | None:
-        """Coordinates over the basis of w / D for vec = (w, D), or None."""
-        w, den = vec
-        cs = self._span.int_coords(w)
-        if cs is None:
-            return None
-        acc = [0] * len(self.basis)
-        for f, trow in zip(cs, self._to_basis):
-            if f:
-                for b, x in trow:
-                    acc[b] += f * x
-        den *= self._to_basis_den
-        return tuple(_unscaled(acc, den))
 
     @property
     def dim(self) -> int:
@@ -508,10 +505,6 @@ class LinearLieAlgebra:
     def contains(self, m: Mat) -> bool:
         return self.coords(m) is not None
 
-    def matrix_span(self) -> Subspace:
-        """The underlying subspace of gl(n), vectorized row-major."""
-        return self._span
-
     def to_abstract(self) -> LieAlgebra:
         labels = tuple(f"D{i + 1}" for i in range(self.dim))
         return LieAlgebra(self.dim, dict(self.table), labels)
@@ -524,17 +517,17 @@ def semidirect_sum(mats: Sequence[Mat], inner: LieAlgebra,
                    act_labels: Sequence[str] | None = None) -> Extension:
     """Semidirect sum of a matrix Lie algebra acting on `inner`.
 
-    Every generator must satisfy the Leibniz rule on `inner` and the span of
-    the generators must be closed under matrix commutators; violations raise
-    with the witnessing pair. Generator coordinates come first in the result,
-    `inner` embeds as the trailing coordinates (an ideal).
+    The span of the generators must be closed under matrix commutators
+    (NotClosedError). Then Jacobi can fail only on triples (t_a, e_i, e_j),
+    where it is the Leibniz rule of t_a on (e_i, e_j): the first such failure
+    raises NotADerivationError(a, (i, j)). Generator coordinates come first
+    in the result, `inner` embeds as the trailing coordinates (an ideal).
     """
     n = inner.dim
     d = len(mats)
     for idx, m in enumerate(mats):
         if m.shape != (n, n):
             raise ValueError(f"generator {idx} is not {n}x{n}")
-        _leibniz_check(m, inner, idx)
     acting = LinearLieAlgebra(inner, mats)
     if act_labels is None:
         act_labels = [f"t{i + 1}" for i in range(d)]
@@ -548,24 +541,14 @@ def semidirect_sum(mats: Sequence[Mat], inner: LieAlgebra,
                 table[(a, d + j)] = terms
     total = LieAlgebra(d + n, table, blocks.labels)
     bad = verify_structure(total)
+    for a, i, j in bad:
+        if a < d <= i:
+            raise NotADerivationError(a, (i - d, j - d))
     if bad:
         raise JacobiError(bad)
     nilideal = Subspace.span(d + n, [total.basis_vector(d + i) for i in range(n)])
     complement = Subspace.span(d + n, [total.basis_vector(i) for i in range(d)])
     return Extension(total, nilideal, complement)
-
-
-def _leibniz_check(m: Mat, L: LieAlgebra, gen_index: int) -> None:
-    """D [e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] for D = m, both sides
-    times den m.den: over the integers, with the columns of m.ints."""
-    cols = [list(c) for c in zip(*m.ints)]
-    e = _units(L.dim)
-    for (i, j) in combinations(range(L.dim), 2):
-        lhs = _int_product([L.int_bracket(e[i], e[j])], cols)[0]
-        rhs = [a + b for a, b in zip(L.int_bracket(cols[i], e[j]),
-                                     L.int_bracket(e[i], cols[j]))]
-        if lhs != rhs:
-            raise NotADerivationError(gen_index, (i, j))
 
 
 def killing_radical(L: LieAlgebra) -> Subspace:

@@ -90,12 +90,14 @@ def _derivations(L: LieAlgebra) -> LinearLieAlgebra:
                 for u, c in terms:
                     block[u][t * n + j] -= c
             rows.extend(row for row in block if any(row))
-    e, kers = kernel(rows, n * n).int_rows()
+    ker = kernel(rows, n * n)
+    e, kers = ker.int_rows()
     mats = [Mat.from_flat(n, n, row, e) for row in kers]
     der = LinearLieAlgebra(L, mats)
-    # ad-images are always derivations; their span must land inside
+    # ad-images are always derivations; their span must land inside the
+    # computed Der(L), whose matrix span is ker
     inner = inner_derivations(L)
-    if not der.matrix_span().contains_space(inner):
+    if not ker.contains_space(inner):
         raise AssertionError(
             "proof failed: inner derivations escaped the computed Der(L)")
     return der
