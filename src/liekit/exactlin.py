@@ -465,7 +465,8 @@ def _null_rows(rows: Sequence[Sequence], pivots: Sequence[int],
 
 def kernel(m: Mat | Sequence[Sequence], cols: int | None = None) -> Subspace:
     """Null space {v : m v = 0} as a Subspace of Q^cols. m is a Mat, or a
-    list of rows of ints or Fractions (cols needed if empty). The null rows
+    list of rows of ints or Fractions, each of length cols (cols needed if
+    empty; ValueError otherwise, as in Subspace.span). The null rows
     B of _rref of the first cols rows A span ker A; the rest C is projected:
     ker [A; C] = {x B : x in ker(C B^T)}, the span of N B for the null rows
     N of _rref(C B^T). So a tall system's redundant rows, which would fill
@@ -473,7 +474,11 @@ def kernel(m: Mat | Sequence[Sequence], cols: int | None = None) -> Subspace:
     if isinstance(m, Mat):
         m, cols = m.ints, m.cols
     elif cols is None:
+        if not m:
+            raise ValueError("an empty system needs cols")
         cols = len(m[0])
+    if any(len(row) != cols for row in m):
+        raise ValueError("vector length mismatch")
     e, R, piv = _rref(m[:cols], cols)
     B = _null_rows(R, piv, cols, e)
     M = _int_product(m[cols:], [list(c) for c in zip(*B)])

@@ -236,6 +236,8 @@ def _basis_ads(L: LieAlgebra) -> list[list[list[int]]]:
 
 def product_space(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """[a, b] = span of brackets of basis pairs, taken on the integer rows."""
+    if a.ambient != L.dim or b.ambient != L.dim:
+        raise ValueError("subspace ambient must match the algebra dimension")
     rows = []
     for x in a.int_rows()[1]:
         for y in b.int_rows()[1]:
@@ -308,6 +310,8 @@ def normalizer_system(L: LieAlgebra, s: Subspace) -> list[list[int]]:
     """Integer rows whose kernel is the normalizer of s, 0 < dim s < dim L: one
     block P den ad(-E v) per row v of s, (E, E R) = s.int_rows() and P the rows
     with kernel s (_null_rows), E^2 den times the residual of [x, v] mod s."""
+    if s.ambient != L.dim:
+        raise ValueError("subspace ambient must match the algebra dimension")
     e, rows = s.int_rows()
     proj = _null_rows(rows, s.pivots, s.ambient, e)
     return [r for v in rows for r in _int_product(proj, L.int_ad([-x for x in v]))]
@@ -419,6 +423,8 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Mat]:
 
 def restrict(L: LieAlgebra, s: Subspace) -> LieAlgebra:
     """The subalgebra on s's RREF basis, with NotClosedError on failure."""
+    if s.ambient != L.dim:
+        raise ValueError("subspace ambient must match the algebra dimension")
     return _on_rows(L, s.basis, tuple(f"s{i + 1}" for i in range(s.dim)))
 
 
@@ -493,6 +499,8 @@ class LinearLieAlgebra:
         return len(self.basis)
 
     def element(self, coeffs: Sequence) -> Mat:
+        if len(coeffs) != self.dim:
+            raise ValueError("coefficient count must match the dimension")
         n = self.ambient.dim
         return sum((c * m for c, m in zip(coeffs, self.basis) if c), Mat.zeros(n, n))
 

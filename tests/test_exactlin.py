@@ -158,6 +158,14 @@ def test_kernel_of_zero_map_is_everything():
     assert kernel([], 3) == k
 
 
+def test_kernel_refuses_rows_of_the_wrong_length():
+    # a row past cols, a short row that would read as zero-padded, and an
+    # empty system with no cols, as Subspace.span refuses such rows
+    for rows, cols in (([[1, 2, 3]], 2), ([[1], [0, 1]], 2), ([], None)):
+        with pytest.raises(ValueError):
+            kernel(rows, cols)
+
+
 def test_kernel_annihilates_and_rank_nullity():
     rng = random.Random(7)
     for _ in range(30):

@@ -1,6 +1,7 @@
 """Tests for the structure-constant layer: brackets, series, quotients, sums."""
 
 from fractions import Fraction
+from itertools import combinations
 import random
 
 import pytest
@@ -307,6 +308,106 @@ def test_semidirect_rejects_unclosed_span():
         LinearLieAlgebra(abelian(2), [e12, 3 * e12])
     with pytest.raises(ValueError):
         change_basis(sl2(), Mat([[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
+
+
+def _diag(entries):
+    n = len(entries)
+    return Mat([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def _leibniz_oracle(mats, L):
+    """The first (generator, pair) where D [e_i, e_j] = [D e_i, e_j] +
+    [e_i, D e_j] fails, generators in order and then pairs in combinations
+    order, or None: a separate per-generator check over the integers, both
+    sides times den m.den, with the columns of m.ints."""
+    e = [[int(t == i) for t in range(L.dim)] for i in range(L.dim)]
+    for idx, m in enumerate(mats):
+        cols = [list(c) for c in zip(*m.ints)]
+        for i, j in combinations(range(L.dim), 2):
+            w = L.int_bracket(e[i], e[j])
+            lhs = [sum(a * x for a, x in zip(row, w)) for row in m.ints]
+            rhs = [a + b for a, b in zip(L.int_bracket(cols[i], e[j]),
+                                         L.int_bracket(e[i], cols[j]))]
+            if lhs != rhs:
+                return idx, (i, j)
+    return None
+
+
+def test_semidirect_refusal_names_the_generator_and_pair_of_the_leibniz_oracle():
+    # closed spans only: one nonzero matrix, or commuting diagonal matrices
+    rng = random.Random(43)
+    algebras = [catalog.get("heisenberg", 3).algebra, catalog.get("heisenberg", 5).algebra,
+                catalog.get("filiform", 5).algebra, r2(), abelian(2)]
+    seen = {"accepted": 0, "generator 0": 0, "later generator": 0}
+    pairs = set()
+    for L in algebras:
+        n = L.dim
+        for _ in range(40):
+            if rng.random() < 0.5:
+                mats = [Mat([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])]
+                if mats[0].is_zero():
+                    continue
+            else:
+                diags = [[rng.randint(-1, 1) for _ in range(n)]
+                         for _ in range(rng.randint(1, n))]
+                if Subspace.span(n, diags).dim < len(diags):
+                    continue
+                mats = [_diag(d) for d in diags]
+            expected = _leibniz_oracle(mats, L)
+            if expected is None:
+                assert verify_structure(semidirect_sum(mats, L).total) == []
+                seen["accepted"] += 1
+                continue
+            with pytest.raises(NotADerivationError) as exc:
+                semidirect_sum(mats, L)
+            assert (exc.value.gen_index, exc.value.pair) == expected
+            seen["generator 0" if expected[0] == 0 else "later generator"] += 1
+            pairs.add(expected[1])
+    assert min(seen.values()) > 0 and len(pairs) > 2
+
+
+def test_semidirect_names_a_later_pair_and_reports_closure_before_leibniz():
+    # diag(1, 0, 0, 0, 1) on heisenberg:5 keeps [p1, q1] = z and breaks [p2, q2] = z
+    gen = [_diag([1, 0, 0, 0, 1])]
+    h5 = catalog.get("heisenberg", 5).algebra
+    assert _leibniz_oracle(gen, h5) == (0, (1, 3))
+    with pytest.raises(NotADerivationError) as exc:
+        semidirect_sum(gen, h5)
+    assert (exc.value.gen_index, exc.value.pair) == (0, (1, 3))
+    # E00, E01, E10 break the Leibniz rule with generator 0 on (0, 1), and
+    # [E01, E10] = E00 - E11 leaves their span; the closure failure is named
+    units = [Mat([[int((i, j) == u) for j in range(3)] for i in range(3)])
+             for u in ((0, 0), (0, 1), (1, 0))]
+    assert _leibniz_oracle(units, heisenberg3()) == (0, (0, 1))
+    with pytest.raises(NotClosedError) as exc:
+        semidirect_sum(units, heisenberg3())
+    assert exc.value.pair == (1, 2)
+
+
+def test_linear_lie_algebra_element_refuses_a_wrong_coefficient_count():
+    der = derivations(heisenberg3())
+    assert der.dim == 6
+    for coeffs in ([1], [1] * 10, []):
+        with pytest.raises(ValueError):
+            der.element(coeffs)
+
+
+def test_restrict_refuses_a_subspace_of_another_ambient():
+    with pytest.raises(ValueError):
+        restrict(heisenberg3(), Subspace.span(2, [[1, 0]]))
+
+
+def test_normalizer_refuses_a_subspace_of_another_ambient():
+    with pytest.raises(ValueError):
+        normalizer(heisenberg3(), Subspace.span(4, [[1, 0, 0, 0]]))
+
+
+def test_product_space_refuses_a_subspace_of_another_ambient():
+    L = heisenberg3()
+    for a, b in ((Subspace.full(2), Subspace.full(2)), (L.full_space(), Subspace.full(2)),
+                 (Subspace.full(2), L.full_space())):
+        with pytest.raises(ValueError):
+            product_space(L, a, b)
 
 
 def test_linear_lie_algebra_coords_over_a_basis_that_is_not_rref():
