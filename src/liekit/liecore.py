@@ -301,15 +301,14 @@ def center(L: LieAlgebra) -> Subspace:
 
 def normalizer(L: LieAlgebra, s: Subspace) -> Subspace:
     """{x : [x, s] <= s}."""
-    if s.dim == 0 or s.dim == L.dim:
-        return L.full_space()
     return kernel(normalizer_system(L, s), L.dim)
 
 
 def normalizer_system(L: LieAlgebra, s: Subspace) -> list[list[int]]:
-    """Integer rows whose kernel is the normalizer of s, 0 < dim s < dim L: one
-    block P den ad(-E v) per row v of s, (E, E R) = s.int_rows() and P the rows
-    with kernel s (_null_rows), E^2 den times the residual of [x, v] mod s."""
+    """Integer rows whose kernel is the normalizer of s: one block
+    P den ad(-E v) per row v of s, (E, E R) = s.int_rows() and P the rows
+    with kernel s (_null_rows), E^2 den times the residual of [x, v] mod s.
+    No rows when s is 0 or L."""
     if s.ambient != L.dim:
         raise ValueError("subspace ambient must match the algebra dimension")
     e, rows = s.int_rows()

@@ -288,8 +288,6 @@ def maximal_torus(der: LinearLieAlgebra,
     rng = _rng(rng)
     if der is not derivations(der.ambient):
         raise LieError("maximal_torus expects a full derivation algebra")
-    if der.dim == 0:
-        return LinearLieAlgebra(der.ambient, [])
     abstract = _abstract_derivations(der.ambient)
     h = cartan_subalgebra(abstract, rng)
     mats = [der.element(row) for row in h.basis.data]

@@ -183,6 +183,9 @@ def test_normalizer():
     assert n.dim == 2
     assert normalizer(r2(), Subspace.span(2, [[1, 0]])).dim == 1
     assert normalizer(L, L.full_space()).dim == 3
+    # the empty system of the zero subspace, also in dimension 0
+    assert normalizer(L, Subspace.zero(3)) == L.full_space()
+    assert normalizer(abelian(0), Subspace.zero(0)) == Subspace.full(0)
 
 
 def test_generated_subalgebra():

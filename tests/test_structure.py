@@ -598,7 +598,8 @@ def test_nilradical_follows_seeded_basis_changes():
 # maximal torus and toric rank
 
 def test_maximal_torus_abelian():
-    for n in (2, 3):
+    # n = 0: Der = 0, and the Cartan search of the zero algebra returns 0
+    for n in (0, 2, 3):
         torus = maximal_torus(derivations(abelian(n)))
         assert torus.dim == n
 
