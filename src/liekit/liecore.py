@@ -9,7 +9,8 @@ outputs are canonical RREF bases, so identical inputs give identical
 bases. A LinearLieAlgebra is a bracket-closed space of matrices
 (derivation algebras, tori, acting parts of semidirect sums). Every table
 built from another one (subalgebras, quotients, basis changes, matrix
-algebras) comes from induced_table.
+algebras) comes from induced_table, and all but quotients read their
+coordinates from integer products through one pull-back, _coordinates.
 """
 
 from __future__ import annotations
@@ -395,7 +396,7 @@ def _coordinates(basis: Mat) -> Callable[[tuple[list[int], int]], tuple | None]:
 
 
 def _on_rows(L: LieAlgebra, basis: Mat, labels: Sequence[str] | None) -> LieAlgebra:
-    """The algebra on the rows of basis, (Mat.ints / d): products over den d^2."""
+    """The algebra on the rows of basis; den d^2 [b_a, b_b] is integral, d = basis.den."""
     rows, den = basis.ints, L.den * basis.den ** 2
     table = induced_table(basis.rows, lambda a, b: (L.int_bracket(rows[a], rows[b]), den),
                           _coordinates(basis))
@@ -428,7 +429,8 @@ def restrict(L: LieAlgebra, s: Subspace) -> LieAlgebra:
 
 
 def change_basis(L: LieAlgebra, p: Mat) -> LieAlgebra:
-    """Same algebra written on the new basis given by the rows of p."""
+    """Same algebra written on the new basis given by the rows of p, which
+    must be invertible (ValueError)."""
     if p.shape != (L.dim, L.dim):
         raise ValueError("basis matrix must be dim x dim")
     return _on_rows(L, p, None)
