@@ -377,7 +377,7 @@ def _coordinates(basis: Mat) -> Callable[[tuple[list[int], int]], tuple | None]:
     R, piv, T = rref_with_transform(basis)
     if len(piv) != basis.rows:
         raise ValueError("basis rows are linearly dependent")
-    span = Subspace(basis.cols, R, piv)
+    span, t = Subspace(basis.cols, R, piv), T.den
     to_basis = [[(b, x) for b, x in enumerate(trow) if x] for trow in T.ints]
 
     def coords(vec: tuple[list[int], int]) -> tuple[Fraction, ...] | None:
@@ -385,12 +385,12 @@ def _coordinates(basis: Mat) -> Callable[[tuple[list[int], int]], tuple | None]:
         cs = span.int_coords(w)
         if cs is None:
             return None
-        acc = [0] * basis.rows
+        acc = [0] * len(to_basis)
         for f, trow in zip(cs, to_basis):
             if f:
                 for b, x in trow:
                     acc[b] += f * x
-        return tuple(_unscaled(acc, den * T.den))
+        return tuple(_unscaled(acc, den * t))
 
     return coords
 
