@@ -27,7 +27,6 @@ from .liecore import (
     semidirect_sum,
 )
 from .structure import (
-    _rng,
     _toral_parts,
     cartan_subalgebra,
     derivations,
@@ -141,12 +140,11 @@ def _split(L: LieAlgebra, rng: random.Random | None) -> SplittingResult:
         emb_rows = [[0] * t + [1 if c == i else 0 for c in range(n)]
                     for i in range(n)]
         result = SplittingResult(ext.total, Mat(emb_rows), ext.complement, t)
-    _check_splitting(L, result, _rng(rng))
+    _check_splitting(L, result)
     return result
 
 
-def _check_splitting(L: LieAlgebra, r: SplittingResult,
-                     rng: random.Random) -> None:
+def _check_splitting(L: LieAlgebra, r: SplittingResult) -> None:
     M, n = r.M, L.dim
     if rank(r.embedding) != n:
         raise AssertionError("proof failed: embedding is not injective")
@@ -166,26 +164,15 @@ def _check_splitting(L: LieAlgebra, r: SplittingResult,
         raise AssertionError("proof failed: embedded copy is not an ideal")
     if r.torus_part.dim + n != M.dim or (r.torus_part + image).dim != M.dim:
         raise AssertionError("proof failed: torus part does not complement the image")
-    # the integer torus rows are proved; random combinations are sampled
-    rows = r.torus_part.int_rows()[1]
-    for v in rows:
-        if (why := _torus_failure(M, v)):
-            raise AssertionError(f"proof failed: {why}")
-    for _ in range(4):
-        cs = [rng.randint(-3, 3) for _ in range(len(rows))]
-        v = [sum(c * row[t] for c, row in zip(cs, rows)) for t in range(M.dim)]
-        if any(cs) and (why := _torus_failure(M, v)):
-            raise AssertionError(f"sample failed: {why}")
-
-
-def _torus_failure(M: LieAlgebra, v: list[int]) -> str | None:
-    """Why the torus element v of M breaks the split form, or None."""
-    adv = M.ad(v)
-    if not is_semisimple(adv):
-        return "torus element does not act semisimply"
-    if any(v) and adv.is_zero():
-        return "nonzero torus element acts trivially"
-    return None
+    # commuting semisimple ads with independent rows: every nonzero element
+    # of the torus part acts semisimply and nontrivially
+    if product_space(M, r.torus_part, r.torus_part).dim:
+        raise AssertionError("proof failed: torus part is not abelian")
+    ads = [M.ad(v) for v in r.torus_part.int_rows()[1]]
+    if not all(map(is_semisimple, ads)):
+        raise AssertionError("proof failed: torus element does not act semisimply")
+    if rank(Mat.vecs(ads, M.dim ** 2)) != len(ads):
+        raise AssertionError("proof failed: nonzero torus element acts trivially")
 
 
 @dataclass(frozen=True)

@@ -279,50 +279,60 @@ def maximal_torus(der: LinearLieAlgebra,
                   rng: random.Random | None = None) -> LinearLieAlgebra:
     """Maximal abelian subalgebra of semisimple derivations, via a Cartan.
 
-    Takes the semisimple Jordan parts of a Cartan subalgebra of the
-    derivation algebra; the map h -> semisimple part is linear there, which
-    is spot-checked on basis pairs. Every output generator is verified to be
-    a semisimple derivation and the span to be abelian. der must be the
-    Der(L) that derivations(L) caches for its ambient L.
+    T is the span of the semisimple Jordan parts s(h) over a basis of a
+    Cartan subalgebra H of the derivation algebra; _check_torus proves it a
+    maximal torus. The Cartan search is the only draw from the stream. der
+    must be the Der(L) that derivations(L) caches for its ambient L.
     """
-    rng = _rng(rng)
     if der is not derivations(der.ambient):
         raise LieError("maximal_torus expects a full derivation algebra")
-    abstract = _abstract_derivations(der.ambient)
-    h = cartan_subalgebra(abstract, rng)
+    h = cartan_subalgebra(_abstract_derivations(der.ambient), _rng(rng))
     mats = [der.element(row) for row in h.basis.data]
     parts = [jordan_chevalley(m).s for m in mats]
     n = der.ambient.dim
     e, rows = Subspace.span(n * n, Mat.vecs(parts, n * n).ints).int_rows()
     basis = [Mat.from_flat(n, n, row, e) for row in rows]
     torus = LinearLieAlgebra(der.ambient, basis)
-    _check_torus(torus, der, mats, parts, rng)
+    _check_torus(torus, der, h, [m - s for m, s in zip(mats, parts)])
     return torus
 
 
 def _check_torus(torus: LinearLieAlgebra, der: LinearLieAlgebra,
-                 cartan_mats: list[Mat], parts: list[Mat],
-                 rng: random.Random) -> None:
+                 h: Subspace, nils: list[Mat]) -> None:
+    """Prove the torus T a maximal torus of der = Der(L), exactly.
+
+    h is the Cartan subalgebra H of the abstract Der(L), nils the parts
+    n_i = h_i - s(h_i) over its basis. T is abelian, of semisimple
+    derivations; (i) H lies in C = C_Der(L)(T), the kernel of S; (ii) dim C
+    <= dim H; (iii) the n_i generate a nilpotent associative algebra. A torus
+    T' containing T lies in C = H, and t = sum a_i h_i in T' minus sum a_i
+    s(h_i) in T is semisimple (both lie in T') and nilpotent by (iii), so t
+    lies in T. By (i), s(h_a) + s(h_b) commutes with n_a + n_b: s is additive.
+    """
     # the table holds every commutator of basis pairs, checked exactly
     if torus.table:
         raise AssertionError("proof failed: torus is not abelian")
+    abstract = _abstract_derivations(der.ambient)
+    # S: the stacked ad c; a zero row keeps its dim Der columns for T = 0
+    S = [[0] * abstract.dim]
     for m in torus.basis:
         if not mat_is_semisimple(m):
             raise AssertionError("proof failed: torus generator is not semisimple")
-        if not der.contains(m):
+        if (c := der.coords(m)) is None:
             raise AssertionError("proof failed: torus generator is not a derivation")
-    # random combinations stay semisimple (sum of commuting semisimples)
-    for _ in range(4):
-        coeffs = [rng.randint(-3, 3) for _ in range(torus.dim)]
-        if any(coeffs) and not mat_is_semisimple(torus.element(coeffs)):
-            raise AssertionError("sample failed: torus combination is not semisimple")
-    # linearity of the semisimple-part map on the Cartan, spot-checked
-    for a in range(len(cartan_mats)):
-        for b in range(a + 1, min(len(cartan_mats), a + 3)):
-            lhs = jordan_chevalley(cartan_mats[a] + cartan_mats[b]).s
-            if lhs != parts[a] + parts[b]:
-                raise AssertionError(
-                    "sample failed: semisimple part is not additive on the Cartan")
+        S += abstract.ad(c).ints
+    if any(map(any, _int_product(S, [list(col) for col in zip(*h.basis.ints)]))):
+        raise AssertionError("proof failed: Cartan does not centralize the torus")
+    # C contains H, so dim ker(S mod p) >= dim H: False proves C = H
+    if kernel_dim_at_least(S, h.dim + 1) and kernel(S).dim > h.dim:
+        raise AssertionError("proof failed: torus centralizer exceeds the Cartan")
+    # W_k, spanned by the products of k parts, shrinks while it is nonzero
+    n = der.ambient.dim
+    w = Subspace.full(n)
+    for _ in range(n):
+        w = Subspace.span(n, [r for m in nils for r in _int_product(w.basis.ints, m.ints)])
+    if w.dim:
+        raise AssertionError("proof failed: parts h - s(h) are not jointly nilpotent")
 
 
 # ---------------------------------------------------------------------------

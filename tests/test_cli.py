@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from liekit import structure
 from liekit.cli import dispatch, main
+from liekit.exactlin import Mat
 
 # the output-digest tool, which also writes the basis-change files pinned here
 _spec = importlib.util.spec_from_file_location(
@@ -435,6 +437,28 @@ def test_failed_self_normalization_proof_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "error: internal check failed: proof failed: L0(ad x)" in err
+
+
+@pytest.mark.parametrize("src, proof", [
+    ("heisenberg:3", "torus centralizer exceeds the Cartan"),
+    # the subtorus left still holds a regular element, so its centralizer
+    # is the Cartan: only the joint nilpotency of the parts h - s(h) fails
+    ("heisenberg:7", "parts h - s(h) are not jointly nilpotent"),
+])
+def test_a_torus_short_of_one_semisimple_part_fails_its_proof(
+        capsys, monkeypatch, src, proof):
+    real, calls = structure.jordan_chevalley, []
+
+    def first_part_zeroed(m):
+        calls.append(m)
+        jc = real(m)
+        return jc._replace(s=Mat.zeros(*m.shape)) if len(calls) == 1 else jc
+
+    monkeypatch.setattr(structure, "jordan_chevalley", first_part_zeroed)
+    code, out, err = run(capsys, "torus", src, "--seed", "7", "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert f"error: internal check failed: proof failed: {proof}\n" in err
 
 
 @pytest.mark.parametrize("flag, want", [(False, 0), (True, 2)])

@@ -222,26 +222,32 @@ def test_check_splitting_proves_the_homomorphism_over_the_integers():
     for K, M, emb in ((L, L, Mat([["1/2", 0, 0], [0, 1, 0], [0, 0, "1/2"]])),
                       (half, L, Mat([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))):
         good = extensions.SplittingResult(M, emb, Subspace.zero(3), 0)
-        extensions._check_splitting(K, good, random.Random(1))
+        extensions._check_splitting(K, good)
     for M, emb in ((abelian(3), Mat.identity(3)),
                    (L, Mat([["1/2", 0, 0], [0, 1, 0], [0, 0, 1]]))):
         bad = extensions.SplittingResult(M, emb, Subspace.zero(3), 0)
         with pytest.raises(AssertionError, match="embedding is not a homomorphism"):
-            extensions._check_splitting(L, bad, random.Random(1))
+            extensions._check_splitting(L, bad)
 
 
-def test_check_splitting_proves_the_torus_rows_and_samples_combinations(
-        monkeypatch):
-    # the plane extended by a nilpotent action: its torus row fails the proof
-    ext = semidirect_sum([Mat([[0, 1], [0, 0]])], abelian(2), ["t"])
-    emb = Mat([[0, 1, 0], [0, 0, 1]])
-    r = extensions.SplittingResult(ext.total, emb, ext.complement, 1)
+def test_check_splitting_proves_the_torus_part_abelian_semisimple_and_faithful():
+    plane = Mat([[0, 1, 0], [0, 0, 1]])   # abelian(2) on the trailing coordinates
+    sl2 = [Mat([[0, 1], [0, 0]]), Mat([[0, 0], [1, 0]]), Mat([[1, 0], [0, -1]])]
+    cases = (
+        # the plane extended by a nilpotent action: abelian, not semisimple
+        (semidirect_sum([sl2[0]], abelian(2), ["t"]), plane,
+         "torus element does not act semisimply"),
+        # sl2 on the plane: its torus part does not commute
+        (semidirect_sum(sl2, abelian(2), ["e", "f", "h"]),
+         Mat([[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]), "torus part is not abelian"),
+    )
+    for ext, emb, why in cases:
+        r = extensions.SplittingResult(ext.total, emb, ext.complement,
+                                       ext.complement.dim)
+        with pytest.raises(AssertionError, match=f"^proof failed: {why}$"):
+            extensions._check_splitting(abelian(2), r)
+    # abelian(3) with torus part e_1: ad e_1 = 0 is semisimple but trivial
+    r = extensions.SplittingResult(abelian(3), plane, Subspace.span(3, [[1, 0, 0]]), 1)
     with pytest.raises(AssertionError,
-                       match="^proof failed: torus element does not act semisimply$"):
-        extensions._check_splitting(abelian(2), r, random.Random(1))
-    # a row that passes and combinations that fail are a failed sample
-    rows = ext.complement.int_rows()[1]
-    monkeypatch.setattr(extensions, "_torus_failure",
-                        lambda M, v: None if v in rows else "refused")
-    with pytest.raises(AssertionError, match="^sample failed: refused$"):
-        extensions._check_splitting(abelian(2), r, random.Random(1))
+                       match="^proof failed: nonzero torus element acts trivially$"):
+        extensions._check_splitting(abelian(2), r)

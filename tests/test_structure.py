@@ -618,7 +618,38 @@ def test_torus_check_rejects_a_non_abelian_span():
     h, e = Mat([[1, 0], [0, -1]]), Mat([[0, 1], [0, 0]])
     with pytest.raises(AssertionError, match="not abelian"):
         structure._check_torus(LinearLieAlgebra(L, [h, e]), derivations(L),
-                               [], [], random.Random(1))
+                               Subspace.zero(4), [])
+
+
+def test_torus_check_rejects_a_cartan_outside_the_centralizer():
+    # gl_2 on the plane: diag(1, -1) does not commute with E_01
+    L = abelian(2)
+    der = derivations(L)
+    h, e = Mat([[1, 0], [0, -1]]), Mat([[0, 1], [0, 0]])
+    cartan = Subspace.span(der.dim, [der.coords(e)])
+    with pytest.raises(AssertionError,
+                       match="^proof failed: Cartan does not centralize the torus$"):
+        structure._check_torus(LinearLieAlgebra(L, [h]), der, cartan, [e])
+
+
+def test_torus_check_compares_dim_der_with_the_cartan_for_a_zero_torus():
+    # T = 0 centralizes all of Der(L) = gl_1, which exceeds H = 0; with no
+    # row of dim Der columns the mod-p check would read a 0 x 0 matrix
+    L = abelian(1)
+    with pytest.raises(AssertionError,
+                       match="^proof failed: torus centralizer exceeds the Cartan$"):
+        structure._check_torus(LinearLieAlgebra(L, []), derivations(L),
+                               Subspace.zero(1), [])
+
+
+def test_maximal_torus_draws_only_the_cartan_search():
+    # the torus is proved, not sampled: the stream ends where the Cartan
+    # search of the abstract Der(L) leaves it
+    for L in (heisenberg3(), sl2_on_plane(), abelian(2)):
+        rng, copy = random.Random(5), random.Random(5)
+        maximal_torus(derivations(L), rng)
+        cartan_subalgebra(structure._abstract_derivations(L), copy)
+        assert rng.getstate() == copy.getstate()
 
 
 def test_maximal_torus_requires_derivation_flag():
