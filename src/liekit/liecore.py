@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -474,8 +475,11 @@ class LinearLieAlgebra:
     during construction, and failure raises NotClosedError with the pair.
     This runs over the integers. Basis matrix a is held as (d_a, d_a m_a)
     (Mat.den, Mat.ints), so [m_a, m_b] is an integer matrix over d_a d_b,
-    read by _coordinates on the basis flattened row-major.
+    read by _coordinates on the basis flattened row-major. Der(L), closed by
+    theorem, sets _deferred: its table and witness wait for the first read.
     """
+
+    _deferred = False
 
     def __init__(self, ambient: LieAlgebra, basis: Sequence[Mat]):
         self.ambient = ambient
@@ -485,8 +489,12 @@ class LinearLieAlgebra:
             if m.shape != (n, n):
                 raise ValueError("basis matrices must match the ambient dimension")
         self._coords = _coordinates(Mat.vecs(self.basis, n * n))
-        self.table = induced_table(len(self.basis), self._commutator,
-                                   self._coords)
+        if not self._deferred:
+            self.table   # the closure witness, at construction
+
+    @cached_property
+    def table(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
+        return induced_table(len(self.basis), self._commutator, self._coords)
 
     def _commutator(self, a: int, b: int) -> tuple[list[int], int]:
         """[m_a, m_b] vectorized row-major, as (integer vector, denominator)."""

@@ -66,8 +66,16 @@ def derivations(L: LieAlgebra) -> LinearLieAlgebra:
     n^2 unknown entries; the kernel basis (canonical RREF) gives the basis.
     The rows come straight from the integer adjacency of L: den times the
     rational system, with the same kernel. Computed once per algebra.
+    Closed under commutators by theorem, Der(L) builds its table when first
+    read (_abstract_derivations); one commutator [sum b_i, sum (i + 1) b_i]
+    of its basis b spot-checks the system and its kernel instead.
     """
     return _cached(L, "derivations", lambda: _derivations(L))
+
+
+class _Derivations(LinearLieAlgebra):
+    """Der(L), whose table (and closure witness) waits for its first read."""
+    _deferred = True
 
 
 def _derivations(L: LieAlgebra) -> LinearLieAlgebra:
@@ -92,19 +100,22 @@ def _derivations(L: LieAlgebra) -> LinearLieAlgebra:
             rows.extend(row for row in block if any(row))
     ker = kernel(rows, n * n)
     e, kers = ker.int_rows()
-    mats = [Mat.from_flat(n, n, row, e) for row in kers]
-    der = LinearLieAlgebra(L, mats)
+    der = _Derivations(L, [Mat.from_flat(n, n, row, e) for row in kers])
     # ad-images are always derivations; their span must land inside the
     # computed Der(L), whose matrix span is ker
     inner = inner_derivations(L)
     if not ker.contains_space(inner):
         raise AssertionError(
             "proof failed: inner derivations escaped the computed Der(L)")
+    x, y = der.element([1] * der.dim), der.element(range(1, der.dim + 1))
+    if not der.contains(x @ y - y @ x):
+        raise AssertionError("sample failed: Der(L) not closed under commutators")
     return der
 
 
 def _abstract_derivations(L: LieAlgebra) -> LieAlgebra:
-    """Der(L) as a structure-constant algebra, built once per algebra."""
+    """Der(L) as a structure-constant algebra, built once per algebra: the one
+    reader of Der(L)'s table, which raises NotClosedError on a pair outside."""
     return _cached(L, "abstract_derivations", lambda: derivations(L).to_abstract())
 
 
@@ -314,17 +325,20 @@ def _check_torus(torus: LinearLieAlgebra, der: LinearLieAlgebra,
         raise AssertionError("proof failed: torus is not abelian")
     abstract = _abstract_derivations(der.ambient)
     # S: the stacked ad c; a zero row keeps its dim Der columns for T = 0
-    S = [[0] * abstract.dim]
-    for m in torus.basis:
+    S, t = [[0] * abstract.dim], [0] * abstract.dim
+    for i, m in enumerate(torus.basis):
         if not mat_is_semisimple(m):
             raise AssertionError("proof failed: torus generator is not semisimple")
         if (c := der.coords(m)) is None:
             raise AssertionError("proof failed: torus generator is not a derivation")
         S += abstract.ad(c).ints
+        t = [a + (i + 1) * b for a, b in zip(t, c)]
     if any(map(any, _int_product(S, [list(col) for col in zip(*h.basis.ints)]))):
         raise AssertionError("proof failed: Cartan does not centralize the torus")
-    # C contains H, so dim ker(S mod p) >= dim H: False proves C = H
-    if kernel_dim_at_least(S, h.dim + 1) and kernel(S).dim > h.dim:
+    # C contains H, so dim ker(S mod p) >= dim H: False proves C = H; first
+    # try the one block ad t, t = sum (i + 1) c_i, whose kernel C(t) holds C
+    if (kernel_dim_at_least(abstract.ad(t).ints, h.dim + 1)
+            and kernel_dim_at_least(S, h.dim + 1) and kernel(S).dim > h.dim):
         raise AssertionError("proof failed: torus centralizer exceeds the Cartan")
     # W_k, spanned by the products of k parts, shrinks while it is nonzero
     n = der.ambient.dim

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from liekit import structure
+from liekit import liecore, structure
 from liekit.cli import dispatch, main
-from liekit.exactlin import Mat
+from liekit.exactlin import Mat, Subspace
 
 # the output-digest tool, which also writes the basis-change files pinned here
 _spec = importlib.util.spec_from_file_location(
@@ -459,6 +459,39 @@ def test_a_torus_short_of_one_semisimple_part_fails_its_proof(
     assert code == 3
     assert out == ""
     assert f"error: internal check failed: proof failed: {proof}\n" in err
+
+
+def test_a_der_not_closed_under_commutators_fails_its_sample(capsys, monkeypatch):
+    # span{E12, E21} holds the inner derivations of abelian:2 (none), but
+    # its commutator diag(1, -1) leaves it
+    real = structure.kernel
+    outer = Subspace.span(4, [[0, 1, 0, 0], [0, 0, 1, 0]])
+    monkeypatch.setattr(structure, "kernel", lambda rows, cols=None: (
+        outer if cols == 4 else real(rows, cols)))
+    code, out, err = run(capsys, "der", "abelian:2", "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert ("error: internal check failed: sample failed: "
+            "Der(L) not closed under commutators\n") in err
+
+
+def test_only_the_commands_that_read_der_build_its_table(capsys, monkeypatch):
+    # Der(L)'s table is the induced_table over the commutators of its basis
+    real, built = liecore.induced_table, []
+
+    def counted(k, product, coords):
+        if isinstance(getattr(product, "__self__", None), structure._Derivations):
+            built.append(k)
+        return real(k, product, coords)
+    monkeypatch.setattr(liecore, "induced_table", counted)
+    # der heisenberg:3 and fingerprint r2 run the catalog dim_der gate too
+    for argv in (["fingerprint", "heisenberg:5"], ["fingerprint", "r2"],
+                 ["der", "heisenberg:3"], ["der", "filiform:5"],
+                 ["verify", "togo", "heisenberg:3", "abelian:2"]):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert built == []
+    assert run(capsys, "torus", "heisenberg:3")[0] == 0
+    assert built == [6]
 
 
 @pytest.mark.parametrize("flag, want", [(False, 0), (True, 2)])

@@ -1,6 +1,8 @@
+import importlib.util
 import random
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from liekit.exactlin import (
 from liekit.liecore import (
     LieAlgebra,
     LieError,
+    NotClosedError,
     change_basis,
     direct_sum,
     normalizer,
@@ -40,6 +43,12 @@ from liekit.structure import (
     maximal_torus,
     nilradical,
 )
+
+# the benchmark's seeded dense basis changes, written as catalog JSON
+_spec = importlib.util.spec_from_file_location(
+    "basis_change", Path(__file__).parents[1] / "bench" / "basis_change.py")
+basis_change = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(basis_change)
 
 
 def abelian(n):
@@ -527,6 +536,36 @@ def test_abstract_derivations_are_built_once_per_algebra(monkeypatch):
     assert len(built) == 1 and built[0] is L
 
 
+def _fresh(L):
+    """L on a new instance, with an empty cache: a catalog gate may have
+    read Der's table on the old one."""
+    return LieAlgebra(L.dim, L.table, L.labels)
+
+
+@pytest.mark.parametrize("build", [
+    sl2, heisenberg3,
+    lambda: _fresh(catalog.get("favre7").algebra),
+    lambda: catalog.loads(basis_change.generate("heisenberg:7", random.Random(1))).algebra,
+], ids=["sl2", "heisenberg:3", "favre7", "dense-heisenberg:7"])
+def test_der_table_read_late_equals_the_eager_table(build):
+    L = build()
+    der = derivations(L)
+    assert "table" not in vars(der)   # not built by derivations
+    assert der.table == LinearLieAlgebra(L, der.basis).table
+    assert der.table is der.table
+
+
+def test_reading_the_table_of_an_unclosed_der_names_the_pair():
+    # span{E12, E21} on abelian(2): [E12, E21] = diag(1, -1) leaves it
+    L, mats = abelian(2), [Mat([[0, 1], [0, 0]]), Mat([[0, 0], [1, 0]])]
+    der = structure._Derivations(L, mats)   # no witness at construction
+    with pytest.raises(NotClosedError) as exc:
+        der.table
+    assert exc.value.pair == (0, 1)
+    with pytest.raises(NotClosedError):
+        der.to_abstract()
+
+
 def test_fingerprint_reads_l_l_and_the_series_cached_on_l(monkeypatch):
     # [L, L] is formed once, and no copy of L is restricted to all of L
     full_products, full_restrictions = [], []
@@ -650,6 +689,33 @@ def test_maximal_torus_draws_only_the_cartan_search():
         maximal_torus(derivations(L), rng)
         cartan_subalgebra(structure._abstract_derivations(L), copy)
         assert rng.getstate() == copy.getstate()
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_torus_centralizer_is_proved_by_one_block(monkeypatch, n):
+    # C(t) for t = sum (i + 1) c_i holds C(T); on heisenberg:n its one
+    # dim Der x dim Der block proves C = H, so the stacked S is never read
+    L = catalog.get("heisenberg", n).algebra
+    der = derivations(L)
+    real_check, real_dim = structure._check_torus, structure.kernel_dim_at_least
+    inside, rows = [], []
+
+    def check(*args):
+        inside.append(True)
+        try:
+            real_check(*args)
+        finally:
+            inside.pop()
+
+    def counted(A, k):
+        if inside:
+            rows.append(len(A))
+        return real_dim(A, k)
+    monkeypatch.setattr(structure, "_check_torus", check)
+    monkeypatch.setattr(structure, "kernel_dim_at_least", counted)
+    torus = maximal_torus(der, random.Random(7))
+    assert torus.dim == (n + 1) // 2
+    assert rows == [der.dim]
 
 
 def test_maximal_torus_requires_derivation_flag():
