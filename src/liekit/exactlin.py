@@ -734,10 +734,26 @@ def is_nilpotent(m: Mat) -> bool:
     return all(not c for c in charpoly(m).c[:-1])
 
 
+def _squarefree_mod_p(mu: Poly) -> bool:
+    """True proves the nonzero mu squarefree; False proves nothing.
+
+    mu is squarefree exactly when gcd(mu, mu') = 1, that is when the
+    (2r - 1)-square Sylvester matrix S of the integer-scaled mu (degree r)
+    and its derivative is regular: its rows x^i mu (i < r - 1) and x^i mu'
+    (i < r) are independent. not kernel_dim_at_least(S, 1) proves that.
+    """
+    r, f = mu.degree, _scaled_vec(mu.c, len(mu.c))[1]
+    g = [i * a for i, a in enumerate(f)][1:]
+    rows = [[0] * i + f + [0] * (r - 2 - i) for i in range(r - 1)]
+    rows += [[0] * i + g + [0] * (r - 1 - i) for i in range(r)]
+    return not kernel_dim_at_least(rows, 1)
+
+
 def is_semisimple(m: Mat) -> bool:
-    """Semisimple operator test: squarefree minimal polynomial."""
+    """Semisimple operator test: squarefree minimal polynomial, proved by
+    the Sylvester matrix (_squarefree_mod_p) or else by squarefree_part."""
     mu = minpoly(m)
-    return squarefree_part(mu).degree == mu.degree
+    return _squarefree_mod_p(mu) or squarefree_part(mu).degree == mu.degree
 
 
 # ---------------------------------------------------------------------------
@@ -758,13 +774,14 @@ def jordan_chevalley(m: Mat) -> JordanChevalley:
     (_derivative_inverse). The iterate is tracked as a polynomial in m
     reduced mod the minimal polynomial, so each step costs a handful of small
     polynomial products and the count is bounded by ceil(log2 n) + 1. Purely
-    rational throughout. A semisimple m (g = mu) returns (m, 0, x mod mu).
+    rational throughout. A semisimple m (g = mu, which _squarefree_mod_p
+    proves first when it can) returns (m, 0, x mod mu).
     """
     if not m.is_square():
         raise ValueError("jordan_chevalley needs a square matrix")
     n_dim = m.rows
     mu = minpoly(m)
-    g = squarefree_part(mu)
+    g = mu if _squarefree_mod_p(mu) else squarefree_part(mu)
     if g == mu:
         return JordanChevalley(m, Mat.zeros(n_dim, n_dim), Poly.x() % mu)
     h = _derivative_inverse(g)

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
 
 from .exactlin import (
     Mat,
     Subspace,
+    _P,
     _int_product,
     is_nilpotent as mat_is_nilpotent,
     is_semisimple as mat_is_semisimple,
@@ -155,25 +155,29 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
 
     In characteristic 0 the Cartan subalgebras are the Engel subalgebras
     L0(ad x) = ker (ad x)^k, k the zero multiplicity, of the regular x (k
-    smallest: the rank). Each attempt draws a pool of small-integer
-    candidates in full and then ranks them in order. On each strict new best
-    count m it forms H = ker A^m. If dim H = m and H is nilpotent, H is a
+    smallest: the rank). A nilpotent L returns itself before any draw; a
+    nonzero tr ad e_i = sum_j c_ij^j disproves nilpotency without the lower
+    central series. Each attempt draws a pool of small-integer candidates in
+    full and then ranks them in order. On each strict new best count m it
+    forms H = ker A^m. If dim H = m and H is nilpotent, H is a
     Cartan subalgebra and m the rank; a later count is at least its exact
     multiplicity, so at least the rank, and cannot beat m: the search stops
     there. Otherwise the last best's H is returned once it is nilpotent, or
     the range widens and a new pool is drawn. Drawing each pool first keeps
     the stream where it ends without the stop. H is self-normalizing, as
-    every Engel subalgebra is, and _self_normalizing proves it.
+    every Engel subalgebra is: _self_normalizing proves it from the pick's A.
 
     A candidate's adjoint is A = den ad x (int_ad), den / d times d ad x for
     d its denominator, so the counts are those of d ad x unless 2^61 - 1
     divides den. They come from zero_multiplicity_mod_p(A), from ranks of
     powers of A mod 2^61 - 1 by the one elimination loop: a heuristic never
-    below the exact count, so H, the kernel of the integer power A^m
-    (_int_product), is L0(ad x).
+    below the exact count, so H is L0(ad x): the kernel of the integer
+    power A^s, s = 2^ceil(log2 m) >= m, from ceil(log2 m) squarings.
     """
     rng = _rng(rng)
-    if L.is_nilpotent():
+    # tr ad e_i = sum_j c_ij^j; a nonzero one disproves nilpotency
+    if not any(sum(c for j, terms in adj.items() for k, c in terms if k == j)
+               for adj in L._adj) and L.is_nilpotent():
         return L.full_space()
     spread = 3
     for _round in range(4 * (L.dim + 2)):
@@ -185,26 +189,37 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
             A = L.int_ad(coeffs)
             mult = zero_multiplicity_mod_p(A)
             if mult < best_mult:
-                best_mult, h = mult, kernel(reduce(_int_product, [A] * mult), L.dim)
+                power = A   # A^s, s = 2^ceil(log2 mult) >= mult: ker is L0(ad x)
+                for _ in range((mult - 1).bit_length()):
+                    power = _int_product(power, power)
+                best_mult, engel, h = mult, (A, power), kernel(power, L.dim)
                 nilpotent = restrict(L, h).is_nilpotent()
                 if nilpotent and h.dim == mult:
                     break   # mult is the rank: no later count is below it
         if nilpotent:
-            if not _self_normalizing(L, h):
+            if not _self_normalizing(L, h, *engel):
                 raise AssertionError("proof failed: L0(ad x) not self-normalizing")
             return h
         spread += 2   # no candidate or a non-regular pick; widen and redraw
     raise AssertionError("Cartan subalgebra search failed to converge")
 
 
-def _self_normalizing(L: LieAlgebra, h: Subspace) -> bool:
+def _self_normalizing(L: LieAlgebra, h: Subspace, A: list[list[int]] | None = None,
+                      power: list[list[int]] | None = None) -> bool:
     """Whether the subalgebra h of L is its own normalizer N(h).
 
-    N(h) is the kernel of the integer system S = normalizer_system(L, h) and
-    contains h, so dim h <= dim ker S <= dim ker(S mod p), and
-    not kernel_dim_at_least(S, dim h + 1) proves N(h) = h. Otherwise the
-    exact normalizer decides.
+    Given a pick's A = den ad x and power = A^s with h = ker A^s, the Engel
+    power proves it first (Humphreys, section 15.1): x lies in h, so for y in
+    N(h), A y = [x, y] lies in h and A^(s+1) y = 0. ker A^(s+1) contains h,
+    and not kernel_dim_at_least((A^s mod p) A, dim h + 1) proves it equal
+    to h, so y lies in h. Otherwise N(h) is the kernel of the integer system
+    S = normalizer_system(L, h) and contains h, so dim h <= dim ker S <=
+    dim ker(S mod p), and not kernel_dim_at_least(S, dim h + 1) proves
+    N(h) = h. Otherwise the exact normalizer decides.
     """
+    if A is not None and not kernel_dim_at_least(
+            _int_product([[v % _P for v in row] for row in power], A), h.dim + 1):
+        return True
     if not kernel_dim_at_least(normalizer_system(L, h), h.dim + 1):
         return True
     return normalizer(L, h).dim == h.dim

@@ -432,11 +432,23 @@ def test_failed_internal_check_exits_3_without_a_report(capsys, monkeypatch):
 
 
 def test_failed_self_normalization_proof_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr("liekit.structure._self_normalizing", lambda L, h: False)
+    # the real _self_normalizing runs: its Engel power proof and its mod-p
+    # system proof both prove nothing, and the exact normalizer says N(h) = L
+    proofs = []
+
+    def nothing_proved(A, k):
+        proofs.append(len(A))
+        return True
+
+    monkeypatch.setattr("liekit.structure.kernel_dim_at_least", nothing_proved)
+    monkeypatch.setattr("liekit.structure.normalizer", lambda L, h: L.full_space())
     code, out, err = run(capsys, "cartan", "sl2", "--format", "json")
     assert code == 3
     assert out == ""
-    assert "error: internal check failed: proof failed: L0(ad x)" in err
+    assert "error: internal check failed: proof failed: L0(ad x) not self-normalizing" in err
+    # rows: the 3 x 3 Engel power first, then the normalizer system of the
+    # 1-dimensional H, one block of 3 - 1 rows
+    assert proofs == [3, 2]
 
 
 @pytest.mark.parametrize("src, proof", [

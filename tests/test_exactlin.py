@@ -532,13 +532,11 @@ def _euclid_squarefree_part(p):
     return q * (1 / q.c[-1])
 
 
-def test_squarefree_part():
+def _squarefree_cases(rng, count):
+    """Constants, linear polynomials and, for 4- and 150-bit coefficients,
+    count seeded products of linear and irreducible quadratic factors."""
     x = Poly.x()
-    p = (x - Poly([1])) * (x - Poly([1])) * (x + Poly([2]))
-    assert squarefree_part(p) == (x - Poly([1])) * (x + Poly([2]))
     square = (x * x + Poly([1])) * (x * x + Poly([1]))
-    assert squarefree_part(square) == squarefree_part(3 * square) == x * x + Poly([1])
-    rng = random.Random(19)
 
     def coefficient(bits):   # an odd numerator, so never 0
         numerator = rng.getrandbits(bits) - (1 << (bits - 1)) | 1
@@ -547,7 +545,7 @@ def test_squarefree_part():
     cases = [Poly([7]), Poly([F(-2, 3)]), Poly([3, 5]), Poly([F(1, 7), -2]),
              square * (x - Poly([2]))]
     for bits in (4, 150):
-        for _ in range(12):
+        for _ in range(count):
             p = Poly([coefficient(bits)])
             # linear and irreducible quadratic (x^2 + c, c > 0) factors, each
             # one to three times
@@ -557,12 +555,54 @@ def test_squarefree_part():
                 for _ in range(rng.randint(1, 3)):
                     p = p * f
             cases.append(p)
+    return cases
+
+
+def test_squarefree_part():
+    x = Poly.x()
+    p = (x - Poly([1])) * (x - Poly([1])) * (x + Poly([2]))
+    assert squarefree_part(p) == (x - Poly([1])) * (x + Poly([2]))
+    square = (x * x + Poly([1])) * (x * x + Poly([1]))
+    assert squarefree_part(square) == squarefree_part(3 * square) == x * x + Poly([1])
     repeated = 0
-    for p in cases:
+    for p in _squarefree_cases(random.Random(19), 12):
         want = _euclid_squarefree_part(p)
         assert squarefree_part(p) == want
         repeated += want.degree < p.degree
     assert repeated >= 8
+
+
+def test_sylvester_proof_agrees_with_euclid():
+    # the inputs of test_squarefree_part, then more seeded products; a
+    # repeated factor makes the Sylvester matrix singular over Q, so mod p
+    # too: the proof never claims such a polynomial squarefree
+    kinds = set()
+    for rng, count in ((random.Random(19), 12), (random.Random(23), 60)):
+        for p in _squarefree_cases(rng, count):
+            squarefree = _euclid_squarefree_part(p).degree == p.degree
+            assert exactlin._squarefree_mod_p(p) == squarefree, p
+            kinds.add((squarefree, min(p.degree, 2)))
+    assert kinds == {(True, 0), (True, 1), (True, 2), (False, 2)}
+
+
+def test_sylvester_proof_falls_back_when_p_divides_the_resultant(monkeypatch):
+    # (x - a)(x - a - p): the roots differ by p = 2^61 - 1, so the resultant
+    # p^2 vanishes mod p; the exact squarefree part decides, once per call
+    p, x = 2 ** 61 - 1, Poly.x()
+    mu = (x - Poly([3])) * (x - Poly([3 + p]))
+    assert not exactlin._squarefree_mod_p(mu)
+    assert exactlin._squarefree_mod_p((x - Poly([3])) * (x - Poly([4])))
+    calls = []
+    real = exactlin.squarefree_part
+    monkeypatch.setattr(exactlin, "squarefree_part",
+                        lambda q: calls.append(q) or real(q))
+    m = Mat([[3, 0], [0, 3 + p]])
+    assert is_semisimple(m) and calls == [mu]
+    jc = jordan_chevalley(m)
+    assert jc.s == m and jc.n.is_zero() and calls == [mu, mu]
+    assert is_semisimple(Mat([[3, 0], [0, 4]])) and len(calls) == 2
+    # a repeated root is never proved squarefree, so the exact part decides
+    assert not is_semisimple(Mat([[3, 1], [0, 3]])) and len(calls) == 3
 
 
 def test_derivative_inverse_on_large_coefficients():

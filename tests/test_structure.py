@@ -404,6 +404,90 @@ def test_self_normalization_rejects_a_nilpotent_non_cartan(monkeypatch):
     assert len(calls) == 1
 
 
+def test_engel_power_alone_certifies_the_picks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("normalizer check reached")
+
+    cases = _cartan_cases()
+    proofs = _counting(monkeypatch, "_self_normalizing")
+    monkeypatch.setattr(structure, "normalizer", refuse)
+    monkeypatch.setattr(structure, "normalizer_system", refuse)
+    for L in cases:
+        for seed in (1, 2, 3):
+            proofs.clear()
+            h = cartan_subalgebra(L, random.Random(seed))
+            if h.dim < L.dim:
+                (_, got, _, power), = proofs
+                assert got == h and exactlin.kernel(power, L.dim) == h
+            else:
+                assert not proofs   # nilpotent L: no pick to prove
+
+
+def test_engel_proof_gets_the_picks_own_power_on_the_no_break_path(monkeypatch):
+    # the p_adversarial.json algebra, pool of two: s counts 3 mod p with the
+    # 2-dimensional Engel subalgebra span{s, t}, so the pool runs to its end
+    # on s + y, which counts 3 too; s stays the pick
+    p = 2 ** 61 - 1
+    L = LieAlgebra(4, {(0, 2): [(2, p)], (1, 2): [(2, 1)], (0, 3): [(3, 1)]},
+                   labels=("s", "t", "y", "z"))
+    monkeypatch.setattr(structure, "_POOL", 2)
+    ranked = _counting(monkeypatch, "zero_multiplicity_mod_p")
+    proofs = _counting(monkeypatch, "_self_normalizing")
+    systems = _counting(monkeypatch, "normalizer_system")
+    rng = _ScriptedRandom([1, 0, 0, 0, 1, 0, 1, 0], 11)
+    h = cartan_subalgebra(L, rng)
+    assert not rng.script
+    assert h == Subspace.span(4, [[1, 0, 0, 0], [0, 1, 0, 0]]) == normalizer(L, h)
+    assert len(ranked) == 2
+    (_, got, A, power), = proofs
+    assert A is ranked[0][0] and A is not ranked[-1][0]
+    assert got == h and exactlin.kernel(power, 4) == h
+    # the count exceeds dim H, so ker (A^s A mod p) does too: the Engel
+    # power proves nothing here and the normalizer system decides
+    assert len(systems) == 1
+
+
+def _traced_series(monkeypatch):
+    calls = []
+    real = liecore._compute_series
+
+    def counted(L, kind):
+        calls.append((L, kind))
+        return real(L, kind)
+
+    monkeypatch.setattr(liecore, "_compute_series", counted)
+    return calls
+
+
+def test_a_nonzero_trace_skips_the_series_of_der(monkeypatch):
+    L = catalog.get("heisenberg", 7).algebra
+    calls = _traced_series(monkeypatch)
+    torus = maximal_torus(derivations(L), random.Random(7))
+    assert torus.dim == 4
+    der = structure._abstract_derivations(L)
+    assert all(M is not der for M, _ in calls)
+
+
+@pytest.mark.parametrize("name", ["sl2", "heisenberg"])
+def test_zero_traces_leave_nilpotency_to_the_series(monkeypatch, name):
+    # sl2: every tr ad e_i is 0 and it is not nilpotent; heisenberg:5 is
+    # nilpotent. A fresh copy has no series cached by the catalog gates
+    src = catalog.get(name, 5 if name == "heisenberg" else None).algebra
+    L = LieAlgebra(src.dim, src.table, src.labels)
+    assert not any(sum(L.ad(e).data[i][i] for i in range(L.dim))
+                   for e in (L.basis_vector(i) for i in range(L.dim)))
+    calls = _traced_series(monkeypatch)
+    rng = random.Random(3)
+    state = rng.getstate()
+    h = cartan_subalgebra(L, rng)
+    assert (L, "lower_central") in calls
+    if name == "heisenberg":
+        assert h.dim == L.dim
+        assert rng.getstate() == state   # no draw on a nilpotent input
+    else:
+        assert h.dim == 1 and rng.getstate() != state
+
+
 # ---------------------------------------------------------------------------
 # nilradical
 
