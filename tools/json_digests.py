@@ -26,6 +26,8 @@ The set covers every subcommand, `extend --standard` and
 heisenberg:9` (a Cartan search in Der(heisenberg:9), of dimension 45),
 `cartan`, `nilradical`, `split` and `fingerprint` on an algebra whose
 Cartan ranking mod 2^61 - 1 counts one candidate above its exact count,
+the same four and `verify rank-bound` on one where it counts every
+candidate nilpotent,
 `extend --by` on derivation files (one with entries of about 260 bits,
 one derivation written once as JSON numbers of 20 decimal places and
 once as strings, two that break the Leibniz rule and one whose span is
@@ -93,6 +95,13 @@ P_ADVERSARIAL = {"name": "p_adversarial", "dim": 4, "basis": ["s", "t", "y", "z"
                               [1, 4, [[4, "1"]]]]}
 P_ADVERSARIAL_COMMANDS = ("cartan", "nilradical", "split", "fingerprint")
 
+# [s, y] = p y for p = 2^61 - 1, isomorphic to r2 by s -> s / p: every ad x
+# is 0 mod p, so every candidate of the Cartan ranking counts dim L
+P_LINE = {"name": "p_line", "dim": 2, "basis": ["s", "y"],
+          "brackets": [[1, 2, [[2, str(2 ** 61 - 1)]]]]}
+P_LINE_COMMANDS = (("cartan",), ("nilradical",), ("split",), ("fingerprint",),
+                   ("verify", "rank-bound"))
+
 # file name -> (source, matrices); a nilpotent action is refused (exit 1),
 # and so are, with exit 2, a matrix that breaks the Leibniz rule (the first
 # generator, and the second after a derivation) and a span of derivations
@@ -159,6 +168,7 @@ def commands() -> list[tuple[str, ...]]:
         argvs.append(("verify", "rank-bound", src))
     argvs.append(LARGE)
     argvs.extend((cmd, "p_adversarial.json") for cmd in P_ADVERSARIAL_COMMANDS)
+    argvs.extend((*cmd, "p_line.json") for cmd in P_LINE_COMMANDS)
     argvs.extend(("info", name) for name in CHAR_NILPOTENT_FILES)
     argvs.extend(("extend", "--by", name, src)
                  for name, (src, _) in DERIVATION_FILES.items())
@@ -206,6 +216,8 @@ def write_inputs() -> None:
             json.dump(doc, fh)
     with open("p_adversarial.json", "w", encoding="utf-8") as fh:
         json.dump(P_ADVERSARIAL, fh)
+    with open("p_line.json", "w", encoding="utf-8") as fh:
+        json.dump(P_LINE, fh)
     for path, (_, mats) in DERIVATION_FILES.items():
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"matrices": mats}, fh)
