@@ -20,7 +20,7 @@ with the same _clear and stops at the first dependency; minpoly is an lcm
 of such annihilators, certified by q(m) = 0, and squarefree_part(p) is the
 annihilator of p' under the companion matrix of p. Subspace holds a
 canonical RREF basis (sums; membership and coordinates by one integer
-check, int_coords, on the basis's (den, ints), int_rows); kernel is the
+check, int_coords, on the basis's den and ints); kernel is the
 null rows of _rref of a square block, cut down by one projection of the
 rest. jordan_chevalley takes the inverse of g' mod g from one kernel too.
 
@@ -363,7 +363,7 @@ class Subspace:
     so equal subspaces compare equal componentwise.
 
     Membership is one exact integer check (int_coords) against E R, the
-    basis held as (den, ints) (int_rows): w / D, w integral, lies in the
+    basis held as (den, ints) = (E, E R): w / D, w integral, lies in the
     span exactly when E w = sum_i w[p_i] (E R)_i over the pivots p_i, and
     its coordinates over the rows are then the w[p_i] / D.
     """
@@ -400,16 +400,12 @@ class Subspace:
     def rows(self) -> list[tuple[Fraction, ...]]:
         return [tuple(r) for r in self.basis.data]
 
-    def int_rows(self) -> tuple[int, list[list[int]]]:
-        """(E, E R): the basis rows R over their common denominator E."""
-        return self.basis.den, self.basis.ints
-
     def int_coords(self, w: Sequence[int]) -> list[int] | None:
         """[w[p] for p in pivots] when the integer vector w lies in the span,
         else None: the coordinates of w / D over the rows, times D."""
         if len(w) != self.ambient:
             raise ValueError("vector length mismatch")
-        e, rows = self.int_rows()
+        e, rows = self.basis.den, self.basis.ints
         residual = [e * x for x in w]
         for p, row in zip(self.pivots, rows):
             f = w[p]
@@ -427,7 +423,7 @@ class Subspace:
         return tuple(_rat(v[p]) for p in self.pivots)
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.int_coords(r) is not None for r in other.int_rows()[1])
+        return all(self.int_coords(r) is not None for r in other.basis.ints)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ambient == other.ambient
@@ -439,7 +435,7 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        return Subspace.span(self.ambient, self.int_rows()[1] + other.int_rows()[1])
+        return Subspace.span(self.ambient, self.basis.ints + other.basis.ints)
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -661,9 +657,10 @@ def zero_multiplicity_mod_p(A: list[list[int]]) -> int:
     (d = m.den): its roots are d times those of m, so over Q its zero
     multiplicity is that of charpoly(m). Mod p it is n - rank A^k for large
     k: the ranks of A, A^2, A^4, ... mod p (_rank_mod_p) fall until a
-    squaring keeps the rank, which no later power then lowers. An exact
-    coefficient 0 reduces to 0, so the count is never below the exact one;
-    it is a ranking heuristic, not a certificate.
+    squaring keeps the rank, which no later power then lowers. Each power
+    before that lowers the rank, so the count m is exactly dim ker(A^t mod
+    p) for every t >= m, and an upper bound on dim ker A^t over Q: never
+    below the exact count.
     """
     n = len(A)
     if any(len(row) != n for row in A):

@@ -124,12 +124,12 @@ def _split(L: LieAlgebra, rng: random.Random | None) -> SplittingResult:
     """The construction and checks of malcev_split_solvable, one level deep."""
     n = L.dim
     _, parts = _toral_parts(L, rng)   # none on a nilpotent L: nothing is kept
-    e, rows = Subspace.span(n * n, Mat.vecs(parts, n * n).ints).int_rows()
+    span = Subspace.span(n * n, Mat.vecs(parts, n * n).ints).basis
     running = inner_derivations(L)
     kept: list[Mat] = []
-    for row in rows:
+    for row in span.ints:
         if running.int_coords(row) is None:
-            kept.append(Mat.from_flat(n, n, row, e))
+            kept.append(Mat.from_flat(n, n, row, span.den))
             running = running + Subspace.span(n * n, [row])
     if not kept:
         result = SplittingResult(L, Mat.identity(n), Subspace.zero(n), 0)
@@ -168,7 +168,7 @@ def _check_splitting(L: LieAlgebra, r: SplittingResult) -> None:
     # of the torus part acts semisimply and nontrivially
     if product_space(M, r.torus_part, r.torus_part).dim:
         raise AssertionError("proof failed: torus part is not abelian")
-    ads = [M.ad(v) for v in r.torus_part.int_rows()[1]]
+    ads = [M.ad(v) for v in r.torus_part.basis.ints]
     if not all(map(is_semisimple, ads)):
         raise AssertionError("proof failed: torus element does not act semisimply")
     if rank(Mat.vecs(ads, M.dim ** 2)) != len(ads):

@@ -241,8 +241,8 @@ def product_space(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     if a.ambient != L.dim or b.ambient != L.dim:
         raise ValueError("subspace ambient must match the algebra dimension")
     rows = []
-    for x in a.int_rows()[1]:
-        for y in b.int_rows()[1]:
+    for x in a.basis.ints:
+        for y in b.basis.ints:
             w = L.int_bracket(x, y)
             if any(w):
                 rows.append(w)
@@ -308,12 +308,12 @@ def normalizer(L: LieAlgebra, s: Subspace) -> Subspace:
 
 def normalizer_system(L: LieAlgebra, s: Subspace) -> list[list[int]]:
     """Integer rows whose kernel is the normalizer of s: one block
-    P den ad(-E v) per row v of s, (E, E R) = s.int_rows() and P the rows
-    with kernel s (_null_rows), E^2 den times the residual of [x, v] mod s.
-    No rows when s is 0 or L."""
+    P den ad(-E v) per row v of s, (E, E R) the basis's (den, ints) and P
+    the rows with kernel s (_null_rows), E^2 den times the residual of
+    [x, v] mod s. No rows when s is 0 or L."""
     if s.ambient != L.dim:
         raise ValueError("subspace ambient must match the algebra dimension")
-    e, rows = s.int_rows()
+    e, rows = s.basis.den, s.basis.ints
     proj = _null_rows(rows, s.pivots, s.ambient, e)
     return [r for v in rows for r in _int_product(proj, L.int_ad([-x for x in v]))]
 
@@ -338,9 +338,9 @@ def is_ideal(L: LieAlgebra, s: Subspace) -> bool:
 
 
 def _ideal_check(L: LieAlgebra, s: Subspace) -> None:
-    """Each [e_i, v] for v a row of E R (int_rows) lies in s, or raise."""
+    """Each [e_i, v] for v a row of E R (s.basis.ints) lies in s, or raise."""
     for i, ei in enumerate(_units(L.dim)):
-        for k, row in enumerate(s.int_rows()[1]):
+        for k, row in enumerate(s.basis.ints):
             if s.int_coords(L.int_bracket(ei, row)) is None:
                 v = s.basis.data[k]
                 raise NotAnIdealError(i, tuple(v), tuple(L.bracket(ei, v)))
@@ -413,7 +413,7 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Mat]:
     """
     _ideal_check(L, ideal)
     # residual coordinates mod the ideal: a map whose kernel is the ideal
-    e, rows = ideal.int_rows()
+    e, rows = ideal.basis.den, ideal.basis.ints
     proj = Mat._of(e, _null_rows(rows, ideal.pivots, L.dim, e), L.dim)
     free = [c for c in range(L.dim) if c not in set(ideal.pivots)]
     table = induced_table(len(free), lambda a, b: L.bracket_basis(free[a], free[b]),
@@ -579,7 +579,7 @@ def killing_radical(L: LieAlgebra) -> Subspace:
     # row of E y in [L, L]: tr(A_i B), A_i = den ad e_i and B = den ad(E y)
     ads = _basis_ads(L)
     rows = []
-    for y in derived.int_rows()[1]:
+    for y in derived.basis.ints:
         cols = list(zip(*L.int_ad(y)))   # tr(A B) = sum_k A[k] . B[:, k]
         rows.append([sum(a * b for arow, col in zip(A, cols) for a, b in zip(arow, col))
                      for A in ads])

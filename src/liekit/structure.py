@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from .exactlin import (
     Mat,
     Subspace,
-    _P,
     _int_product,
     is_nilpotent as mat_is_nilpotent,
     is_semisimple as mat_is_semisimple,
@@ -43,7 +42,6 @@ from .liecore import (
     derived_algebra,
     killing_radical,
     normalizer,
-    normalizer_system,
     product_space,
     restrict,
     series,
@@ -99,8 +97,8 @@ def _derivations(L: LieAlgebra) -> LinearLieAlgebra:
                     block[u][t * n + j] -= c
             rows.extend(row for row in block if any(row))
     ker = kernel(rows, n * n)
-    e, kers = ker.int_rows()
-    der = _Derivations(L, [Mat.from_flat(n, n, row, e) for row in kers])
+    der = _Derivations(L, [Mat.from_flat(n, n, row, ker.basis.den)
+                           for row in ker.basis.ints])
     # ad-images are always derivations; their span must land inside the
     # computed Der(L), whose matrix span is ker
     inner = inner_derivations(L)
@@ -159,20 +157,24 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
     nonzero tr ad e_i = sum_j c_ij^j disproves nilpotency without the lower
     central series. Each attempt draws a pool of small-integer candidates in
     full and then ranks them in order. On each strict new best count m it
-    forms H = ker A^m. If dim H = m and H is nilpotent, H is a
+    forms H = L0(ad x). If dim H = m and H is nilpotent, H is a
     Cartan subalgebra and m the rank; a later count is at least its exact
     multiplicity, so at least the rank, and cannot beat m: the search stops
     there. Otherwise the last best's H is returned once it is nilpotent, or
     the range widens and a new pool is drawn. Drawing each pool first keeps
-    the stream where it ends without the stop. H is self-normalizing, as
-    every Engel subalgebra is: _self_normalizing proves it from the pick's A.
+    the stream where it ends without the stop.
 
     A candidate's adjoint is A = den ad x (int_ad), den / d times d ad x for
     d its denominator, so the counts are those of d ad x unless 2^61 - 1
-    divides den. They come from zero_multiplicity_mod_p(A), from ranks of
-    powers of A mod 2^61 - 1 by the one elimination loop: a heuristic never
-    below the exact count, so H is L0(ad x): the kernel of the integer
-    power A^s, s = 2^ceil(log2 m) >= m, from ceil(log2 m) squarings.
+    divides den. m = zero_multiplicity_mod_p(A) is dim ker(A^t mod p) for
+    every t >= m, from ranks of powers of A mod p = 2^61 - 1 by the one
+    elimination loop, and bounds dim ker A^t over Q, so H is L0(ad x): the
+    kernel of the integer power A^s, s = 2^ceil(log2 m) >= m, from
+    ceil(log2 m) squarings. The first candidate is formed even at count
+    dim L: with [s, y] = p y every candidate counts dim L mod p. dim H = m
+    proves N(H) = H (Humphreys, section 15.1): x lies in H, so y in N(H) has
+    A y in H and A^(s+1) y = 0, and dim ker A^(s+1) <= m = dim H. Without
+    the stop, dim H < m, and the exact normalizer decides.
     """
     rng = _rng(rng)
     # tr ad e_i = sum_j c_ij^j; a nonzero one disproves nilpotency
@@ -183,8 +185,7 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
     for _round in range(4 * (L.dim + 2)):
         pool = [[rng.randint(-spread, spread) for _ in range(L.dim)]
                 for _ in range(_POOL)]
-        # L0(ad x) = L when ad x is nilpotent: no pick
-        best_mult, nilpotent = L.dim, False
+        best_mult, nilpotent = L.dim + 1, False
         for coeffs in filter(any, pool):
             A = L.int_ad(coeffs)
             mult = zero_multiplicity_mod_p(A)
@@ -192,37 +193,16 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
                 power = A   # A^s, s = 2^ceil(log2 mult) >= mult: ker is L0(ad x)
                 for _ in range((mult - 1).bit_length()):
                     power = _int_product(power, power)
-                best_mult, engel, h = mult, (A, power), kernel(power, L.dim)
+                best_mult, h = mult, kernel(power, L.dim)
                 nilpotent = restrict(L, h).is_nilpotent()
                 if nilpotent and h.dim == mult:
-                    break   # mult is the rank: no later count is below it
+                    break   # mult is the rank, and dim H = mult proves N(H) = H
         if nilpotent:
-            if not _self_normalizing(L, h, *engel):
+            if h.dim < best_mult and normalizer(L, h).dim != h.dim:
                 raise AssertionError("proof failed: L0(ad x) not self-normalizing")
             return h
         spread += 2   # no candidate or a non-regular pick; widen and redraw
     raise AssertionError("Cartan subalgebra search failed to converge")
-
-
-def _self_normalizing(L: LieAlgebra, h: Subspace, A: list[list[int]] | None = None,
-                      power: list[list[int]] | None = None) -> bool:
-    """Whether the subalgebra h of L is its own normalizer N(h).
-
-    Given a pick's A = den ad x and power = A^s with h = ker A^s, the Engel
-    power proves it first (Humphreys, section 15.1): x lies in h, so for y in
-    N(h), A y = [x, y] lies in h and A^(s+1) y = 0. ker A^(s+1) contains h,
-    and not kernel_dim_at_least((A^s mod p) A, dim h + 1) proves it equal
-    to h, so y lies in h. Otherwise N(h) is the kernel of the integer system
-    S = normalizer_system(L, h) and contains h, so dim h <= dim ker S <=
-    dim ker(S mod p), and not kernel_dim_at_least(S, dim h + 1) proves
-    N(h) = h. Otherwise the exact normalizer decides.
-    """
-    if A is not None and not kernel_dim_at_least(
-            _int_product([[v % _P for v in row] for row in power], A), h.dim + 1):
-        return True
-    if not kernel_dim_at_least(normalizer_system(L, h), h.dim + 1):
-        return True
-    return normalizer(L, h).dim == h.dim
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +296,8 @@ def maximal_torus(der: LinearLieAlgebra,
     mats = [der.element(row) for row in h.basis.data]
     parts = [jordan_chevalley(m).s for m in mats]
     n = der.ambient.dim
-    e, rows = Subspace.span(n * n, Mat.vecs(parts, n * n).ints).int_rows()
-    basis = [Mat.from_flat(n, n, row, e) for row in rows]
+    span = Subspace.span(n * n, Mat.vecs(parts, n * n).ints).basis
+    basis = [Mat.from_flat(n, n, row, span.den) for row in span.ints]
     torus = LinearLieAlgebra(der.ambient, basis)
     _check_torus(torus, der, h, [m - s for m, s in zip(mats, parts)])
     return torus

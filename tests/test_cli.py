@@ -431,24 +431,23 @@ def test_failed_internal_check_exits_3_without_a_report(capsys, monkeypatch):
     assert main(["der", "heisenberg:3"]) == 3
 
 
-def test_failed_self_normalization_proof_exits_3(capsys, monkeypatch):
-    # the real _self_normalizing runs: its Engel power proof and its mod-p
-    # system proof both prove nothing, and the exact normalizer says N(h) = L
-    proofs = []
+def test_failed_self_normalization_proof_exits_3(capsys, tmp_path, monkeypatch):
+    # on p_line.json every candidate counts dim L = 2 mod p, so the pick's
+    # H = span{x} has dim below its count and the exact normalizer decides;
+    # forced to say N(h) = L, the proof fails
+    src = write_json(tmp_path, "p_line.json", json_digests.P_LINE)
+    normalizers = []
 
-    def nothing_proved(A, k):
-        proofs.append(len(A))
-        return True
+    def whole(L, h):
+        normalizers.append(h.dim)
+        return L.full_space()
 
-    monkeypatch.setattr("liekit.structure.kernel_dim_at_least", nothing_proved)
-    monkeypatch.setattr("liekit.structure.normalizer", lambda L, h: L.full_space())
-    code, out, err = run(capsys, "cartan", "sl2", "--format", "json")
+    monkeypatch.setattr("liekit.structure.normalizer", whole)
+    code, out, err = run(capsys, "cartan", src, "--format", "json")
     assert code == 3
     assert out == ""
     assert "error: internal check failed: proof failed: L0(ad x) not self-normalizing" in err
-    # rows: the 3 x 3 Engel power first, then the normalizer system of the
-    # 1-dimensional H, one block of 3 - 1 rows
-    assert proofs == [3, 2]
+    assert normalizers == [1]
 
 
 @pytest.mark.parametrize("src, proof", [

@@ -463,7 +463,7 @@ def test_subspace_membership_matches_the_fraction_oracle():
         gens = [[rand_rat(bits) if rng.random() < 0.6 else 0 for _ in range(n)]
                 for _ in range(k)]
         s = Subspace.span(n, gens)
-        e, er = s.int_rows()
+        e, er = s.basis.den, s.basis.ints
         assert er == [[e * x for x in row] for row in s.basis.data]
         assert all(isinstance(x, int) for row in er for x in row)
         points = [[0] * n]

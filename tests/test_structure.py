@@ -260,7 +260,7 @@ def _full_pool_cartan(L, rng):
         return L.full_space(), 0
     ranked, spread = 0, 3
     for _ in range(4 * (L.dim + 2)):
-        best_A, best_mult = None, L.dim
+        best_A, best_mult = None, L.dim + 1
         for _ in range(structure._POOL):
             coeffs = [rng.randint(-spread, spread) for _ in range(L.dim)]
             if not any(coeffs):
@@ -372,79 +372,59 @@ def test_cartan_does_not_stop_on_a_count_above_the_rank(monkeypatch):
     assert h == Subspace.span(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
 
 
-def test_self_normalization_falls_back_to_the_exact_normalizer(monkeypatch):
-    for L in _cartan_cases():
-        h = cartan_subalgebra(L, random.Random(3))
-        if h.dim == L.dim:
-            continue   # nilpotent L: no system to check
-        with monkeypatch.context() as m:
-            m.setattr(structure, "kernel_dim_at_least", lambda A, k: True)
-            calls = _counting(m, "normalizer")
-            assert structure._self_normalizing(L, h)
-            assert len(calls) == 1
-
-
-def test_self_normalization_is_proved_mod_p_without_the_normalizer(monkeypatch):
-    L = sl2()
-
-    def refuse(L, s):
+def test_engel_power_alone_certifies_the_picks(monkeypatch):
+    # the count m of each ranked A is dim ker(A^(s+1) mod p), s =
+    # 2^ceil(log2 m), the retired Engel power: so the stop's dim H = m
+    # proves N(H) = H, and no search reaches the exact normalizer
+    def refuse(*args):
         raise AssertionError("exact normalizer called")
 
-    monkeypatch.setattr(structure, "normalizer", refuse)
-    assert structure._self_normalizing(L, Subspace.span(3, [[0, 0, 1]]))
-
-
-def test_self_normalization_rejects_a_nilpotent_non_cartan(monkeypatch):
-    L = sl2()
-    span_e = Subspace.span(3, [[1, 0, 0]])
-    assert restrict(L, span_e).is_nilpotent()
-    assert normalizer(L, span_e) == Subspace.span(3, [[1, 0, 0], [0, 0, 1]])
-    calls = _counting(monkeypatch, "normalizer")
-    assert not structure._self_normalizing(L, span_e)
-    assert len(calls) == 1
-
-
-def test_engel_power_alone_certifies_the_picks(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("normalizer check reached")
-
     cases = _cartan_cases()
-    proofs = _counting(monkeypatch, "_self_normalizing")
+    ranked = _counting(monkeypatch, "zero_multiplicity_mod_p")
     monkeypatch.setattr(structure, "normalizer", refuse)
-    monkeypatch.setattr(structure, "normalizer_system", refuse)
     for L in cases:
         for seed in (1, 2, 3):
-            proofs.clear()
             h = cartan_subalgebra(L, random.Random(seed))
-            if h.dim < L.dim:
-                (_, got, _, power), = proofs
-                assert got == h and exactlin.kernel(power, L.dim) == h
-            else:
-                assert not proofs   # nilpotent L: no pick to prove
+            assert normalizer(L, h) == h
+    assert ranked
+    for (A,) in ranked:
+        m = exactlin.zero_multiplicity_mod_p(A)
+        power = A
+        for _ in range((m - 1).bit_length()):
+            power = [[x % exactlin._P for x in row]
+                     for row in exactlin._int_product(power, power)]
+        engel = exactlin._int_product(power, A)
+        assert exactlin.kernel_dim_at_least(engel, m)
+        assert not exactlin.kernel_dim_at_least(engel, m + 1)
 
 
-def test_engel_proof_gets_the_picks_own_power_on_the_no_break_path(monkeypatch):
+def test_the_exact_normalizer_decides_on_the_no_break_path(monkeypatch):
     # the p_adversarial.json algebra, pool of two: s counts 3 mod p with the
     # 2-dimensional Engel subalgebra span{s, t}, so the pool runs to its end
-    # on s + y, which counts 3 too; s stays the pick
+    # on s + y, which counts 3 too; s stays the pick, and dim H < 3 proves
+    # nothing
     p = 2 ** 61 - 1
     L = LieAlgebra(4, {(0, 2): [(2, p)], (1, 2): [(2, 1)], (0, 3): [(3, 1)]},
                    labels=("s", "t", "y", "z"))
     monkeypatch.setattr(structure, "_POOL", 2)
     ranked = _counting(monkeypatch, "zero_multiplicity_mod_p")
-    proofs = _counting(monkeypatch, "_self_normalizing")
-    systems = _counting(monkeypatch, "normalizer_system")
+    normalizers = _counting(monkeypatch, "normalizer")
     rng = _ScriptedRandom([1, 0, 0, 0, 1, 0, 1, 0], 11)
     h = cartan_subalgebra(L, rng)
     assert not rng.script
     assert h == Subspace.span(4, [[1, 0, 0, 0], [0, 1, 0, 0]]) == normalizer(L, h)
-    assert len(ranked) == 2
-    (_, got, A, power), = proofs
-    assert A is ranked[0][0] and A is not ranked[-1][0]
-    assert got == h and exactlin.kernel(power, 4) == h
-    # the count exceeds dim H, so ker (A^s A mod p) does too: the Engel
-    # power proves nothing here and the normalizer system decides
-    assert len(systems) == 1
+    assert [exactlin.zero_multiplicity_mod_p(A) for (A,) in ranked] == [3, 3]
+    assert normalizers == [(L, h)]
+
+
+def test_an_r2_whose_every_candidate_counts_dim_l_gets_r2s_fingerprint():
+    # [s, y] = p y, p = 2^61 - 1: every ad x is 0 mod p, so the first
+    # candidate is formed; s -> s / p maps it onto r2
+    p_line = LieAlgebra(2, {(0, 1): [(1, 2 ** 61 - 1)]}, labels=("s", "y"))
+    r2 = catalog.get("r2").algebra
+    for seed in (1, 7, 2022):
+        assert (fingerprint(p_line, random.Random(seed))
+                == fingerprint(r2, random.Random(seed)))
 
 
 def _traced_series(monkeypatch):
