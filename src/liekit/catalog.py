@@ -342,6 +342,8 @@ def load(path: str) -> CatalogEntry:
             text = fh.read()
     except OSError as exc:
         raise CatalogError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"{path}: not UTF-8 text: {exc.reason}") from None
     try:
         return loads(text)
     except CatalogError as exc:

@@ -22,7 +22,8 @@ annihilator of p' under the companion matrix of p. Subspace holds a
 canonical RREF basis (sums; membership and coordinates by one integer
 check, int_coords, on the basis's den and ints); kernel is the
 null rows of _rref of a square block, cut down by one projection of the
-rest. jordan_chevalley takes the inverse of g' mod g from one kernel too.
+rest. jordan_chevalley, the one semisimplicity proof (is_semisimple reads
+its n), takes the inverse of g' mod g from one kernel too.
 
 charpoly is Faddeev-LeVerrier over the integers on m.ints = d m, d = m.den,
 with exact divisions and a closing Cayley-Hamilton check; is_nilpotent
@@ -746,13 +747,6 @@ def _squarefree_mod_p(mu: Poly) -> bool:
     return not kernel_dim_at_least(rows, 1)
 
 
-def is_semisimple(m: Mat) -> bool:
-    """Semisimple operator test: squarefree minimal polynomial, proved by
-    the Sylvester matrix (_squarefree_mod_p) or else by squarefree_part."""
-    mu = minpoly(m)
-    return _squarefree_mod_p(mu) or squarefree_part(mu).degree == mu.degree
-
-
 # ---------------------------------------------------------------------------
 # Jordan-Chevalley decomposition
 
@@ -765,14 +759,14 @@ class JordanChevalley(NamedTuple):
 def jordan_chevalley(m: Mat) -> JordanChevalley:
     """Exact m = s + n with s semisimple, n nilpotent, [s, n] = 0.
 
-    Newton iteration on the squarefree part g of the minimal polynomial
-    (over Q it has the irreducible factors of the characteristic one):
-    a <- a - g(a) h(a), where h = g'^-1 mod g comes from one kernel solve
-    (_derivative_inverse). The iterate is tracked as a polynomial in m
-    reduced mod the minimal polynomial, so each step costs a handful of small
-    polynomial products and the count is bounded by ceil(log2 n) + 1. Purely
-    rational throughout. A semisimple m (g = mu, which _squarefree_mod_p
-    proves first when it can) returns (m, 0, x mod mu).
+    The one semisimplicity proof. g, the squarefree part of the minimal
+    polynomial mu, is mu exactly when m is semisimple (_squarefree_mod_p
+    proves it, else squarefree_part decides): then (m, 0, x mod mu). Else
+    Newton a <- a - g(a) h(a), h = g'^-1 mod g from one kernel solve
+    (_derivative_inverse, whose check proves g squarefree), runs on the
+    iterate as a polynomial q in m mod mu, quadratically, so ceil(log2 n)
+    + 1 steps suffice. Its closing g(q) = 0 mod mu, with mu(m) = 0, proves
+    g(s) = 0 for s = q(m): s is semisimple. Purely rational throughout.
     """
     if not m.is_square():
         raise ValueError("jordan_chevalley needs a square matrix")
@@ -793,6 +787,12 @@ def jordan_chevalley(m: Mat) -> JordanChevalley:
         hq = h.compose_mod(q, mu)
         q = (q - gq * hq) % mu
     if not g.compose_mod(q, mu).is_zero():
-        raise AssertionError("Newton iteration did not converge")
+        raise AssertionError("proof failed: g(s) != 0 for the semisimple part s")
     s = q.eval_mat(m)
     return JordanChevalley(s, m - s, q)
+
+
+def is_semisimple(m: Mat) -> bool:
+    """Semisimple operator test: m is its own semisimple part, as
+    jordan_chevalley decides and proves it."""
+    return jordan_chevalley(m).n.is_zero()

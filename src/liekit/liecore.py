@@ -302,20 +302,16 @@ def center(L: LieAlgebra) -> Subspace:
 
 
 def normalizer(L: LieAlgebra, s: Subspace) -> Subspace:
-    """{x : [x, s] <= s}."""
-    return kernel(normalizer_system(L, s), L.dim)
-
-
-def normalizer_system(L: LieAlgebra, s: Subspace) -> list[list[int]]:
-    """Integer rows whose kernel is the normalizer of s: one block
-    P den ad(-E v) per row v of s, (E, E R) the basis's (den, ints) and P
-    the rows with kernel s (_null_rows), E^2 den times the residual of
-    [x, v] mod s. No rows when s is 0 or L."""
+    """{x : [x, s] <= s}: the kernel of one block P den ad(-E v) per row v
+    of s, (E, E R) the basis's (den, ints) and P the rows with kernel s
+    (_null_rows), E^2 den times the residual of [x, v] mod s. No rows when
+    s is 0 or L."""
     if s.ambient != L.dim:
         raise ValueError("subspace ambient must match the algebra dimension")
     e, rows = s.basis.den, s.basis.ints
     proj = _null_rows(rows, s.pivots, s.ambient, e)
-    return [r for v in rows for r in _int_product(proj, L.int_ad([-x for x in v]))]
+    system = [r for v in rows for r in _int_product(proj, L.int_ad([-x for x in v]))]
+    return kernel(system, L.dim)
 
 
 def generated_subalgebra(L: LieAlgebra, seed: Subspace) -> Subspace:

@@ -26,7 +26,6 @@ from .exactlin import (
     Subspace,
     _int_product,
     is_nilpotent as mat_is_nilpotent,
-    is_semisimple as mat_is_semisimple,
     jordan_chevalley,
     kernel,
     kernel_dim_at_least,
@@ -285,9 +284,9 @@ def maximal_torus(der: LinearLieAlgebra,
                   rng: random.Random | None = None) -> LinearLieAlgebra:
     """Maximal abelian subalgebra of semisimple derivations, via a Cartan.
 
-    T is the span of the semisimple Jordan parts s(h) over a basis of a
-    Cartan subalgebra H of the derivation algebra; _check_torus proves it a
-    maximal torus. The Cartan search is the only draw from the stream. der
+    T is the span of the parts s(h), proved semisimple by jordan_chevalley,
+    over a basis of a Cartan subalgebra H of Der(L); _check_torus proves it
+    a maximal torus. The Cartan search is the only draw from the stream. der
     must be the Der(L) that derivations(L) caches for its ambient L.
     """
     if der is not derivations(der.ambient):
@@ -299,6 +298,7 @@ def maximal_torus(der: LinearLieAlgebra,
     span = Subspace.span(n * n, Mat.vecs(parts, n * n).ints).basis
     basis = [Mat.from_flat(n, n, row, span.den) for row in span.ints]
     torus = LinearLieAlgebra(der.ambient, basis)
+    # h_i - s_i from the parts T was built of, so that (iii) tests them
     _check_torus(torus, der, h, [m - s for m, s in zip(mats, parts)])
     return torus
 
@@ -308,12 +308,14 @@ def _check_torus(torus: LinearLieAlgebra, der: LinearLieAlgebra,
     """Prove the torus T a maximal torus of der = Der(L), exactly.
 
     h is the Cartan subalgebra H of the abstract Der(L), nils the parts
-    n_i = h_i - s(h_i) over its basis. T is abelian, of semisimple
-    derivations; (i) H lies in C = C_Der(L)(T), the kernel of S; (ii) dim C
-    <= dim H; (iii) the n_i generate a nilpotent associative algebra. A torus
-    T' containing T lies in C = H, and t = sum a_i h_i in T' minus sum a_i
-    s(h_i) in T is semisimple (both lie in T') and nilpotent by (iii), so t
-    lies in T. By (i), s(h_a) + s(h_b) commutes with n_a + n_b: s is additive.
+    n_i = h_i - s(h_i) over its basis. T is abelian (its table is empty):
+    the parts s(h_i) spanning it commute and are semisimple by
+    jordan_chevalley's proof, so every element of T is semisimple. (i) H
+    lies in C = C_Der(L)(T), the kernel of S; (ii) dim C <= dim H; (iii)
+    the n_i generate a nilpotent associative algebra. A torus T' containing
+    T lies in C = H, and t = sum a_i h_i in T' minus sum a_i s(h_i) in T is
+    semisimple (both lie in T') and nilpotent by (iii), so t lies in T. By
+    (i), s(h_a) + s(h_b) commutes with n_a + n_b: s is additive.
     """
     # the table holds every commutator of basis pairs, checked exactly
     if torus.table:
@@ -322,8 +324,6 @@ def _check_torus(torus: LinearLieAlgebra, der: LinearLieAlgebra,
     # S: the stacked ad c; a zero row keeps its dim Der columns for T = 0
     S, t = [[0] * abstract.dim], [0] * abstract.dim
     for i, m in enumerate(torus.basis):
-        if not mat_is_semisimple(m):
-            raise AssertionError("proof failed: torus generator is not semisimple")
         if (c := der.coords(m)) is None:
             raise AssertionError("proof failed: torus generator is not a derivation")
         S += abstract.ad(c).ints

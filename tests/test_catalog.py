@@ -173,6 +173,13 @@ def test_load_missing_file_names_the_path(tmp_path):
         load(str(tmp_path / "nothing.json"))
 
 
+def test_load_non_utf8_file_names_the_path(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "\xff"}')
+    with pytest.raises(CatalogError, match=r"latin1\.json: not UTF-8 text: invalid start byte"):
+        load(str(path))
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"name": "bad", "dim": 2, "basis": ["a", "a"]}, "duplicate labels"),
     ({"name": "bad", "dim": 3, "basis": ["a", "b", "c"],

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from liekit import liecore, structure
+from liekit import exactlin, liecore, structure
 from liekit.cli import dispatch, main
-from liekit.exactlin import Mat, Subspace
+from liekit.exactlin import Mat, Poly, Subspace
 
 # the output-digest tool, which also writes the basis-change files pinned here
 _spec = importlib.util.spec_from_file_location(
@@ -470,6 +470,17 @@ def test_a_torus_short_of_one_semisimple_part_fails_its_proof(
     assert code == 3
     assert out == ""
     assert f"error: internal check failed: proof failed: {proof}\n" in err
+
+
+def test_a_failed_semisimple_part_proof_exits_3_through_the_torus(capsys, monkeypatch):
+    # favre7's Der is nilpotent, so every part goes through Newton; with
+    # h = 0 the iterate never moves and jordan_chevalley's closing check fails
+    monkeypatch.setattr(exactlin, "_derivative_inverse", lambda g: Poly.zero())
+    code, out, err = run(capsys, "torus", "favre7", "--seed", "7", "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert ("error: internal check failed: proof failed: "
+            "g(s) != 0 for the semisimple part s\n") in err
 
 
 def test_a_der_not_closed_under_commutators_fails_its_sample(capsys, monkeypatch):

@@ -782,6 +782,20 @@ def test_torus_centralizer_is_proved_by_one_block(monkeypatch, n):
     assert rows == [der.dim]
 
 
+@pytest.mark.parametrize("seed", [1, 7, 2022])
+def test_maximal_torus_matches_the_closed_forms(seed):
+    # dim Der and dim T of three catalog families; the dimensions must not
+    # depend on the Cartan search's pick
+    cases = [(("heisenberg", 2 * k + 1), (k + 1) * (2 * k + 1), k + 1)
+             for k in range(1, 5)]
+    cases += [(("filiform", n), 2 * n - 1, 2) for n in range(4, 13)]
+    cases += [(("abelian", n), n * n, n) for n in range(1, 6)]
+    for (name, param), dim_der, dim_torus in cases:
+        der = derivations(catalog.get(name, param).algebra)
+        assert der.dim == dim_der, (name, param)
+        assert maximal_torus(der, random.Random(seed)).dim == dim_torus, (name, param)
+
+
 def test_maximal_torus_requires_derivation_flag():
     L = heisenberg3()
     plain = LinearLieAlgebra(L, derivations(L).basis)
