@@ -13,7 +13,7 @@ integers (pivot loop _eliminate) whose one row operation is _clear; it
 takes rows of ints or Fractions and returns the RREF as integer rows over
 one denominator, (E, E R), which rref, Subspace.span and kernel wrap as a
 Mat. The same loop and _clear with the modulus p = 2^61 - 1 give the rank
-mod p (_rank_mod_p) behind kernel_dim_at_least, the mod-p kernel test, and
+mod p (_rank_mod_p) behind _squarefree_mod_p, the Sylvester test, and
 zero_multiplicity_mod_p, the count that ranks Cartan candidates.
 _annihilator reduces the Krylov vectors v, A v, A^2 v, ... (A = m.ints)
 with the same _clear and stops at the first dependency; minpoly is an lcm
@@ -240,8 +240,7 @@ def _rref(rows: Iterable[Sequence], cols: int
     return e, R, pivots
 
 
-def _eliminate(active: list[dict[int, int]], cols: int, p: int = 0,
-               limit: int | None = None
+def _eliminate(active: list[dict[int, int]], cols: int, p: int = 0
                ) -> tuple[list[dict[int, int]], list[int]]:
     """Forward elimination of the rows {column: int} in active.
 
@@ -249,13 +248,12 @@ def _eliminate(active: list[dict[int, int]], cols: int, p: int = 0,
     row, so sparse systems do not fill in, and _clear eliminates that column
     from the other active rows. Returns the echelon rows and their pivot
     columns. With a modulus p the rows hold residues mod p and each pivot
-    row is made monic first. The loop stops once no active row is left or
-    limit pivots are found, whichever comes first.
+    row is made monic first. The loop stops once no active row is left.
     """
     echelon: list[dict[int, int]] = []
     pivots: list[int] = []
     for c in range(cols):
-        if not active or len(pivots) == limit:
+        if not active:
             break
         best = -1
         for i, r in enumerate(active):
@@ -315,26 +313,18 @@ def _clear(rows: list[dict[int, int]], prow: dict[int, int],
 _P = (1 << 61) - 1
 
 
-def _rank_mod_p(A: list[list[int]], cols: int, limit: int | None = None) -> int:
-    """Rank of the integer matrix A mod _P by _eliminate, stopping at limit."""
+def _rank_mod_p(A: list[list[int]], cols: int) -> int:
+    """Rank of the integer matrix A (rows of length cols) mod _P by _eliminate.
+
+    It is at most the rank of A over Q, so a full rank mod p proves A of
+    full rank over Q.
+    """
     rows = []
     for row in A:
         r = {j: x % _P for j, x in enumerate(row) if x % _P}
         if r:
             rows.append(r)
-    return len(_eliminate(rows, cols, _P, limit)[1])
-
-
-def kernel_dim_at_least(A: list[list[int]], k: int) -> bool:
-    """Whether dim ker(A mod p) >= k, p = 2^61 - 1, for an integer matrix A.
-
-    A is a list of rows of one length cols (no rows: the 0 x 0 matrix). The
-    rank of A mod p is at most its rank over Q, so False proves that the
-    rational kernel of A has dimension below k; True proves nothing over Q.
-    The rank mod p (_rank_mod_p) stops as soon as it passes cols - k.
-    """
-    cols = len(A[0]) if A else 0
-    return k <= cols and _rank_mod_p(A, cols, cols - k + 1) <= cols - k
+    return len(_eliminate(rows, cols, _P)[1])
 
 
 def rref_with_transform(m: Mat) -> tuple[Mat, tuple[int, ...], Mat]:
@@ -738,13 +728,14 @@ def _squarefree_mod_p(mu: Poly) -> bool:
     mu is squarefree exactly when gcd(mu, mu') = 1, that is when the
     (2r - 1)-square Sylvester matrix S of the integer-scaled mu (degree r)
     and its derivative is regular: its rows x^i mu (i < r - 1) and x^i mu'
-    (i < r) are independent. not kernel_dim_at_least(S, 1) proves that.
+    (i < r) are independent. Full rank of S mod p (_rank_mod_p) proves
+    that; the 0 x 0 S of a constant mu is squarefree.
     """
     r, f = mu.degree, _scaled_vec(mu.c, len(mu.c))[1]
     g = [i * a for i, a in enumerate(f)][1:]
     rows = [[0] * i + f + [0] * (r - 2 - i) for i in range(r - 1)]
     rows += [[0] * i + g + [0] * (r - 1 - i) for i in range(r)]
-    return not kernel_dim_at_least(rows, 1)
+    return _rank_mod_p(rows, len(rows)) == len(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -451,9 +451,9 @@ def test_failed_self_normalization_proof_exits_3(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("src, proof", [
-    ("heisenberg:3", "torus centralizer exceeds the Cartan"),
-    # the subtorus left still holds a regular element, so its centralizer
-    # is the Cartan: only the joint nilpotency of the parts h - s(h) fails
+    # the Cartan still centralizes the subtorus left, so only the joint
+    # nilpotency of the parts h - s(h) fails, h_1 itself among them
+    ("heisenberg:3", "parts h - s(h) are not jointly nilpotent"),
     ("heisenberg:7", "parts h - s(h) are not jointly nilpotent"),
 ])
 def test_a_torus_short_of_one_semisimple_part_fails_its_proof(

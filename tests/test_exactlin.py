@@ -18,7 +18,6 @@ from liekit.exactlin import (
     is_semisimple,
     jordan_chevalley,
     kernel,
-    kernel_dim_at_least,
     minpoly,
     rank,
     rref,
@@ -895,48 +894,39 @@ def _rank_mod_p_cases(rng, rows, cols):
                else [[0] * cols for _ in range(rows)])
 
 
-def test_kernel_dim_at_least_matches_the_exact_rank():
+def test_rank_mod_p_matches_the_exact_rank():
     rng = random.Random(47)
     # square, tall (the 96 x 28 normalizer system shape) and wide
     shapes = [(n, n) for n in range(1, 10)] + [(96, 28), (30, 7), (4, 11), (9, 30)]
     for rows, cols in shapes:
         for A in _rank_mod_p_cases(rng, rows, cols):
             before = [list(row) for row in A]
-            want = cols - rank(Mat(A, cols=cols))
-            for k in range(-1, cols + 3):
-                assert kernel_dim_at_least(A, k) == (want >= k), (rows, cols, k)
+            assert exactlin._rank_mod_p(A, cols) == rank(Mat(A, cols=cols)), (rows, cols)
             assert A == before
 
 
-def test_kernel_dim_at_least_edge_cases():
-    for A in ([], [[]], [[], [], []]):   # 0 x 0 and 3 x 0: kernel 0
-        assert kernel_dim_at_least(A, -2)
-        assert kernel_dim_at_least(A, 0)
-        assert not kernel_dim_at_least(A, 1)
-    assert kernel_dim_at_least([[0, 0, 0]], 3)
-    assert not kernel_dim_at_least([[0, 0, 0]], 4)
-    assert not kernel_dim_at_least([[1, 2, 3]], 3)
-    assert kernel_dim_at_least([[1, 2, 3]], 2)
-    assert kernel_dim_at_least([[-5, 0], [0, 7]], 0)
-    assert not kernel_dim_at_least([[-5, 0], [0, 7]], 1)
+def test_rank_mod_p_edge_cases():
+    for A in ([], [[]], [[], [], []]):   # 0 x 0 and 3 x 0: rank 0
+        assert exactlin._rank_mod_p(A, 0) == 0
+    assert exactlin._rank_mod_p([[0, 0, 0]], 3) == 0
+    assert exactlin._rank_mod_p([[1, 2, 3]], 3) == 1
+    assert exactlin._rank_mod_p([[1, 2, 3], [0, 0, 0], [2, 4, 6]], 3) == 1
+    assert exactlin._rank_mod_p([[-5, 0], [0, 7]], 2) == 2
 
 
-def test_kernel_dim_at_least_is_never_below_the_exact_kernel():
+def test_rank_mod_p_is_never_above_the_exact_rank():
     p = 2 ** 61 - 1
-    # p in an entry reduces to 0: the mod-p kernel is larger than over Q
+    # p in an entry reduces to 0: the rank mod p is lower than over Q
     assert rank(Mat([[p, 0], [0, 1]])) == 2
-    assert kernel_dim_at_least([[p, 0], [0, 1]], 1)
-    assert not kernel_dim_at_least([[p, 0], [0, 1]], 2)
-    assert kernel_dim_at_least([[p, 2 * p], [-3 * p, 5 * p]], 2)
-    assert kernel_dim_at_least([[1, 1], [1, 1 + p]], 1)   # det p
+    assert exactlin._rank_mod_p([[p, 0], [0, 1]], 2) == 1
+    assert exactlin._rank_mod_p([[p, 2 * p], [-3 * p, 5 * p]], 2) == 0
+    assert exactlin._rank_mod_p([[1, 1], [1, 1 + p]], 2) == 1   # det p
     rng = random.Random(53)
     for rows, cols in [(5, 5), (96, 28), (3, 8), (12, 4)]:
         for A in _rank_mod_p_cases(rng, rows, cols):
             A = [[x * p if rng.random() < 0.3 else x + p * rng.randint(-2, 2)
                   for x in row] for row in A]
-            exact = cols - rank(Mat(A, cols=cols))
-            for k in range(exact + 1):
-                assert kernel_dim_at_least(A, k), (rows, cols, k)
+            assert exactlin._rank_mod_p(A, cols) <= rank(Mat(A, cols=cols)), (rows, cols)
 
 
 def test_minpoly_examples():

@@ -394,8 +394,7 @@ def test_engel_power_alone_certifies_the_picks(monkeypatch):
             power = [[x % exactlin._P for x in row]
                      for row in exactlin._int_product(power, power)]
         engel = exactlin._int_product(power, A)
-        assert exactlin.kernel_dim_at_least(engel, m)
-        assert not exactlin.kernel_dim_at_least(engel, m + 1)
+        assert len(engel) - exactlin._rank_mod_p(engel, len(engel)) == m
 
 
 def test_the_exact_normalizer_decides_on_the_no_break_path(monkeypatch):
@@ -720,29 +719,25 @@ def test_torus_check_rejects_a_non_abelian_span():
     L = abelian(2)
     h, e = Mat([[1, 0], [0, -1]]), Mat([[0, 1], [0, 0]])
     with pytest.raises(AssertionError, match="not abelian"):
-        structure._check_torus(LinearLieAlgebra(L, [h, e]), derivations(L),
-                               Subspace.zero(4), [])
+        structure._check_torus(LinearLieAlgebra(L, [h, e]), derivations(L), [], [])
 
 
 def test_torus_check_rejects_a_cartan_outside_the_centralizer():
     # gl_2 on the plane: diag(1, -1) does not commute with E_01
     L = abelian(2)
-    der = derivations(L)
     h, e = Mat([[1, 0], [0, -1]]), Mat([[0, 1], [0, 0]])
-    cartan = Subspace.span(der.dim, [der.coords(e)])
     with pytest.raises(AssertionError,
                        match="^proof failed: Cartan does not centralize the torus$"):
-        structure._check_torus(LinearLieAlgebra(L, [h]), der, cartan, [e])
+        structure._check_torus(LinearLieAlgebra(L, [h]), derivations(L), [e], [e])
 
 
-def test_torus_check_compares_dim_der_with_the_cartan_for_a_zero_torus():
-    # T = 0 centralizes all of Der(L) = gl_1, which exceeds H = 0; with no
-    # row of dim Der columns the mod-p check would read a 0 x 0 matrix
-    L = abelian(1)
+def test_torus_check_rejects_a_generator_outside_der():
+    # the identity is no derivation: I[x, y] = z, but [Ix, y] + [x, Iy] = 2z
+    L = heisenberg3()
     with pytest.raises(AssertionError,
-                       match="^proof failed: torus centralizer exceeds the Cartan$"):
-        structure._check_torus(LinearLieAlgebra(L, []), derivations(L),
-                               Subspace.zero(1), [])
+                       match="^proof failed: torus generator is not a derivation$"):
+        structure._check_torus(LinearLieAlgebra(L, [Mat.identity(3)]),
+                               derivations(L), [], [])
 
 
 def test_maximal_torus_draws_only_the_cartan_search():
@@ -755,33 +750,6 @@ def test_maximal_torus_draws_only_the_cartan_search():
         assert rng.getstate() == copy.getstate()
 
 
-@pytest.mark.parametrize("n", [7, 9])
-def test_torus_centralizer_is_proved_by_one_block(monkeypatch, n):
-    # C(t) for t = sum (i + 1) c_i holds C(T); on heisenberg:n its one
-    # dim Der x dim Der block proves C = H, so the stacked S is never read
-    L = catalog.get("heisenberg", n).algebra
-    der = derivations(L)
-    real_check, real_dim = structure._check_torus, structure.kernel_dim_at_least
-    inside, rows = [], []
-
-    def check(*args):
-        inside.append(True)
-        try:
-            real_check(*args)
-        finally:
-            inside.pop()
-
-    def counted(A, k):
-        if inside:
-            rows.append(len(A))
-        return real_dim(A, k)
-    monkeypatch.setattr(structure, "_check_torus", check)
-    monkeypatch.setattr(structure, "kernel_dim_at_least", counted)
-    torus = maximal_torus(der, random.Random(7))
-    assert torus.dim == (n + 1) // 2
-    assert rows == [der.dim]
-
-
 @pytest.mark.parametrize("seed", [1, 7, 2022])
 def test_maximal_torus_matches_the_closed_forms(seed):
     # dim Der and dim T of three catalog families; the dimensions must not
@@ -791,9 +759,17 @@ def test_maximal_torus_matches_the_closed_forms(seed):
     cases += [(("filiform", n), 2 * n - 1, 2) for n in range(4, 13)]
     cases += [(("abelian", n), n * n, n) for n in range(1, 6)]
     for (name, param), dim_der, dim_torus in cases:
-        der = derivations(catalog.get(name, param).algebra)
+        L = catalog.get(name, param).algebra
+        der = derivations(L)
         assert der.dim == dim_der, (name, param)
-        assert maximal_torus(der, random.Random(seed)).dim == dim_torus, (name, param)
+        torus = maximal_torus(der, random.Random(seed))
+        assert torus.dim == dim_torus, (name, param)
+        # the retired centralizer proof as an oracle: C_Der(L)(T) is the
+        # Cartan subalgebra of the abstract Der(L) that T was built from
+        abstract = structure._abstract_derivations(L)
+        S = [row for t in torus.basis for row in abstract.ad(der.coords(t)).ints]
+        h = cartan_subalgebra(abstract, random.Random(seed))
+        assert exactlin.kernel(S, abstract.dim) == h, (name, param)
 
 
 def test_maximal_torus_requires_derivation_flag():
