@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 import random
+import re
+import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from importlib import resources
@@ -247,10 +249,16 @@ def get(name: str, param: int | None = None,
 # serialization
 
 def _parse_rational(text: object, where: str) -> Fraction:
+    """Every rational of an input file is read here, as Fraction reads it."""
     if not isinstance(text, str):
         raise CatalogError(f"{where}: rational must be a string, got "
                            f"{type(text).__name__}")
+    # Fraction builds 10^|exponent| in full: int()'s digit limit bounds it here
+    exp = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()   # 0: no limit
     try:
+        if exp and limit and abs(int(exp[1])) > limit:
+            raise ValueError(f"exponent exceeds {limit} in magnitude")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CatalogError(f"{where}: {exc}") from None

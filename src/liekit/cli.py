@@ -24,7 +24,6 @@ import re
 import sys
 import time
 from dataclasses import asdict
-from fractions import Fraction
 
 from . import catalog
 from .exactlin import Mat, rref
@@ -58,16 +57,21 @@ class InputError(Exception):
 # ---------------------------------------------------------------------------
 # source resolution and small renderers
 
+def _integer(text: str) -> int:
+    """-?[0-9]+ only, as int() also takes "1_1", " 3", "+3" and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _resolve(src: str, rng: random.Random) -> tuple[LieAlgebra, dict]:
     """Catalog name (with optional ``name:param``) first, then file path."""
     name, _, param_text = src.partition(":")
     if name in catalog.names():
-        param = None
-        if param_text:
-            # int() would also take "1_1", " 3", "+3" and non-ASCII digits
-            if not re.fullmatch(r"-?[0-9]+", param_text):
-                raise InputError(f"{src}: parameter must be an integer")
-            param = int(param_text)
+        try:
+            param = _integer(param_text) if param_text else None
+        except argparse.ArgumentTypeError:
+            raise InputError(f"{src}: parameter must be an integer") from None
         try:
             entry = catalog.get(name, param, rng=rng)
         except catalog.CatalogError as exc:
@@ -114,9 +118,10 @@ def _read_derivation_file(path: str, dim: int) -> tuple[list[Mat], list[str] | N
                 or any(not isinstance(r, list) or len(r) != dim for r in rows):
             raise InputError(f"{where}: expected a {dim}x{dim} matrix")
         try:
-            mats.append(Mat([[Fraction(str(x)) for x in r] for r in rows]))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{where}: {exc}") from None
+            mats.append(Mat([[catalog._parse_rational(str(x), where) for x in r]
+                             for r in rows]))
+        except catalog.CatalogError as exc:
+            raise InputError(str(exc)) from None
     # one column per matrix: the first non-pivot column is the first matrix
     # that depends on the ones before it
     _, piv = rref(Mat.vecs(mats, dim * dim).transpose())
@@ -324,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     and the command string of its report (name)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    common.add_argument("--seed", type=_integer, default=DEFAULT_SEED,
                         help="seed for the randomized algorithms")
     common.add_argument("--output", metavar="PATH",
                         help="write the report to PATH instead of stdout")

@@ -23,7 +23,6 @@ from .liecore import (
     direct_sum,
     is_ideal,
     product_space,
-    quotient,
     semidirect_sum,
 )
 from .structure import (
@@ -191,12 +190,15 @@ class RankBoundReport:
 
 def _rank_report(L: LieAlgebra, nil: Subspace,
                  rng: random.Random | None) -> RankBoundReport:
-    """The report for L and its nilradical nil, which the caller certified."""
+    """The report for L and its nilradical nil, which the caller certified.
+    L / nil is not built: for solvable L it is abelian ([L, L] lies in nil),
+    and otherwise a Cartan subalgebra H of L maps onto one, (H + nil) / nil
+    (Bourbaki, Lie Groups and Lie Algebras, VII.2.1)."""
     commN = derived_algebra(L) if nil.dim == L.dim else product_space(L, nil, nil)
     g = nil.dim - commN.dim
-    rt = cartan_subalgebra(quotient(L, nil)[0], rng).dim
     solvable = L.is_solvable()
     codim = L.dim - nil.dim if solvable else None
+    rt = codim if solvable else (cartan_subalgebra(L, rng) + nil).dim - nil.dim
     codim_ok = (codim <= g) if solvable else None
     return RankBoundReport(rt, g, rt <= g, solvable, codim, codim_ok)
 

@@ -8,9 +8,9 @@ spans are used, which no nonzero row scaling changes); all subspace
 outputs are canonical RREF bases, so identical inputs give identical
 bases. A LinearLieAlgebra is a bracket-closed space of matrices
 (derivation algebras, tori, acting parts of semidirect sums). Every table
-built from another one (subalgebras, quotients, basis changes, matrix
-algebras) comes from induced_table, and all but quotients read their
-coordinates from integer products through one pull-back, _coordinates.
+built from another one (subalgebras, basis changes, matrix algebras)
+comes from induced_table, which reads its coordinates from integer
+products through one pull-back, _coordinates.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from .exactlin import (
     rref_with_transform,
 )
 
-Vector = tuple[Fraction, ...]
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -54,16 +52,6 @@ class JacobiError(LieError):
         shown = ", ".join(str(t) for t in violations[:5])
         super().__init__(f"Jacobi identity fails on basis triples: {shown}"
                          + (" ..." if len(violations) > 5 else ""))
-
-
-class NotAnIdealError(LieError):
-    def __init__(self, basis_index: int, vector: Vector, product: Vector):
-        self.basis_index = basis_index
-        self.vector = vector
-        self.product = product
-        super().__init__(
-            f"not an ideal: bracket of basis vector {basis_index} with a "
-            f"member leaves the subspace")
 
 
 class NotADerivationError(LieError):
@@ -314,32 +302,10 @@ def normalizer(L: LieAlgebra, s: Subspace) -> Subspace:
     return kernel(system, L.dim)
 
 
-def generated_subalgebra(L: LieAlgebra, seed: Subspace) -> Subspace:
-    """Smallest subalgebra containing the seed: iterate V <- V + [V, V]."""
-    cur = seed
-    for _ in range(L.dim + 1):
-        nxt = cur + product_space(L, cur, cur)
-        if nxt.dim == cur.dim:
-            return nxt
-        cur = nxt
-    return cur
-
-
 def is_ideal(L: LieAlgebra, s: Subspace) -> bool:
-    try:
-        _ideal_check(L, s)
-        return True
-    except NotAnIdealError:
-        return False
-
-
-def _ideal_check(L: LieAlgebra, s: Subspace) -> None:
-    """Each [e_i, v] for v a row of E R (s.basis.ints) lies in s, or raise."""
-    for i, ei in enumerate(_units(L.dim)):
-        for k, row in enumerate(s.basis.ints):
-            if s.int_coords(L.int_bracket(ei, row)) is None:
-                v = s.basis.data[k]
-                raise NotAnIdealError(i, tuple(v), tuple(L.bracket(ei, v)))
+    """Each [e_i, v] for v a row of E R (s.basis.ints) lies in s."""
+    return all(s.int_coords(L.int_bracket(ei, row)) is not None
+               for ei in _units(L.dim) for row in s.basis.ints)
 
 
 def induced_table(k: int, product: Callable[[int, int], object],
@@ -348,10 +314,9 @@ def induced_table(k: int, product: Callable[[int, int], object],
     """Structure constants of a k-dimensional space closed under a product.
 
     `product(a, b)` is the product of basis elements a < b in ambient terms,
-    in whatever form `coords` reads (an integer vector with its denominator
-    for the coordinates of _coordinates, a rational vector for the projection
-    of quotient), and `coords` re-expresses it over the basis (None when it
-    lies outside the span, which raises NotClosedError with the pair).
+    as an integer vector with its denominator, and `coords` (_coordinates)
+    re-expresses it over the basis (None when it lies outside the span,
+    which raises NotClosedError with the pair).
     """
     table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for a in range(k):
@@ -398,24 +363,6 @@ def _on_rows(L: LieAlgebra, basis: Mat, labels: Sequence[str] | None) -> LieAlge
     table = induced_table(basis.rows, lambda a, b: (L.int_bracket(rows[a], rows[b]), den),
                           _coordinates(basis))
     return LieAlgebra(basis.rows, table, labels)
-
-
-def quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Mat]:
-    """(L / ideal, projection matrix).
-
-    Raises NotAnIdealError with a witnessing pair when the subspace is not an
-    ideal. The quotient basis is the set of non-pivot coordinates of the
-    ideal's RREF basis; the projection sends x to the residual coordinates.
-    """
-    _ideal_check(L, ideal)
-    # residual coordinates mod the ideal: a map whose kernel is the ideal
-    e, rows = ideal.basis.den, ideal.basis.ints
-    proj = Mat._of(e, _null_rows(rows, ideal.pivots, L.dim, e), L.dim)
-    free = [c for c in range(L.dim) if c not in set(ideal.pivots)]
-    table = induced_table(len(free), lambda a, b: L.bracket_basis(free[a], free[b]),
-                          proj.apply)
-    labels = tuple(L.labels[c] for c in free)
-    return LieAlgebra(len(free), table, labels), proj
 
 
 def restrict(L: LieAlgebra, s: Subspace) -> LieAlgebra:
@@ -570,8 +517,6 @@ def killing_radical(L: LieAlgebra) -> Subspace:
     In characteristic zero this is the solvable radical (Cartan's criterion).
     """
     derived = derived_algebra(L)
-    if derived.dim == 0:
-        return L.full_space()
     # row of E y in [L, L]: tr(A_i B), A_i = den ad e_i and B = den ad(E y)
     ads = _basis_ads(L)
     rows = []

@@ -18,7 +18,7 @@ from liekit.exactlin import Mat, is_nilpotent, jordan_chevalley, minpoly
 from liekit.liecore import (
     change_basis,
     direct_sum,
-    generated_subalgebra,
+    product_space,
     series,
 )
 from liekit.structure import (
@@ -404,5 +404,9 @@ def test_criterion_10_generation_from_complement():
                 rows.append(row)
             seed = Subspace.span(N.dim, rows)
             assert seed.dim + comm.dim == N.dim
-            generated = generated_subalgebra(N, seed)
+            # V <- V + [V, V] until it stops growing: the subalgebra seed generates
+            generated = seed
+            while (grown := generated + product_space(N, generated, generated)).dim \
+                    > generated.dim:
+                generated = grown
             assert generated.dim == N.dim, f"{name}:{param}"

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -212,6 +213,14 @@ def test_bad_rational_names_the_term():
            "brackets": [[1, 2, [[2, "1.5x"]]]]}
     with pytest.raises(CatalogError, match=r"terms\[0\]"):
         loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e3", Fraction(1000)), ("-2.5e-1", Fraction(-1, 4)), ("0.1", Fraction(1, 10))])
+def test_rationals_with_a_point_or_an_exponent_are_exact(text, value):
+    doc = {"name": "r2", "dim": 2, "basis": ["x", "y"],
+           "brackets": [[1, 2, [[2, text]]]]}
+    assert loads(json.dumps(doc)).algebra.table == {(0, 1): ((1, value),)}
 
 
 def test_jacobi_violation_names_a_triple():

@@ -4,12 +4,14 @@ import hashlib
 import importlib.util
 import json
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from liekit import exactlin, liecore, structure
-from liekit.cli import dispatch, main
+from liekit.cli import _read_derivation_file, dispatch, main
 from liekit.exactlin import Mat, Poly, Subspace
 
 # the output-digest tool, which also writes the basis-change files pinned here
@@ -329,6 +331,47 @@ def test_catalog_file_with_a_dim_past_the_digit_limit_is_input_error(
     assert "Traceback" not in err
 
 
+# Fraction builds 10^|exponent| in full, which the digit limit on int() does
+# not bound: unchecked, each 12-character entry runs for minutes
+@needs_digit_limit
+@pytest.mark.parametrize("entry", ['"1e99999999"', "1e99999999"])
+def test_extend_by_exponent_past_the_digit_limit_is_input_error(
+        capsys, tmp_path, entry):
+    path = tmp_path / "exp.json"
+    path.write_text(f'{{"matrices": [[[1, 0], [0, {entry}]]]}}', encoding="utf-8")
+    started = time.monotonic()
+    code, out, err = run(capsys, "extend", "--by", str(path), "abelian:2")
+    assert time.monotonic() - started < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}: matrices[0]: exponent exceeds "
+                   f"{sys.get_int_max_str_digits()} in magnitude\n")
+
+
+@needs_digit_limit
+def test_catalog_file_with_an_exponent_past_the_digit_limit_is_input_error(
+        capsys, tmp_path):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"name": "r2", "dim": 2, "basis": ["x", "y"],
+                                "brackets": [[1, 2, [[2, "1e-99999999"]]]]}),
+                    encoding="utf-8")
+    started = time.monotonic()
+    code, out, err = run(capsys, "info", str(path))
+    assert time.monotonic() - started < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}: brackets[0].terms[0]: exponent exceeds "
+                   f"{sys.get_int_max_str_digits()} in magnitude\n")
+
+
+# once as strings and once as JSON numbers
+@pytest.mark.parametrize("a, b, c", [('"1e3"', '"-2.5e-1"', '"0.1"'),
+                                     ("1e3", "-2.5e-1", "0.1")])
+def test_derivation_file_rationals_are_exact(tmp_path, a, b, c):
+    path = tmp_path / "exact.json"
+    path.write_text(f'{{"matrices": [[[{a}, {b}], [{c}, 0]]]}}', encoding="utf-8")
+    (m,), _ = _read_derivation_file(str(path), 2)
+    assert m.data == [[Fraction(1000), Fraction(-1, 4)], [Fraction(1, 10), 0]]
+
+
 # ---------------------------------------------------------------------------
 # labels that clash in a direct sum get primes until they are free
 
@@ -410,6 +453,20 @@ def test_parameter_is_ascii_digits_only(capsys, param):
     assert code == 2
     assert out == ""
     assert f"error: heisenberg:{param}: parameter must be an integer" in err
+
+
+# each is a seed to int(): 10, 7 and 7
+@pytest.mark.parametrize("seed", ["1_0", "\u0667", " 7"])
+def test_seed_is_ascii_digits_only(capsys, seed):
+    assert main(["info", "r2", "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --seed: invalid int value: {seed!r}" in captured.err
+
+
+def test_negative_seed_runs(capsys):
+    code, report, _ = run_json(capsys, "info", "r2", "--seed", "-3")
+    assert (code, report["seed"]) == (0, -3)
 
 
 def test_negative_parameter_reaches_the_builder(capsys):

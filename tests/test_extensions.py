@@ -1,5 +1,6 @@
 import random
 from dataclasses import asdict
+from itertools import combinations
 
 import pytest
 
@@ -9,13 +10,15 @@ from liekit.liecore import (
     LieError,
     NotADerivationError,
     change_basis,
+    direct_sum,
     semidirect_sum,
 )
-from liekit import extensions, structure
+from liekit import catalog, extensions, structure
 from liekit.extensions import (
     NilradicalMismatch,
     extend_by_derivations,
     malcev_split_solvable,
+    rank_bound_of,
     standard_solvable_extension,
     togo_dim_check,
     verify_rank_bound,
@@ -176,6 +179,68 @@ def test_rank_bound_sl2_on_plane():
     assert report.rank_ok
     assert not report.solvable
     assert report.codim is None and report.codim_ok is None
+
+
+def _quotient_cartan_dim(L, N, rng):
+    """dim of a Cartan subalgebra of L / N, with L / N built on the residual
+    coordinates mod N's RREF basis: how the toric rank was once found."""
+    free = [c for c in range(L.dim) if c not in N.pivots]
+
+    def residual(v):
+        for row, p in zip(N.basis.data, N.pivots):
+            v = [x - v[p] * r for x, r in zip(v, row)]
+        return [v[c] for c in free]
+
+    table = {(a, b): list(enumerate(residual(L.bracket_basis(free[a], free[b]))))
+             for a, b in combinations(range(len(free)), 2)}
+    return structure.cartan_subalgebra(LieAlgebra(len(free), table), rng).dim
+
+
+def _on_plane(*gens):
+    """The plane Q^2 extended by the gl2 matrices gens, validated."""
+    return extend_by_derivations(abelian(2), [Mat(g) for g in gens])
+
+
+SL2_ON_PLANE = ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]])
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2022])
+def test_toric_rank_matches_the_cartan_rank_of_the_quotient(seed):
+    # the catalog sources of the digest set, and sl2 and sl2 + r2
+    sources = [catalog.get(name, param).algebra for name, params in [
+        ("abelian", [0, 1, 2, 3]), ("heisenberg", [3, 5, 7]),
+        ("filiform", [3, 4, 5, 6, 7]), ("diagonal_torus_extension", [1, 2, 3]),
+        ("favre7", [None]), ("r2", [None]), ("sl2", [None]),
+        ("so2_torus_extension", [None])] for param in params]
+    exts = [_on_plane(*SL2_ON_PLANE),
+            _on_plane(*SL2_ON_PLANE, [[1, 0], [0, 1]])]   # sl2 and gl2 on Q^2
+    exts += [standard_solvable_extension(N, random.Random(seed))
+             for N in sources if N.is_nilpotent()]
+    algebras = sources + [direct_sum(sl2(), r2())] + [E.total for E in exts]
+    for E in exts:
+        got = verify_rank_bound(E, random.Random(seed)).toric_rank
+        assert got == _quotient_cartan_dim(E.total, E.nilideal, random.Random(seed))
+    for L in algebras:
+        got = rank_bound_of(L, random.Random(seed)).toric_rank
+        N = nilradical(L, random.Random(seed))
+        assert got == _quotient_cartan_dim(L, N, random.Random(seed))
+
+
+def test_verify_rank_bound_on_a_solvable_extension_runs_no_cartan_search(monkeypatch):
+    calls = []
+
+    def counted(L, rng=None):
+        calls.append(L.dim)
+        return structure.cartan_subalgebra(L, rng)
+
+    solvable = standard_solvable_extension(heisenberg3())
+    non_solvable = _on_plane(*SL2_ON_PLANE)
+    monkeypatch.setattr(extensions, "cartan_subalgebra", counted)
+    assert verify_rank_bound(solvable).toric_rank == 2
+    assert calls == []
+    # sl2 on Q^2 runs one search, on the 5-dimensional total
+    assert verify_rank_bound(non_solvable).toric_rank == 1
+    assert calls == [5]
 
 
 def test_rank_bound_rejects_unvalidated_extension():

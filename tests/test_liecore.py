@@ -1,4 +1,4 @@
-"""Tests for the structure-constant layer: brackets, series, quotients, sums."""
+"""Tests for the structure-constant layer: brackets, series, ideals, sums."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -12,7 +12,6 @@ from liekit.liecore import (
     JacobiError,
     LieAlgebra,
     NotADerivationError,
-    NotAnIdealError,
     LinearLieAlgebra,
     NotClosedError,
     TableError,
@@ -20,12 +19,10 @@ from liekit.liecore import (
     change_basis,
     derived_algebra,
     direct_sum,
-    generated_subalgebra,
     is_ideal,
     killing_radical,
     normalizer,
     product_space,
-    quotient,
     restrict,
     semidirect_sum,
     series,
@@ -188,45 +185,10 @@ def test_normalizer():
     assert normalizer(abelian(0), Subspace.zero(0)) == Subspace.full(0)
 
 
-def test_generated_subalgebra():
+def test_is_ideal():
     L = heisenberg3()
-    g = generated_subalgebra(L, Subspace.span(3, [[1, 0, 0], [0, 1, 0]]))
-    assert g.dim == 3
-    g2 = generated_subalgebra(L, Subspace.span(3, [[1, 0, 0]]))
-    assert g2.dim == 1
-    fil = filiform(5)
-    g3 = generated_subalgebra(fil, Subspace.span(5, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]))
-    assert g3.dim == 5
-
-
-def test_quotient_heisenberg_by_center():
-    L = heisenberg3()
-    q, proj = quotient(L, center(L))
-    assert q.dim == 2 and q.is_abelian()
-    assert proj.shape == (2, 3)
-    # projection is a homomorphism
-    for i in range(3):
-        for j in range(3):
-            lhs = proj.apply(L.bracket(L.basis_vector(i), L.basis_vector(j)))
-            rhs = q.bracket(proj.column(i), proj.column(j))
-            assert list(lhs) == rhs
-
-
-def test_quotient_by_whole_algebra_and_by_zero():
-    L = r2()
-    q, _ = quotient(L, L.full_space())
-    assert q.dim == 0
-    q2, _ = quotient(L, Subspace.span(2, [[0, 1]]))
-    assert q2.dim == 1 and q2.is_abelian()
-
-
-def test_quotient_rejects_non_ideal():
-    L = heisenberg3()
-    with pytest.raises(NotAnIdealError) as exc:
-        quotient(L, Subspace.span(3, [[1, 0, 0]]))
-    assert exc.value.basis_index == 1  # [q, p] leaves span{p}
     assert is_ideal(L, center(L))
-    assert not is_ideal(L, Subspace.span(3, [[1, 0, 0]]))
+    assert not is_ideal(L, Subspace.span(3, [[1, 0, 0]]))  # [q, p] leaves span{p}
 
 
 def test_restrict():
