@@ -10,7 +10,7 @@ bases. A LinearLieAlgebra is a bracket-closed space of matrices
 (derivation algebras, tori, acting parts of semidirect sums). Every table
 built from another one (subalgebras, basis changes, matrix algebras)
 comes from induced_table, which reads its coordinates from integer
-products through one pull-back, _coordinates.
+products through one pull-back, _Coordinates.
 """
 
 from __future__ import annotations
@@ -164,6 +164,11 @@ class LieAlgebra:
         dy, yv = _scaled_vec(y, self.dim)
         return _unscaled(self.int_bracket(xv, yv), dx * dy * self.den)
 
+    def ad_traces(self) -> list[int]:
+        """den tr ad e_i = sum_j den c_ij^j for each basis vector e_i."""
+        return [sum(c for j, terms in adj.items() for k, c in terms if k == j)
+                for adj in self._adj]
+
     def ad(self, x: Sequence) -> Mat:
         """Matrix of y -> [x, y]; column j is [x, e_j]."""
         d, xv = _scaled_vec(x, self.dim)
@@ -314,7 +319,7 @@ def induced_table(k: int, product: Callable[[int, int], object],
     """Structure constants of a k-dimensional space closed under a product.
 
     `product(a, b)` is the product of basis elements a < b in ambient terms,
-    as an integer vector with its denominator, and `coords` (_coordinates)
+    as an integer vector with its denominator, and `coords` (_Coordinates)
     re-expresses it over the basis (None when it lies outside the span,
     which raises NotClosedError with the pair).
     """
@@ -330,45 +335,53 @@ def induced_table(k: int, product: Callable[[int, int], object],
     return table
 
 
-def _coordinates(basis: Mat) -> Callable[[tuple[list[int], int]], tuple | None]:
+class _Coordinates:
     """The map (w, D) -> coordinates of w / D over the independent rows of
-    basis B, or None outside their span. With R = T B the RREF and T held as
-    t T, Subspace.int_coords(w) on R gives D c_i, c_i those over the rows of
-    R, and sum_i D c_i (t T)_i / (D t) those over B, summed over the nonzeros
-    of t T: one per coordinate when B is in RREF (restrict, derivations)."""
-    R, piv, T = rref_with_transform(basis)
-    if len(piv) != basis.rows:
-        raise ValueError("basis rows are linearly dependent")
-    span, t = Subspace(basis.cols, R, piv), T.den
-    to_basis = [[(b, x) for b, x in enumerate(trow) if x] for trow in T.ints]
+    basis B, or None outside their span: the one pull-back. With R = T B
+    the RREF (span) and T held as t T, Subspace.int_coords(w) on R gives D
+    c_i, c_i those over the rows of R, and pull takes integer coordinates
+    over R's rows to t times those over B, summed over the nonzeros of t T:
+    one per coordinate when B is in RREF (restrict, derivations), as T = I.
+    """
 
-    def coords(vec: tuple[list[int], int]) -> tuple[Fraction, ...] | None:
-        w, den = vec
-        cs = span.int_coords(w)
-        if cs is None:
-            return None
-        acc = [0] * len(to_basis)
-        for f, trow in zip(cs, to_basis):
+    def __init__(self, basis: Mat):
+        R, piv, T = rref_with_transform(basis)
+        if len(piv) != basis.rows:
+            raise ValueError("basis rows are linearly dependent")
+        self.span, self.t = Subspace(basis.cols, R, piv), T.den
+        self._to_basis = [[(b, x) for b, x in enumerate(trow) if x] for trow in T.ints]
+
+    def pull(self, cs: Sequence[int]) -> list[int]:
+        """t sum_i cs_i T_i: cs over R's rows, taken over B."""
+        acc = [0] * len(self._to_basis)
+        for f, trow in zip(cs, self._to_basis):
             if f:
                 for b, x in trow:
                     acc[b] += f * x
-        return tuple(_unscaled(acc, den * t))
+        return acc
 
-    return coords
+    def __call__(self, vec: tuple[list[int], int]) -> tuple[Fraction, ...] | None:
+        w, den = vec
+        cs = self.span.int_coords(w)
+        return None if cs is None else tuple(_unscaled(self.pull(cs), den * self.t))
 
 
 def _on_rows(L: LieAlgebra, basis: Mat, labels: Sequence[str] | None) -> LieAlgebra:
     """The algebra on the rows of basis; den d^2 [b_a, b_b] is integral, d = basis.den."""
     rows, den = basis.ints, L.den * basis.den ** 2
     table = induced_table(basis.rows, lambda a, b: (L.int_bracket(rows[a], rows[b]), den),
-                          _coordinates(basis))
+                          _Coordinates(basis))
     return LieAlgebra(basis.rows, table, labels)
 
 
-def restrict(L: LieAlgebra, s: Subspace) -> LieAlgebra:
-    """The subalgebra on s's RREF basis, with NotClosedError on failure."""
+def restrict(L: LieAlgebra | LinearLieAlgebra, s: Subspace
+             ) -> LieAlgebra | LinearLieAlgebra:
+    """The subalgebra on s's RREF basis, with NotClosedError on failure: for
+    a matrix algebra L, the matrix algebra of the basis's elements of L."""
     if s.ambient != L.dim:
         raise ValueError("subspace ambient must match the algebra dimension")
+    if isinstance(L, LinearLieAlgebra):
+        return LinearLieAlgebra(L.ambient, [L.element(row) for row in s.basis.data])
     return _on_rows(L, s.basis, tuple(f"s{i + 1}" for i in range(s.dim)))
 
 
@@ -418,8 +431,13 @@ class LinearLieAlgebra:
     during construction, and failure raises NotClosedError with the pair.
     This runs over the integers. Basis matrix a is held as (d_a, d_a m_a)
     (Mat.den, Mat.ints), so [m_a, m_b] is an integer matrix over d_a d_b,
-    read by _coordinates on the basis flattened row-major. Der(L), closed by
+    read by _Coordinates on the basis flattened row-major. Der(L), closed by
     theorem, sets _deferred: its table and witness wait for the first read.
+
+    The Cartan search reads ad x from the matrices, not from the table:
+    int_ad and ad_traces read commutators only at the pivots of the RREF
+    of the flattened basis, which closure makes enough. The table serves
+    is_nilpotent (the series of to_abstract, built once per instance).
     """
 
     _deferred = False
@@ -431,7 +449,8 @@ class LinearLieAlgebra:
         for m in self.basis:
             if m.shape != (n, n):
                 raise ValueError("basis matrices must match the ambient dimension")
-        self._coords = _coordinates(Mat.vecs(self.basis, n * n))
+        self._vecs = Mat.vecs(self.basis, n * n)   # D m_a flattened, one den D
+        self._coords = _Coordinates(self._vecs)
         if not self._deferred:
             self.table   # the closure witness, at construction
 
@@ -450,11 +469,87 @@ class LinearLieAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
+    def full_space(self) -> Subspace:
+        return Subspace.full(self.dim)
+
+    @cached_property
+    def _entries(self) -> list[list[tuple[int, int, int]]]:
+        """The nonzeros (row, column, value) of each D m_a."""
+        n = self.ambient.dim
+        return [[(*divmod(p, n), v) for p, v in enumerate(row) if v]
+                for row in self._vecs.ints]
+
+    def _int_sum(self, x: Sequence[int]) -> list[list[int]]:
+        """D sum_a x_a m_a for an integer vector x, as rows."""
+        n = self.ambient.dim
+        out = [[0] * n for _ in range(n)]
+        for c, ents in zip(x, self._entries):
+            if c:
+                for r, k, v in ents:
+                    out[r][k] += c * v
+        return out
+
     def element(self, coeffs: Sequence) -> Mat:
         if len(coeffs) != self.dim:
             raise ValueError("coefficient count must match the dimension")
-        n = self.ambient.dim
-        return sum((c * m for c, m in zip(coeffs, self.basis) if c), Mat.zeros(n, n))
+        d, x = _scaled_vec(coeffs, self.dim)
+        return Mat._of(d * self._vecs.den, self._int_sum(x), self.ambient.dim)
+
+    def int_ad(self, x: Sequence[int]) -> list[list[int]]:
+        """D^2 t ad x for an integer vector x, as rows over the basis.
+
+        With X = D sum_a x_a m_a (_int_sum), column a holds [X, D m_a] =
+        D^2 [x, m_a] at the pivots p_i of R: its coordinates over R's rows,
+        since the span is closed, pulled back over the basis by t T. Each
+        nonzero v at (r, k) of D m_a adds X[i][r] v at the pivots (i, k)
+        and takes v X[k][j] off at the pivots (r, j); no other entry of a
+        commutator is formed.
+        """
+        n, X = self.ambient.dim, self._int_sum(x)
+        by_col, by_row = [[] for _ in range(n)], [[] for _ in range(n)]
+        for i, p in enumerate(self._coords.span.pivots):
+            pr, pc = divmod(p, n)
+            by_col[pc].append((i, pr))
+            by_row[pr].append((i, pc))
+        cols = []
+        for ents in self._entries:
+            out = [0] * self.dim
+            for r, k, v in ents:
+                for i, pr in by_col[k]:
+                    out[i] += X[pr][r] * v
+                xk = X[k]
+                for i, pc in by_row[r]:
+                    out[i] -= v * xk[pc]
+            cols.append(self._coords.pull(out))
+        return [list(row) for row in zip(*cols)]
+
+    def ad_traces(self) -> list[int]:
+        """E D tr ad m_a for each basis matrix, E R the RREF's integer rows.
+
+        tr ad X = sum_j [X, R_j] at p_j, the diagonal over R's rows: a linear
+        form <w, X>. A nonzero v at (r, k) of E R_j, p_j = (i, c), gives w
+        v at (i, r) when k = c and -v at (k, c) when r = i.
+        """
+        n, span = self.ambient.dim, self._coords.span
+        w = [[0] * n for _ in range(n)]
+        for p, row in zip(span.pivots, span.basis.ints):
+            i, c = divmod(p, n)
+            for q, v in enumerate(row):
+                if v:
+                    r, k = divmod(q, n)
+                    if k == c:
+                        w[i][r] += v
+                    if r == i:
+                        w[k][c] -= v
+        return [sum(w[r][k] * v for r, k, v in ents) for ents in self._entries]
+
+    def is_nilpotent(self) -> bool:
+        """Decided by the table's lower central series."""
+        return self._abstract.is_nilpotent()
+
+    @cached_property
+    def _abstract(self) -> LieAlgebra:
+        return self.to_abstract()
 
     def coords(self, m: Mat) -> tuple[Fraction, ...] | None:
         """Coefficients of m over the basis, or None when m is outside."""

@@ -5,6 +5,11 @@ Cartan subalgebra H: N = [L, L] + ker sigma|H, sigma(h) = s(ad h). H and
 the parts sigma(h) over its basis (_toral_parts) also give the Malcev
 splitting its torus.
 
+The Cartan search runs on a structure-constant algebra and on a matrix
+algebra alike; on Der(L) it reads ad x from the matrices (int_ad,
+ad_traces), so Der(L)'s structure-constant table serves only the fallbacks
+(the series when every trace is 0) and is_characteristically_nilpotent.
+
 Randomized searches (Cartan subalgebras and everything downstream) take an
 explicit random.Random; results are certified by output checks, so the seed
 only affects which certified answer is found, not its validity. The toral
@@ -64,7 +69,8 @@ def derivations(L: LieAlgebra) -> LinearLieAlgebra:
     The rows come straight from the integer adjacency of L: den times the
     rational system, with the same kernel. Computed once per algebra.
     Closed under commutators by theorem, Der(L) builds its table when first
-    read (_abstract_derivations); one commutator [sum b_i, sum (i + 1) b_i]
+    read (is_nilpotent, for is_characteristically_nilpotent and for a Cartan
+    search whose traces are all 0); one commutator [sum b_i, sum (i + 1) b_i]
     of its basis b spot-checks the system and its kernel instead.
     """
     return _cached(L, "derivations", lambda: _derivations(L))
@@ -110,12 +116,6 @@ def _derivations(L: LieAlgebra) -> LinearLieAlgebra:
     return der
 
 
-def _abstract_derivations(L: LieAlgebra) -> LieAlgebra:
-    """Der(L) as a structure-constant algebra, built once per algebra: the one
-    reader of Der(L)'s table, which raises NotClosedError on a pair outside."""
-    return _cached(L, "abstract_derivations", lambda: derivations(L).to_abstract())
-
-
 def inner_derivations(L: LieAlgebra) -> Subspace:
     """span{ad x} inside gl(L), vectorized row-major; dim = dim L - dim Z."""
     return Subspace.span(L.dim ** 2, [[x for row in ad for x in row]
@@ -126,7 +126,8 @@ def is_characteristically_nilpotent(L: LieAlgebra) -> bool:
     """Nilpotent with nilpotent derivation algebra.
 
     Checked two ways, both of which must agree: Der(L) nilpotent as an
-    abstract algebra, and every basis derivation nilpotent as a matrix. They
+    abstract algebra (the series of its table, which this reads), and every
+    basis derivation nilpotent as a matrix. They
     agree for dim L >= 2; for dim L = 1, Der(L) = gl_1 is abelian but holds
     the torus of the identity.
     """
@@ -135,7 +136,7 @@ def is_characteristically_nilpotent(L: LieAlgebra) -> bool:
     if L.dim == 1:
         return False
     der = derivations(L)
-    abstract_nilpotent = _abstract_derivations(L).is_nilpotent()
+    abstract_nilpotent = der.is_nilpotent()
     all_nilpotent_mats = all(mat_is_nilpotent(m) for m in der.basis)
     if abstract_nilpotent != all_nilpotent_mats:
         raise AssertionError(
@@ -147,14 +148,19 @@ def is_characteristically_nilpotent(L: LieAlgebra) -> bool:
 # ---------------------------------------------------------------------------
 # Cartan subalgebras
 
-def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspace:
+def cartan_subalgebra(L: LieAlgebra | LinearLieAlgebra,
+                      rng: random.Random | None = None) -> Subspace:
     """A Cartan subalgebra: nilpotent and self-normalizing, both certified.
 
     In characteristic 0 the Cartan subalgebras are the Engel subalgebras
     L0(ad x) = ker (ad x)^k, k the zero multiplicity, of the regular x (k
-    smallest: the rank). A nilpotent L returns itself before any draw; a
-    nonzero tr ad e_i = sum_j c_ij^j disproves nilpotency without the lower
-    central series. Each attempt draws a pool of small-integer candidates in
+    smallest: the rank). L is a structure-constant algebra or a matrix
+    algebra such as Der(N): the search reads only L.int_ad, L.ad_traces,
+    restrict and the series, and a matrix algebra's int_ad and ad_traces
+    come from its matrices, not from its table. A nilpotent L returns
+    itself before any draw; a nonzero tr ad e_i disproves nilpotency
+    without the lower central series (of the table, for a matrix algebra).
+    Each attempt draws a pool of small-integer candidates in
     full and then ranks them in order. On each strict new best count m it
     forms H = L0(ad x). If dim H = m and H is nilpotent, H is a
     Cartan subalgebra and m the rank; a later count is at least its exact
@@ -163,23 +169,29 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
     the range widens and a new pool is drawn. Drawing each pool first keeps
     the stream where it ends without the stop.
 
-    A candidate's adjoint is A = den ad x (int_ad), den / d times d ad x for
-    d its denominator, so the counts are those of d ad x unless 2^61 - 1
-    divides den. m = zero_multiplicity_mod_p(A) is dim ker(A^t mod p) for
-    every t >= m, from ranks of powers of A mod p = 2^61 - 1 by the one
-    elimination loop, and bounds dim ker A^t over Q, so H is L0(ad x): the
-    kernel of the integer power A^s, s = 2^ceil(log2 m) >= m, from
-    ceil(log2 m) squarings. The first candidate is formed even at count
-    dim L: with [s, y] = p y every candidate counts dim L mod p. dim H = m
-    proves N(H) = H (Humphreys, section 15.1): x lies in H, so y in N(H) has
-    A y in H and A^(s+1) y = 0, and dim ker A^(s+1) <= m = dim H. Without
-    the stop, dim H < m, and the exact normalizer decides.
+    A candidate's adjoint is A = int_ad(x), c ad x for a positive integer
+    c, so the counts are those of d ad x (d the denominator of ad x) unless
+    2^61 - 1 divides c / d. m = zero_multiplicity_mod_p(A) is dim ker(A^t
+    mod p) for every t >= m, from ranks of powers of A mod p = 2^61 - 1 by
+    the one elimination loop, and bounds dim ker A^t over Q, so H is L0(ad
+    x): the kernel of the integer power A^s, s = 2^ceil(log2 m) >= m, from
+    ceil(log2 m) squarings. H's nilpotency is that of restrict(L, H): a
+    matrix algebra's H is its own small matrix algebra. The first
+    candidate is formed even at count dim L: with [s, y] = p y every
+    candidate counts dim L mod p. dim H = m proves N(H) = H (Humphreys,
+    section 15.1): x lies in H, so y in N(H) has A y in H and A^(s+1) y =
+    0, and dim ker A^(s+1) <= m = dim H. Without the stop, dim H < m, and
+    the exact normalizer, which reads only int_ad, decides.
     """
+    return _cartan(L, rng)[0]
+
+
+def _cartan(L: LieAlgebra | LinearLieAlgebra, rng: random.Random | None):
+    """cartan_subalgebra's H with the algebra on its basis: restrict(L, H),
+    or L itself when H = L."""
     rng = _rng(rng)
-    # tr ad e_i = sum_j c_ij^j; a nonzero one disproves nilpotency
-    if not any(sum(c for j, terms in adj.items() for k, c in terms if k == j)
-               for adj in L._adj) and L.is_nilpotent():
-        return L.full_space()
+    if not any(L.ad_traces()) and L.is_nilpotent():
+        return L.full_space(), L
     spread = 3
     for _round in range(4 * (L.dim + 2)):
         pool = [[rng.randint(-spread, spread) for _ in range(L.dim)]
@@ -193,13 +205,14 @@ def cartan_subalgebra(L: LieAlgebra, rng: random.Random | None = None) -> Subspa
                 for _ in range((mult - 1).bit_length()):
                     power = _int_product(power, power)
                 best_mult, h = mult, kernel(power, L.dim)
-                nilpotent = restrict(L, h).is_nilpotent()
+                sub = restrict(L, h)
+                nilpotent = sub.is_nilpotent()
                 if nilpotent and h.dim == mult:
                     break   # mult is the rank, and dim H = mult proves N(H) = H
         if nilpotent:
             if h.dim < best_mult and normalizer(L, h).dim != h.dim:
                 raise AssertionError("proof failed: L0(ad x) not self-normalizing")
-            return h
+            return h, sub
         spread += 2   # no candidate or a non-regular pick; widen and redraw
     raise AssertionError("Cartan subalgebra search failed to converge")
 
@@ -286,14 +299,15 @@ def maximal_torus(der: LinearLieAlgebra,
 
     T is the span of the parts s(h), proved semisimple by jordan_chevalley,
     over a basis of a Cartan subalgebra H of Der(L); _check_torus proves it
-    a maximal torus from H's basis as n x n matrices. The Cartan search is
-    the only draw from the stream. der must be the Der(L) that
+    a maximal torus from H's basis as n x n matrices, the ones the Cartan
+    search formed to prove H nilpotent. The search runs on der itself and
+    reads ad x from its matrices, without Der(L)'s table unless every trace
+    is 0. It is the only draw from the stream. der must be the Der(L) that
     derivations(L) caches for its ambient L.
     """
     if der is not derivations(der.ambient):
         raise LieError("maximal_torus expects a full derivation algebra")
-    h = cartan_subalgebra(_abstract_derivations(der.ambient), _rng(rng))
-    mats = [der.element(row) for row in h.basis.data]
+    mats = list(_cartan(der, rng)[1].basis)
     parts = [jordan_chevalley(m).s for m in mats]
     n = der.ambient.dim
     span = Subspace.span(n * n, Mat.vecs(parts, n * n).ints).basis

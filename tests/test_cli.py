@@ -563,14 +563,41 @@ def test_only_the_commands_that_read_der_build_its_table(capsys, monkeypatch):
             built.append(k)
         return real(k, product, coords)
     monkeypatch.setattr(liecore, "induced_table", counted)
-    # der heisenberg:3 and fingerprint r2 run the catalog dim_der gate too
+    # der heisenberg:3 and fingerprint r2 run the catalog dim_der gate too;
+    # the Cartan search of torus heisenberg:k reads ad x from the matrices
     for argv in (["fingerprint", "heisenberg:5"], ["fingerprint", "r2"],
                  ["der", "heisenberg:3"], ["der", "filiform:5"],
-                 ["verify", "togo", "heisenberg:3", "abelian:2"]):
+                 ["verify", "togo", "heisenberg:3", "abelian:2"],
+                 ["extend", "--standard", "heisenberg:3"],
+                 ["verify", "rank-bound", "heisenberg:3"],
+                 *(["torus", f"heisenberg:{k}"] for k in range(3, 14, 2))):
         assert run(capsys, *argv)[0] == 0, argv
     assert built == []
-    assert run(capsys, "torus", "heisenberg:3")[0] == 0
-    assert built == [6]
+    # every tr ad D of Der(favre7) is 0, so the table's series decides
+    assert run(capsys, "torus", "favre7")[0] == 0
+    assert built == [10]
+
+
+def test_an_overcounted_der_search_reaches_the_exact_normalizer(capsys, monkeypatch):
+    # every count one too high: the first candidate's H = L0(ad x) has
+    # dim H < its count, no later count beats it, and the exact normalizer
+    # on Der(L)'s int_ad proves N(H) = H for the same pick
+    argv = ("torus", "heisenberg:5", "--seed", "7", "--format", "json")
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+    real_count, real_normalizer = structure.zero_multiplicity_mod_p, structure.normalizer
+    normalized = []
+
+    def normalizer(L, h):
+        normalized.append(L)
+        return real_normalizer(L, h)
+
+    monkeypatch.setattr(structure, "zero_multiplicity_mod_p", lambda A: real_count(A) + 1)
+    monkeypatch.setattr(structure, "normalizer", normalizer)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == want
+    assert normalized and all(isinstance(L, structure._Derivations) for L in normalized)
 
 
 @pytest.mark.parametrize("flag, want", [(False, 0), (True, 2)])

@@ -28,7 +28,7 @@ from liekit.liecore import (
     series,
     verify_structure,
 )
-from liekit.structure import derivations
+from liekit.structure import derivations, maximal_torus
 
 F = Fraction
 
@@ -411,6 +411,73 @@ def test_linear_lie_algebra_coords_over_a_basis_that_is_not_rref():
             assert lin.element(lin.coords(m)) == m
         if outside is not None:
             assert lin.coords(outside) is None
+
+
+def _matrix_algebras():
+    """Der of eight catalog algebras (RREF bases), a torus and two bases
+    that are not in RREF: a rotation torus and a dense recombination of the
+    sl2 action on the plane, as semidirect_sum's acting algebra."""
+    out = [derivations(catalog.get(name, k).algebra)
+           for name, k in (("heisenberg", 3), ("heisenberg", 5), ("heisenberg", 7),
+                           ("filiform", 5), ("filiform", 8), ("favre7", None),
+                           ("r2", None), ("diagonal_torus_extension", 2))]
+    out.append(maximal_torus(derivations(catalog.get("heisenberg", 5).algebra),
+                             random.Random(3)))
+    out.append(LinearLieAlgebra(abelian(2), [Mat([[0, 1], [-1, 0]]), Mat.identity(2)]))
+    e, f, h = Mat([[0, 1], [0, 0]]), Mat([[0, 0], [1, 0]]), Mat([[1, 0], [0, -1]])
+    mixed = [F(2, 3) * e + 5 * h, f - F(1, 2) * e, h + e + 3 * f]
+    acting = LinearLieAlgebra(abelian(2), mixed)
+    assert semidirect_sum(mixed, abelian(2)).total.dim == 5
+    out.append(acting)
+    return out
+
+
+def _positive_multiple(a, b):
+    """a = c b, entrywise, for one rational c > 0."""
+    k = next((i for i, x in enumerate(b) if x), None)
+    if k is None:
+        return not any(a)
+    return a[k] * b[k] > 0 and all(x * b[k] == y * a[k] for x, y in zip(a, b))
+
+
+def test_matrix_int_ad_is_a_positive_multiple_of_the_table_int_ad():
+    rng = random.Random(61)
+    algebras = _matrix_algebras()
+    # the last two bases are not in RREF: int_ad pulls back through T
+    assert all(rref_with_transform(lin._vecs)[2] != Mat.identity(lin.dim)
+               for lin in algebras[-2:])
+    for lin in algebras:
+        table = lin.to_abstract()
+        units = [[int(i == j) for j in range(lin.dim)] for i in range(lin.dim)]
+        samples = units + [[rng.randint(-3, 3) for _ in range(lin.dim)] for _ in range(4)]
+        for x in samples:
+            got, want = lin.int_ad(x), table.int_ad(x)
+            assert _positive_multiple([c for row in got for c in row],
+                                      [c for row in want for c in row]), (lin, x)
+
+
+def test_matrix_traces_equal_the_table_traces():
+    nonzero = 0
+    for lin in _matrix_algebras():
+        table = lin.to_abstract()
+        # tr of den ad e_i read off the table's int_ad, as an oracle
+        want = [sum(A[i][i] for i in range(lin.dim))
+                for A in (table.int_ad(e) for e in liecore._units(lin.dim))]
+        assert table.ad_traces() == want
+        assert _positive_multiple(lin.ad_traces(), want), lin
+        nonzero += any(want)
+    assert nonzero >= 6
+
+
+def test_linear_lie_algebra_element_matches_the_sum_of_scaled_matrices():
+    rng = random.Random(67)
+    for lin in _matrix_algebras():
+        n = lin.ambient.dim
+        for density in (0.0, 0.3, 1.0):
+            coeffs = [F(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < density
+                      else F(0) for _ in range(lin.dim)]
+            want = sum((c * m for c, m in zip(coeffs, lin.basis) if c), Mat.zeros(n, n))
+            assert lin.element(coeffs) == want
 
 
 def _flat(m):

@@ -439,12 +439,14 @@ def _traced_series(monkeypatch):
 
 
 def test_a_nonzero_trace_skips_the_series_of_der(monkeypatch):
-    L = catalog.get("heisenberg", 7).algebra
+    L = _fresh(catalog.get("heisenberg", 7).algebra)
     calls = _traced_series(monkeypatch)
-    torus = maximal_torus(derivations(L), random.Random(7))
+    der = derivations(L)
+    torus = maximal_torus(der, random.Random(7))
     assert torus.dim == 4
-    der = structure._abstract_derivations(L)
-    assert all(M is not der for M, _ in calls)
+    # the series of Der(L) would read its table, which is never built
+    assert "table" not in vars(der)
+    assert all(M.dim != der.dim for M, _ in calls)
 
 
 @pytest.mark.parametrize("name", ["sl2", "heisenberg"])
@@ -742,11 +744,11 @@ def test_torus_check_rejects_a_generator_outside_der():
 
 def test_maximal_torus_draws_only_the_cartan_search():
     # the torus is proved, not sampled: the stream ends where the Cartan
-    # search of the abstract Der(L) leaves it
+    # search of Der(L) leaves it
     for L in (heisenberg3(), sl2_on_plane(), abelian(2)):
         rng, copy = random.Random(5), random.Random(5)
         maximal_torus(derivations(L), rng)
-        cartan_subalgebra(structure._abstract_derivations(L), copy)
+        cartan_subalgebra(derivations(L), copy)
         assert rng.getstate() == copy.getstate()
 
 
@@ -765,8 +767,9 @@ def test_maximal_torus_matches_the_closed_forms(seed):
         torus = maximal_torus(der, random.Random(seed))
         assert torus.dim == dim_torus, (name, param)
         # the retired centralizer proof as an oracle: C_Der(L)(T) is the
-        # Cartan subalgebra of the abstract Der(L) that T was built from
-        abstract = structure._abstract_derivations(L)
+        # Cartan subalgebra that the search finds on the table of Der(L),
+        # with the draws that built T from the matrices
+        abstract = der.to_abstract()
         S = [row for t in torus.basis for row in abstract.ad(der.coords(t)).ints]
         h = cartan_subalgebra(abstract, random.Random(seed))
         assert exactlin.kernel(S, abstract.dim) == h, (name, param)
