@@ -348,7 +348,7 @@ class _Coordinates:
         R, piv, T = rref_with_transform(basis)
         if len(piv) != basis.rows:
             raise ValueError("basis rows are linearly dependent")
-        self.span, self.t = Subspace(basis.cols, R, piv), T.den
+        self.span, self._t = Subspace(basis.cols, R, piv), T.den
         self._to_basis = [[(b, x) for b, x in enumerate(trow) if x] for trow in T.ints]
 
     def pull(self, cs: Sequence[int]) -> list[int]:
@@ -363,7 +363,7 @@ class _Coordinates:
     def __call__(self, vec: tuple[list[int], int]) -> tuple[Fraction, ...] | None:
         w, den = vec
         cs = self.span.int_coords(w)
-        return None if cs is None else tuple(_unscaled(self.pull(cs), den * self.t))
+        return None if cs is None else tuple(_unscaled(self.pull(cs), den * self._t))
 
 
 def _on_rows(L: LieAlgebra, basis: Mat, labels: Sequence[str] | None) -> LieAlgebra:

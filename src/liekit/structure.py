@@ -186,7 +186,8 @@ def cartan_subalgebra(L: LieAlgebra | LinearLieAlgebra,
     return _cartan(L, rng)[0]
 
 
-def _cartan(L: LieAlgebra | LinearLieAlgebra, rng: random.Random | None):
+def _cartan(L: LieAlgebra | LinearLieAlgebra, rng: random.Random | None
+            ) -> tuple[Subspace, LieAlgebra | LinearLieAlgebra]:
     """cartan_subalgebra's H with the algebra on its basis: restrict(L, H),
     or L itself when H = L."""
     rng = _rng(rng)
