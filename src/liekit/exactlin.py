@@ -22,8 +22,9 @@ annihilator of p' under the companion matrix of p. Subspace holds a
 canonical RREF basis (sums; membership and coordinates by one integer
 check, int_coords, on the basis's den and ints); kernel is the
 null rows of _rref of a square block, cut down by one projection of the
-rest. jordan_chevalley, the one semisimplicity proof (is_semisimple reads
-its n), takes the inverse of g' mod g from one kernel too.
+rest. jordan_chevalley, the one semisimplicity proof of a single matrix
+(is_semisimple reads its n), takes the inverse of g' mod g from one
+kernel too.
 
 charpoly is Faddeev-LeVerrier over the integers on m.ints = d m, d = m.den,
 with exact divisions and a closing Cayley-Hamilton check; is_nilpotent
@@ -750,9 +751,11 @@ class JordanChevalley(NamedTuple):
 def jordan_chevalley(m: Mat) -> JordanChevalley:
     """Exact m = s + n with s semisimple, n nilpotent, [s, n] = 0.
 
-    The one semisimplicity proof. g, the squarefree part of the minimal
-    polynomial mu, is mu exactly when m is semisimple (_squarefree_mod_p
-    proves it, else squarefree_part decides): then (m, 0, x mod mu). Else
+    The one semisimplicity proof of a single matrix. A minimal polynomial
+    mu = x^k proves m nilpotent: then (0, m, 0), with no Newton step. g,
+    the squarefree part of mu, is mu exactly when m is semisimple
+    (_squarefree_mod_p proves it, else squarefree_part decides): then
+    (m, 0, x mod mu). Else
     Newton a <- a - g(a) h(a), h = g'^-1 mod g from one kernel solve
     (_derivative_inverse, whose check proves g squarefree), runs on the
     iterate as a polynomial q in m mod mu, quadratically, so ceil(log2 n)
@@ -763,6 +766,8 @@ def jordan_chevalley(m: Mat) -> JordanChevalley:
         raise ValueError("jordan_chevalley needs a square matrix")
     n_dim = m.rows
     mu = minpoly(m)
+    if not any(mu.c[:-1]):   # mu = x^k: mu(m) = 0 proves m nilpotent
+        return JordanChevalley(Mat.zeros(n_dim, n_dim), m, Poly.zero())
     g = mu if _squarefree_mod_p(mu) else squarefree_part(mu)
     if g == mu:
         return JordanChevalley(m, Mat.zeros(n_dim, n_dim), Poly.x() % mu)

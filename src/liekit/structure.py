@@ -29,7 +29,9 @@ from dataclasses import dataclass
 from .exactlin import (
     Mat,
     Subspace,
+    _annihilator,
     _int_product,
+    _squarefree_mod_p,
     commutator,
     is_nilpotent as mat_is_nilpotent,
     jordan_chevalley,
@@ -173,10 +175,13 @@ def cartan_subalgebra(L: LieAlgebra | LinearLieAlgebra,
     c, so the counts are those of d ad x (d the denominator of ad x) unless
     2^61 - 1 divides c / d. m = zero_multiplicity_mod_p(A) is dim ker(A^t
     mod p) for every t >= m, from ranks of powers of A mod p = 2^61 - 1 by
-    the one elimination loop, and bounds dim ker A^t over Q, so H is L0(ad
-    x): the kernel of the integer power A^s, s = 2^ceil(log2 m) >= m, from
-    ceil(log2 m) squarings. H's nilpotency is that of restrict(L, H): a
-    matrix algebra's H is its own small matrix algebra. The first
+    the one elimination loop, and bounds dim ker A^t over Q. So H is L0(ad
+    x) = ker A^s, s = 2^ceil(log2 m) >= m, and ker A, formed first, is H
+    when its dimension is m: ker A lies in ker A^s, of dimension at most m.
+    Only a shorter ker A (ad x not semisimple on L0(ad x)) forms the
+    integer power A^s, from ceil(log2 m) squarings, and its kernel. H's
+    nilpotency is that of restrict(L, H): a matrix algebra's H is its own
+    small matrix algebra. The first
     candidate is formed even at count dim L: with [s, y] = p y every
     candidate counts dim L mod p. dim H = m proves N(H) = H (Humphreys,
     section 15.1): x lies in H, so y in N(H) has A y in H and A^(s+1) y =
@@ -187,12 +192,13 @@ def cartan_subalgebra(L: LieAlgebra | LinearLieAlgebra,
 
 
 def _cartan(L: LieAlgebra | LinearLieAlgebra, rng: random.Random | None
-            ) -> tuple[Subspace, LieAlgebra | LinearLieAlgebra]:
-    """cartan_subalgebra's H with the algebra on its basis: restrict(L, H),
-    or L itself when H = L."""
+            ) -> tuple[Subspace, LieAlgebra | LinearLieAlgebra, list[int] | None]:
+    """cartan_subalgebra's H with the algebra on its basis, restrict(L, H),
+    and the pick x whose L0(ad x) it is; L itself and None when L is
+    nilpotent, which draws nothing."""
     rng = _rng(rng)
     if not any(L.ad_traces()) and L.is_nilpotent():
-        return L.full_space(), L
+        return L.full_space(), L, None
     spread = 3
     for _round in range(4 * (L.dim + 2)):
         pool = [[rng.randint(-spread, spread) for _ in range(L.dim)]
@@ -202,10 +208,13 @@ def _cartan(L: LieAlgebra | LinearLieAlgebra, rng: random.Random | None
             A = L.int_ad(coeffs)
             mult = zero_multiplicity_mod_p(A)
             if mult < best_mult:
-                power = A   # A^s, s = 2^ceil(log2 mult) >= mult: ker is L0(ad x)
-                for _ in range((mult - 1).bit_length()):
-                    power = _int_product(power, power)
-                best_mult, h = mult, kernel(power, L.dim)
+                # ker A lies in L0(ad x), of dimension at most mult
+                best_mult, pick, h = mult, coeffs, kernel(A, L.dim)
+                if h.dim < mult:
+                    power = A   # A^s, s = 2^ceil(log2 mult) >= mult: ker is L0(ad x)
+                    for _ in range((mult - 1).bit_length()):
+                        power = _int_product(power, power)
+                    h = kernel(power, L.dim)
                 sub = restrict(L, h)
                 nilpotent = sub.is_nilpotent()
                 if nilpotent and h.dim == mult:
@@ -213,7 +222,7 @@ def _cartan(L: LieAlgebra | LinearLieAlgebra, rng: random.Random | None
         if nilpotent:
             if h.dim < best_mult and normalizer(L, h).dim != h.dim:
                 raise AssertionError("proof failed: L0(ad x) not self-normalizing")
-            return h, sub
+            return h, sub, pick
         spread += 2   # no candidate or a non-regular pick; widen and redraw
     raise AssertionError("Cartan subalgebra search failed to converge")
 
@@ -298,18 +307,26 @@ def maximal_torus(der: LinearLieAlgebra,
                   rng: random.Random | None = None) -> LinearLieAlgebra:
     """Maximal abelian subalgebra of semisimple derivations, via a Cartan.
 
-    T is the span of the parts s(h), proved semisimple by jordan_chevalley,
-    over a basis of a Cartan subalgebra H of Der(L); _check_torus proves it
-    a maximal torus from H's basis as n x n matrices, the ones the Cartan
-    search formed to prove H nilpotent. The search runs on der itself and
-    reads ad x from its matrices, without Der(L)'s table unless every trace
-    is 0. It is the only draw from the stream. der must be the Der(L) that
-    derivations(L) caches for its ambient L.
+    T is the span of the parts s(h) over a basis of a Cartan subalgebra H
+    of Der(L), as n x n matrices, the ones the Cartan search formed to
+    prove H nilpotent; _check_torus proves it a maximal torus. When the
+    search's pick X = der.element(x), with H = L0(ad x), is cyclic with a
+    squarefree minimal polynomial and commutes with H's basis
+    (_cyclic_semisimple), H is a torus: T = H and each part is h itself.
+    Otherwise jordan_chevalley gives each part and proves it semisimple.
+    The search runs on der itself and reads ad x from its matrices, without
+    Der(L)'s table unless every trace is 0. It is the only draw from the
+    stream. der must be the Der(L) that derivations(L) caches for its
+    ambient L.
     """
     if der is not derivations(der.ambient):
         raise LieError("maximal_torus expects a full derivation algebra")
-    mats = list(_cartan(der, rng)[1].basis)
-    parts = [jordan_chevalley(m).s for m in mats]
+    _, sub, x = _cartan(der, rng)
+    mats = list(sub.basis)
+    if x is not None and _cyclic_semisimple(der.element(x), mats):
+        parts = mats
+    else:
+        parts = [jordan_chevalley(m).s for m in mats]
     n = der.ambient.dim
     span = Subspace.span(n * n, Mat.vecs(parts, n * n).ints).basis
     basis = [Mat.from_flat(n, n, row, span.den) for row in span.ints]
@@ -319,18 +336,35 @@ def maximal_torus(der: LinearLieAlgebra,
     return torus
 
 
+def _cyclic_semisimple(X: Mat, mats: list[Mat]) -> bool:
+    """True proves the matrices of mats semisimple and pairwise commuting;
+    False proves nothing.
+
+    The annihilator of one vector under X divides the minimal polynomial mu
+    of X, so at degree n it is mu, and X is cyclic: its centralizer in gl_n
+    is Q[X] (Horn and Johnson, Matrix Analysis, 2nd ed., section 3.2.4).
+    With mu squarefree (_squarefree_mod_p), X is semisimple, and so is
+    every polynomial in X. Each m with [X, m] = 0, checked exactly, is one.
+    """
+    mu = _annihilator(X, [i * i + 1 for i in range(X.rows)])
+    return (mu.degree == X.rows and _squarefree_mod_p(mu)
+            and all(commutator(X, m).is_zero() for m in mats))
+
+
 def _check_torus(torus: LinearLieAlgebra, der: LinearLieAlgebra,
                  mats: list[Mat], nils: list[Mat]) -> None:
     """Prove the torus T a maximal torus of g = der = Der(L), exactly.
 
     mats is a basis h_i of the Cartan subalgebra H of g as n x n matrices,
-    nils the parts n_i = h_i - s(h_i). T is abelian (its table is empty)
-    and lies in g; (i) every h_i commutes with every basis matrix of T;
-    (ii) the n_i generate a nilpotent associative algebra. The Cartan
-    search returns all of g or L0(ad x) = ker A^s for an x in H, s >= dim
-    L0. For h = sum a_i h_i in H, s = sum a_i s(h_i) lies in T and is
-    semisimple (T is abelian and spanned by parts that jordan_chevalley
-    proved semisimple), h - s is nilpotent by (ii), and [s, h - s] =
+    nils the parts n_i = h_i - s(h_i). Each part s(h_i) is proved
+    semisimple before this runs: by jordan_chevalley, or as h_i itself
+    (n_i = 0) when a cyclic pick proved H a torus (_cyclic_semisimple). T
+    is abelian (its table is empty) and lies in g; (i) every h_i commutes
+    with every basis matrix of T; (ii) the n_i generate a nilpotent
+    associative algebra. The Cartan search returns all of g or L0(ad x) =
+    ker A^s for an x in H, s >= dim L0. For h = sum a_i h_i in H, s = sum
+    a_i s(h_i) lies in T and is semisimple (T is abelian and spanned by
+    semisimple parts), h - s is nilpotent by (ii), and [s, h - s] =
     [s, h] = 0 by (i): s = h_s, so h_s lies in T. Hence C_g(T) lies in
     C_g(x_s) = ker (ad_g x)_s = L0(ad x) = H, as ad x_s = (ad x)_s on gl(L)
     restricted to the ad x-invariant g. A torus T' containing T lies in H,

@@ -515,6 +515,9 @@ def test_failed_self_normalization_proof_exits_3(capsys, tmp_path, monkeypatch):
 ])
 def test_a_torus_short_of_one_semisimple_part_fails_its_proof(
         capsys, monkeypatch, src, proof):
+    # the cyclic pick proves the parts without jordan_chevalley; with its
+    # Sylvester test off, the parts come from jordan_chevalley
+    monkeypatch.setattr(structure, "_squarefree_mod_p", lambda mu: False)
     real, calls = structure.jordan_chevalley, []
 
     def first_part_zeroed(m):
@@ -530,14 +533,59 @@ def test_a_torus_short_of_one_semisimple_part_fails_its_proof(
 
 
 def test_a_failed_semisimple_part_proof_exits_3_through_the_torus(capsys, monkeypatch):
-    # favre7's Der is nilpotent, so every part goes through Newton; with
+    # at seed 7 the toral parts s(ad h) of the Malcev splittings of R1 and
+    # R2 go through Newton twice (no catalog torus command runs it); with
     # h = 0 the iterate never moves and jordan_chevalley's closing check fails
+    real, newton = exactlin._derivative_inverse, []
+
+    def counted(g):
+        newton.append(g)
+        return real(g)
+
+    monkeypatch.setattr(exactlin, "_derivative_inverse", counted)
+    assert run(capsys, "demo", "snobl", "--seed", "7", "--format", "json")[0] == 0
+    assert len(newton) == 2
     monkeypatch.setattr(exactlin, "_derivative_inverse", lambda g: Poly.zero())
-    code, out, err = run(capsys, "torus", "favre7", "--seed", "7", "--format", "json")
+    code, out, err = run(capsys, "demo", "snobl", "--seed", "7", "--format", "json")
     assert code == 3
     assert out == ""
     assert ("error: internal check failed: proof failed: "
             "g(s) != 0 for the semisimple part s\n") in err
+
+
+@pytest.mark.parametrize("seed", ["1", "7", "2022"])
+def test_a_cyclic_pick_proves_the_torus_without_jordan_chevalley(
+        capsys, monkeypatch, seed):
+    # the picks on these Der(L) have a squarefree minimal polynomial of
+    # degree dim L, so H is the torus and its basis the parts
+    def refuse(m):
+        raise AssertionError("jordan_chevalley called")
+
+    monkeypatch.setattr(structure, "jordan_chevalley", refuse)
+    monkeypatch.setattr(exactlin, "jordan_chevalley", refuse)
+    for src in ("heisenberg:3", "heisenberg:5", "heisenberg:7", "heisenberg:9",
+                "filiform:5", "filiform:8"):
+        assert run(capsys, "torus", src, "--seed", seed)[0] == 0, src
+
+
+@pytest.mark.parametrize("src", ["heisenberg:7", "filiform:8"])
+def test_the_torus_without_the_cyclic_proof_prints_the_same_bytes(
+        capsys, monkeypatch, src):
+    argv = ("torus", src, "--seed", "7", "--format", "json")
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+    real, parts = structure.jordan_chevalley, []
+
+    def counted(m):
+        parts.append(m)
+        return real(m)
+
+    monkeypatch.setattr(structure, "_squarefree_mod_p", lambda mu: False)
+    monkeypatch.setattr(structure, "jordan_chevalley", counted)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == want
+    assert len(parts) == json.loads(want)["values"]["dim"]   # H = T
 
 
 def test_a_der_not_closed_under_commutators_fails_its_sample(capsys, monkeypatch):

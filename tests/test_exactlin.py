@@ -1165,8 +1165,14 @@ def test_jordan_chevalley_of_a_semisimple_input_skips_newton(monkeypatch):
         dec = jordan_chevalley(m)
         assert dec == (m, Mat.zeros(m.rows, m.rows), x % minpoly(m))
         jc_postconditions(m, dec)
+    # a minimal polynomial x^k proves m nilpotent: s = 0, with no Newton
+    for m in (Mat([[0, 1], [0, 0]]), Mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+              Mat([[F(1, 2), F(-1, 4)], [1, F(-1, 2)]])):
+        dec = jordan_chevalley(m)
+        assert dec == (Mat.zeros(m.rows, m.rows), m, Poly.zero())
+        jc_postconditions(m, dec)
     with pytest.raises(AssertionError, match="_derivative_inverse called"):
-        jordan_chevalley(Mat([[0, 1], [0, 0]]))
+        jordan_chevalley(Mat([[1, 1], [0, 1]]))
 
 
 def test_jordan_chevalley_non_diagonalizable_over_q():

@@ -397,6 +397,61 @@ def test_engel_power_alone_certifies_the_picks(monkeypatch):
         assert len(engel) - exactlin._rank_mod_p(engel, len(engel)) == m
 
 
+def _kernel_of_a_cases():
+    """Der of six nilpotent algebras and of one solvable one, and four
+    abstract algebras: R1 and R2 of the Snobl demo, sl2 and the p_line r2."""
+    ders = [derivations(catalog.get(name, n).algebra)
+            for name, n in (("heisenberg", 3), ("heisenberg", 5), ("heisenberg", 7),
+                            ("filiform", 5), ("filiform", 8), ("abelian", 3),
+                            ("diagonal_torus_extension", 2))]
+    snobl = catalog.build_snobl_counterexample(random.Random(7))
+    p_line = LieAlgebra(2, {(0, 1): [(1, 2 ** 61 - 1)]}, labels=("s", "y"))
+    return ders + [snobl["R1"].total, snobl["R2"].total, sl2(), p_line]
+
+
+def test_a_kernel_of_a_at_the_count_is_the_engel_subalgebra():
+    # ker A lies in L0(ad x) = ker A^m, whose dimension the mod-p count m
+    # bounds: so dim ker A = m proves ker A = L0(ad x). The power's kernel
+    # is the oracle, over drawn candidates of the search's spreads
+    rng = random.Random(35)
+    at_count = short = 0
+    for L in _kernel_of_a_cases():
+        for spread in (1, 3, 5):
+            for _ in range(12):
+                x = [rng.randint(-spread, spread) for _ in range(L.dim)]
+                if not any(x):
+                    continue
+                A = L.int_ad(x)
+                m = exactlin.zero_multiplicity_mod_p(A)
+                k = exactlin.kernel(A, L.dim)
+                assert k.dim <= m
+                if k.dim == m:
+                    at_count += 1
+                    engel = reduce(exactlin._int_product, [A] * m)
+                    assert k == exactlin.kernel(engel, L.dim)
+                else:
+                    short += 1
+    assert at_count > 100 and short > 20
+
+
+def test_a_short_kernel_of_a_reaches_the_power(monkeypatch):
+    # Der(filiform:5) at seed 7: the first candidate counts 3 and is not
+    # semisimple, so ker A has dimension 2 and its H comes from the power;
+    # the second counts 2 with ker A = H. Each H formed is that of the power
+    L = derivations(catalog.get("filiform", 5).algebra)
+    ranked = _counting(monkeypatch, "zero_multiplicity_mod_p")
+    kernels = _counting(monkeypatch, "kernel")
+    restricted = _counting(monkeypatch, "restrict")
+    h = cartan_subalgebra(L, random.Random(7))
+    counts = [exactlin.zero_multiplicity_mod_p(A) for (A,) in ranked]
+    assert counts == [3, 2]
+    assert [exactlin.kernel(*args).dim for args in kernels] == [2, 3, 2]
+    assert kernels[1][0] != ranked[0][0]   # the power, not A
+    for (A,), m, (_, formed) in zip(ranked, counts, restricted):
+        assert formed == exactlin.kernel(reduce(exactlin._int_product, [A] * m), L.dim)
+    assert h == restricted[-1][1] and h.dim == 2
+
+
 def test_the_exact_normalizer_decides_on_the_no_break_path(monkeypatch):
     # the p_adversarial.json algebra, pool of two: s counts 3 mod p with the
     # 2-dimensional Engel subalgebra span{s, t}, so the pool runs to its end
@@ -740,6 +795,22 @@ def test_torus_check_rejects_a_generator_outside_der():
                        match="^proof failed: torus generator is not a derivation$"):
         structure._check_torus(LinearLieAlgebra(L, [Mat.identity(3)]),
                                derivations(L), [], [])
+
+
+def test_the_cyclic_proof_needs_each_of_its_three_conditions():
+    # diag(1, 2, 3) is cyclic with a squarefree minimal polynomial: its
+    # centralizer is the polynomials in it, all semisimple
+    x = Mat([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    e12 = Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    assert structure._cyclic_semisimple(x, [x @ x, Mat([[4, 0, 0], [0, 5, 0], [0, 0, 6]])])
+    assert structure._cyclic_semisimple(x, [])
+    # not commuting with x: E_12
+    assert not structure._cyclic_semisimple(x, [x, e12])
+    # semisimple but not cyclic: E_12 commutes with diag(1, 1, 2) and is
+    # nilpotent
+    assert not structure._cyclic_semisimple(Mat([[1, 0, 0], [0, 1, 0], [0, 0, 2]]), [e12])
+    # cyclic but not semisimple: x^2 (x - 1); E_12 commutes and is nilpotent
+    assert not structure._cyclic_semisimple(Mat([[0, 1, 0], [0, 0, 0], [0, 0, 1]]), [e12])
 
 
 def test_maximal_torus_draws_only_the_cartan_search():
