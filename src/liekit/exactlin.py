@@ -144,11 +144,6 @@ class Mat:
         return Mat._of(self.den * other.den, _int_product(self.ints, other.ints),
                        other.cols)
 
-    def apply(self, v: Sequence) -> tuple[Fraction, ...]:
-        """Matrix times column vector."""
-        d, w = _scaled_vec(v, self.cols)
-        return (self @ Mat._of(d, [[x] for x in w], 1)).column(0)
-
     def is_zero(self) -> bool:
         return not any(map(any, self.ints))
 

@@ -156,9 +156,6 @@ class LieAlgebra:
                         rows[k][j] += a * c
         return rows
 
-    def bracket_basis(self, i: int, j: int) -> list[Fraction]:
-        return self.bracket(self.basis_vector(i), self.basis_vector(j))
-
     def bracket(self, x: Sequence, y: Sequence) -> list[Fraction]:
         dx, xv = _scaled_vec(x, self.dim)
         dy, yv = _scaled_vec(y, self.dim)

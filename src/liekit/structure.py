@@ -311,22 +311,21 @@ def maximal_torus(der: LinearLieAlgebra,
     of Der(L), as n x n matrices, the ones the Cartan search formed to
     prove H nilpotent; _check_torus proves it a maximal torus. When the
     search's pick X = der.element(x), with H = L0(ad x), is cyclic with a
-    squarefree minimal polynomial and commutes with H's basis
-    (_cyclic_semisimple), H is a torus: T = H and each part is h itself.
-    Otherwise jordan_chevalley gives each part and proves it semisimple.
-    The search runs on der itself and reads ad x from its matrices, without
-    Der(L)'s table unless every trace is 0. It is the only draw from the
-    stream. der must be the Der(L) that derivations(L) caches for its
-    ambient L.
+    squarefree minimal polynomial (_cyclic_semisimple), H is a torus and T
+    is the matrix algebra the search built on H. Otherwise jordan_chevalley
+    gives each part and proves it semisimple. The search runs on der itself
+    and reads ad x from its matrices, without Der(L)'s table unless every
+    trace is 0. It is the only draw from the stream. der must be the Der(L)
+    that derivations(L) caches for its ambient L.
     """
     if der is not derivations(der.ambient):
         raise LieError("maximal_torus expects a full derivation algebra")
     _, sub, x = _cartan(der, rng)
     mats = list(sub.basis)
-    if x is not None and _cyclic_semisimple(der.element(x), mats):
-        parts = mats
-    else:
-        parts = [jordan_chevalley(m).s for m in mats]
+    if x is not None and _cyclic_semisimple(der.element(x)):
+        _check_torus(sub, der, mats, [])
+        return sub
+    parts = [jordan_chevalley(m).s for m in mats]
     n = der.ambient.dim
     span = Subspace.span(n * n, Mat.vecs(parts, n * n).ints).basis
     basis = [Mat.from_flat(n, n, row, span.den) for row in span.ints]
@@ -336,19 +335,18 @@ def maximal_torus(der: LinearLieAlgebra,
     return torus
 
 
-def _cyclic_semisimple(X: Mat, mats: list[Mat]) -> bool:
-    """True proves the matrices of mats semisimple and pairwise commuting;
-    False proves nothing.
+def _cyclic_semisimple(X: Mat) -> bool:
+    """True proves X cyclic and semisimple; False proves nothing.
 
     The annihilator of one vector under X divides the minimal polynomial mu
     of X, so at degree n it is mu, and X is cyclic: its centralizer in gl_n
     is Q[X] (Horn and Johnson, Matrix Analysis, 2nd ed., section 3.2.4).
-    With mu squarefree (_squarefree_mod_p), X is semisimple, and so is
-    every polynomial in X. Each m with [X, m] = 0, checked exactly, is one.
+    With mu squarefree (_squarefree_mod_p), X is semisimple, and so is ad X
+    on gl_n and on the Der(L) it leaves invariant (Humphreys, section 4.2).
+    So L0(ad x) = ker ad x lies in Q[X]: commuting semisimple matrices.
     """
     mu = _annihilator(X, [i * i + 1 for i in range(X.rows)])
-    return (mu.degree == X.rows and _squarefree_mod_p(mu)
-            and all(commutator(X, m).is_zero() for m in mats))
+    return mu.degree == X.rows and _squarefree_mod_p(mu)
 
 
 def _check_torus(torus: LinearLieAlgebra, der: LinearLieAlgebra,
@@ -356,27 +354,29 @@ def _check_torus(torus: LinearLieAlgebra, der: LinearLieAlgebra,
     """Prove the torus T a maximal torus of g = der = Der(L), exactly.
 
     mats is a basis h_i of the Cartan subalgebra H of g as n x n matrices,
-    nils the parts n_i = h_i - s(h_i). Each part s(h_i) is proved
-    semisimple before this runs: by jordan_chevalley, or as h_i itself
-    (n_i = 0) when a cyclic pick proved H a torus (_cyclic_semisimple). T
-    is abelian (its table is empty) and lies in g; (i) every h_i commutes
-    with every basis matrix of T; (ii) the n_i generate a nilpotent
-    associative algebra. The Cartan search returns all of g or L0(ad x) =
-    ker A^s for an x in H, s >= dim L0. For h = sum a_i h_i in H, s = sum
-    a_i s(h_i) lies in T and is semisimple (T is abelian and spanned by
-    semisimple parts), h - s is nilpotent by (ii), and [s, h - s] =
-    [s, h] = 0 by (i): s = h_s, so h_s lies in T. Hence C_g(T) lies in
-    C_g(x_s) = ker (ad_g x)_s = L0(ad x) = H, as ad x_s = (ad x)_s on gl(L)
-    restricted to the ad x-invariant g. A torus T' containing T lies in H,
-    and each of its elements, semisimple, is its own semisimple part, in T.
+    nils the parts n_i = h_i - s(h_i), none when T = H. Each part s(h_i)
+    is proved semisimple before this runs: by jordan_chevalley, or as h_i
+    itself when a cyclic pick proved H a torus (_cyclic_semisimple). T is
+    abelian (its table is empty) and lies in g; (i) each h_i outside T's
+    basis commutes with T's basis (pairs inside it are T's table); (ii)
+    the n_i generate a nilpotent associative algebra. The Cartan search
+    returns all of g or L0(ad x) = ker A^s for an x in H, s >= dim L0. For
+    h = sum a_i h_i in H, s = sum a_i s(h_i) lies in T and is semisimple
+    (T is abelian and spanned by semisimple parts), h - s is nilpotent by
+    (ii), and [s, h - s] = [s, h] = 0 by (i): s = h_s, so h_s lies in T.
+    Hence C_g(T) lies in C_g(x_s) = ker (ad_g x)_s = L0(ad x) = H, as ad
+    x_s = (ad x)_s on gl(L) restricted to the ad x-invariant g. A torus T'
+    containing T lies in H, and each of its elements, semisimple, is its
+    own semisimple part, in T.
     """
     # the table holds every commutator of basis pairs, checked exactly
     if torus.table:
         raise AssertionError("proof failed: torus is not abelian")
+    outside = [h for h in mats if h not in torus.basis]
     for t in torus.basis:
         if not der.contains(t):
             raise AssertionError("proof failed: torus generator is not a derivation")
-        if not all(commutator(t, h).is_zero() for h in mats):
+        if not all(commutator(t, h).is_zero() for h in outside):
             raise AssertionError("proof failed: Cartan does not centralize the torus")
     # W_k, spanned by the products of k parts, shrinks while it is nonzero
     n = der.ambient.dim

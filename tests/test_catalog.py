@@ -22,6 +22,7 @@ from liekit.structure import (
     maximal_torus,
     nilradical,
 )
+from oracles import bracket_basis
 
 
 # ---------------------------------------------------------------------------
@@ -45,15 +46,15 @@ def test_heisenberg_bracket_layout():
     e = get("heisenberg", 5)
     L = e.algebra
     z = [0, 0, 0, 0, 1]
-    assert L.bracket_basis(0, 2) == z   # [p1, q1] = z
-    assert L.bracket_basis(1, 3) == z   # [p2, q2] = z
-    assert L.bracket_basis(0, 1) == [0] * 5
+    assert bracket_basis(L, 0, 2) == z   # [p1, q1] = z
+    assert bracket_basis(L, 1, 3) == z   # [p2, q2] = z
+    assert bracket_basis(L, 0, 1) == [0] * 5
 
 
 def test_filiform_matches_the_documented_example():
     L = get("filiform", 4).algebra
-    assert L.bracket_basis(0, 1) == [0, 0, 1, 0]
-    assert L.bracket_basis(0, 2) == [0, 0, 0, 1]
+    assert bracket_basis(L, 0, 1) == [0, 0, 1, 0]
+    assert bracket_basis(L, 0, 2) == [0, 0, 0, 1]
     assert [s.dim for s in series(L, "lower_central")] == [4, 2, 1, 0]
 
 

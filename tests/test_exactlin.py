@@ -26,6 +26,7 @@ from liekit.exactlin import (
     zero_multiplicity_mod_p,
 )
 from liekit.liecore import change_basis
+from oracles import apply
 
 F = Fraction
 
@@ -44,7 +45,7 @@ def test_mat_basic_ops():
     assert (a + b - b) == a
     assert (2 * a).data[0][0] == F(2)
     assert a.transpose().data == [[F(1), F(3)], [F(2), F(4)]]
-    assert a.apply([1, 0]) == (F(1), F(3))
+    assert apply(a, [1, 0]) == (F(1), F(3))
 
 
 def _rand_fractions(rng, rows, cols, kind):
@@ -95,7 +96,7 @@ def test_mat_operators_match_the_fraction_oracle(kind):
             assert got.data == want
             assert got == Mat(want, cols=cols)
             assert hash(got) == hash(Mat(want, cols=cols))
-        assert A.apply(v) == tuple(sum((x * y for x, y in zip(p, v)), F(0)) for p in a)
+        assert apply(A, v) == tuple(sum((x * y for x, y in zip(p, v)), F(0)) for p in a)
         assert A.is_zero() == all(not x for p in a for x in p)
         assert (A == A2) == (a == a2)
         assert (A + A == 2 * A) and (A - A).is_zero()
@@ -174,7 +175,7 @@ def test_kernel_annihilates_and_rank_nullity():
         assert kernel(ints) == kernel(ints, m.cols) == k   # integer rows
         assert rank(m) + k.dim == m.cols
         for v in k.rows():
-            assert all(x == 0 for x in m.apply(v))
+            assert all(x == 0 for x in apply(m, v))
 
 
 def _bits(q):
@@ -258,7 +259,7 @@ def test_kernel_of_a_dense_rank_deficient_40_by_60_matrix():
     m = Mat(data)
     got = _assert_matches_reference(m)
     assert got.dim == 60 - 34
-    assert all(not any(m.apply(v)) for v in got.rows())
+    assert all(not any(apply(m, v)) for v in got.rows())
 
 
 def test_kernel_falls_back_on_an_unlucky_prime():

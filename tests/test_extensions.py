@@ -24,6 +24,7 @@ from liekit.extensions import (
     verify_rank_bound,
 )
 from liekit.structure import nilradical
+from oracles import bracket_basis
 
 
 def abelian(n):
@@ -191,7 +192,7 @@ def _quotient_cartan_dim(L, N, rng):
             v = [x - v[p] * r for x, r in zip(v, row)]
         return [v[c] for c in free]
 
-    table = {(a, b): list(enumerate(residual(L.bracket_basis(free[a], free[b]))))
+    table = {(a, b): list(enumerate(residual(bracket_basis(L, free[a], free[b]))))
              for a, b in combinations(range(len(free)), 2)}
     return structure.cartan_subalgebra(LieAlgebra(len(free), table), rng).dim
 

@@ -29,6 +29,7 @@ from liekit.liecore import (
     verify_structure,
 )
 from liekit.structure import derivations, maximal_torus
+from oracles import apply, bracket_basis
 
 F = Fraction
 
@@ -512,7 +513,7 @@ def _fraction_table(ambient, mats):
             for c, row in zip(cs, R.data):
                 residual = [x - c * y for x, y in zip(residual, row)]
             assert not any(residual)
-            terms = [(t, c) for t, c in enumerate(to_basis.apply(cs)) if c]
+            terms = [(t, c) for t, c in enumerate(apply(to_basis, cs)) if c]
             if terms:
                 table[(a, b)] = terms
     return table
@@ -698,14 +699,14 @@ def fraction_derivations(L):
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
-            cij = L.bracket_basis(i, j)
+            cij = bracket_basis(L, i, j)
             for u in range(n):
                 row = [F(0)] * (n * n)
                 for s in range(n):
                     row[u * n + s] += cij[s]
                 for t in range(n):
-                    row[t * n + i] -= L.bracket_basis(t, j)[u]
-                    row[t * n + j] -= L.bracket_basis(i, t)[u]
+                    row[t * n + i] -= bracket_basis(L, t, j)[u]
+                    row[t * n + j] -= bracket_basis(L, i, t)[u]
                 rows.append(row)
     return kernel(Mat(rows, cols=n * n))
 

@@ -43,6 +43,7 @@ from liekit.structure import (
     maximal_torus,
     nilradical,
 )
+from oracles import apply, bracket_basis
 
 # the benchmark's seeded dense basis changes, written as catalog JSON
 _spec = importlib.util.spec_from_file_location(
@@ -82,7 +83,7 @@ def sl2_on_plane():
 def leibniz_holds(m, L):
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            lhs = m.apply(L.bracket_basis(i, j))
+            lhs = apply(m, bracket_basis(L, i, j))
             a = L.bracket(m.column(i), L.basis_vector(j))
             b = L.bracket(L.basis_vector(i), m.column(j))
             if list(lhs) != [x + y for x, y in zip(a, b)]:
@@ -797,20 +798,57 @@ def test_torus_check_rejects_a_generator_outside_der():
                                derivations(L), [], [])
 
 
-def test_the_cyclic_proof_needs_each_of_its_three_conditions():
+def test_torus_check_skips_only_the_cartan_matrices_in_the_torus_basis():
+    # [h, h] is T's table; E_01, outside T's basis, still fails proof (i)
+    L = abelian(2)
+    h, e = Mat([[1, 0], [0, -1]]), Mat([[0, 1], [0, 0]])
+    with pytest.raises(AssertionError,
+                       match="^proof failed: Cartan does not centralize the torus$"):
+        structure._check_torus(LinearLieAlgebra(L, [h]), derivations(L), [h, e], [])
+
+
+def test_the_cyclic_proof_needs_both_of_its_conditions():
     # diag(1, 2, 3) is cyclic with a squarefree minimal polynomial: its
     # centralizer is the polynomials in it, all semisimple
-    x = Mat([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
-    e12 = Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    assert structure._cyclic_semisimple(x, [x @ x, Mat([[4, 0, 0], [0, 5, 0], [0, 0, 6]])])
-    assert structure._cyclic_semisimple(x, [])
-    # not commuting with x: E_12
-    assert not structure._cyclic_semisimple(x, [x, e12])
-    # semisimple but not cyclic: E_12 commutes with diag(1, 1, 2) and is
-    # nilpotent
-    assert not structure._cyclic_semisimple(Mat([[1, 0, 0], [0, 1, 0], [0, 0, 2]]), [e12])
-    # cyclic but not semisimple: x^2 (x - 1); E_12 commutes and is nilpotent
-    assert not structure._cyclic_semisimple(Mat([[0, 1, 0], [0, 0, 0], [0, 0, 1]]), [e12])
+    assert structure._cyclic_semisimple(Mat([[1, 0, 0], [0, 2, 0], [0, 0, 3]]))
+    # semisimple but not cyclic
+    assert not structure._cyclic_semisimple(Mat([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
+    # cyclic but not semisimple: x^2 (x - 1)
+    assert not structure._cyclic_semisimple(Mat([[0, 1, 0], [0, 0, 0], [0, 0, 1]]))
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2022])
+def test_a_cyclic_pick_returns_the_cartan_subalgebra_as_the_torus(monkeypatch, seed):
+    # T = H: the torus is the matrix algebra the search built on H, so no
+    # table and no commutator is formed after the search
+    real_cartan, real_table = structure._cartan, liecore.induced_table
+    searched, after = [], []
+
+    def cartan(L, rng):
+        searched.append(real_cartan(L, rng))
+        after.clear()
+        return searched[-1]
+
+    def table(k, product, coords):
+        after.append(("induced_table", k))
+        return real_table(k, product, coords)
+
+    def commutator(a, b):
+        after.append(("commutator", a.rows))
+        return exactlin.commutator(a, b)
+
+    for name, param in [("heisenberg", 3), ("heisenberg", 5), ("heisenberg", 7),
+                        ("heisenberg", 9), ("filiform", 5), ("filiform", 8)]:
+        der = derivations(catalog.get(name, param).algebra)
+        with monkeypatch.context() as m:
+            m.setattr(structure, "_cartan", cartan)
+            m.setattr(liecore, "induced_table", table)
+            m.setattr(structure, "commutator", commutator)
+            torus = maximal_torus(der, random.Random(seed))
+        _, sub, x = searched[-1]
+        assert structure._cyclic_semisimple(der.element(x)), (name, param)
+        assert torus is sub, (name, param)
+        assert after == [], (name, param)
 
 
 def test_maximal_torus_draws_only_the_cartan_search():
