@@ -781,12 +781,14 @@ def test_torus_check_rejects_a_non_abelian_span():
 
 
 def test_torus_check_rejects_a_cartan_outside_the_centralizer():
-    # gl_2 on the plane: diag(1, -1) does not commute with E_01
+    # gl_2 on the plane: diag(1, -1) does not commute with E_01; proof (i)
+    # skips h, whose commutators with T's basis are T's table, not E_01
     L = abelian(2)
     h, e = Mat([[1, 0], [0, -1]]), Mat([[0, 1], [0, 0]])
-    with pytest.raises(AssertionError,
-                       match="^proof failed: Cartan does not centralize the torus$"):
-        structure._check_torus(LinearLieAlgebra(L, [h]), derivations(L), [e], [e])
+    for mats in ([e], [h, e]):
+        with pytest.raises(AssertionError,
+                           match="^proof failed: Cartan does not centralize the torus$"):
+            structure._check_torus(LinearLieAlgebra(L, [h]), derivations(L), mats, [e])
 
 
 def test_torus_check_rejects_a_generator_outside_der():
@@ -796,15 +798,6 @@ def test_torus_check_rejects_a_generator_outside_der():
                        match="^proof failed: torus generator is not a derivation$"):
         structure._check_torus(LinearLieAlgebra(L, [Mat.identity(3)]),
                                derivations(L), [], [])
-
-
-def test_torus_check_skips_only_the_cartan_matrices_in_the_torus_basis():
-    # [h, h] is T's table; E_01, outside T's basis, still fails proof (i)
-    L = abelian(2)
-    h, e = Mat([[1, 0], [0, -1]]), Mat([[0, 1], [0, 0]])
-    with pytest.raises(AssertionError,
-                       match="^proof failed: Cartan does not centralize the torus$"):
-        structure._check_torus(LinearLieAlgebra(L, [h]), derivations(L), [h, e], [])
 
 
 def test_the_cyclic_proof_needs_both_of_its_conditions():
