@@ -304,12 +304,6 @@ def normalizer(L: LieAlgebra, s: Subspace) -> Subspace:
     return kernel(system, L.dim)
 
 
-def is_ideal(L: LieAlgebra, s: Subspace) -> bool:
-    """Each [e_i, v] for v a row of E R (s.basis.ints) lies in s."""
-    return all(s.int_coords(L.int_bracket(ei, row)) is not None
-               for ei in _units(L.dim) for row in s.basis.ints)
-
-
 def induced_table(k: int, product: Callable[[int, int], object],
                   coords: Callable[[object], Sequence | None],
                   ) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:

@@ -241,6 +241,17 @@ def test_expected_mismatch_reports_both_values():
         loads(json.dumps(doc))
 
 
+def test_dim_torus_gate_reads_the_maximal_torus():
+    # no bundled data file states dim_torus, so the gate is held here
+    doc = {"name": "h3", "dim": 3, "basis": ["p", "q", "z"],
+           "brackets": [[1, 2, [[3, "1"]]]],
+           "expected": {"dim_torus": 2}}
+    assert loads(json.dumps(doc)).expected == {"dim_torus": 2}
+    doc["expected"]["dim_torus"] = 3
+    with pytest.raises(CatalogError, match="expected 3, computed 2"):
+        loads(json.dumps(doc))
+
+
 def test_unknown_expected_key_is_rejected():
     doc = {"name": "h3", "dim": 3, "basis": ["p", "q", "z"],
            "brackets": [[1, 2, [[3, "1"]]]],

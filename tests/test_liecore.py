@@ -19,7 +19,6 @@ from liekit.liecore import (
     change_basis,
     derived_algebra,
     direct_sum,
-    is_ideal,
     killing_radical,
     normalizer,
     product_space,
@@ -184,12 +183,6 @@ def test_normalizer():
     # the empty system of the zero subspace, also in dimension 0
     assert normalizer(L, Subspace.zero(3)) == L.full_space()
     assert normalizer(abelian(0), Subspace.zero(0)) == Subspace.full(0)
-
-
-def test_is_ideal():
-    L = heisenberg3()
-    assert is_ideal(L, center(L))
-    assert not is_ideal(L, Subspace.span(3, [[1, 0, 0]]))  # [q, p] leaves span{p}
 
 
 def test_restrict():

@@ -643,7 +643,7 @@ def test_derivations_and_center_are_computed_once_per_algebra(monkeypatch):
 
 
 def test_abstract_derivations_are_built_once_per_algebra(monkeypatch):
-    # the favre7 gate checks characteristic nilpotency and the torus
+    # the favre7 gate checks characteristic nilpotency; the torus reads the same Der
     built = []
     real = LinearLieAlgebra.to_abstract
 
