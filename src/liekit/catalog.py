@@ -17,10 +17,8 @@ import json
 import random
 import re
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from importlib import resources
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .exactlin import Mat
 from .liecore import (
@@ -60,8 +58,7 @@ class CatalogError(LieError):
     """Unknown name, bad parameter, malformed file, or failed expectation."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """A named algebra plus the invariant record it was checked against."""
 
     name: str
@@ -175,7 +172,10 @@ def _sl2() -> tuple[LieAlgebra, dict]:
 
 
 def _favre7() -> tuple[LieAlgebra, dict]:
-    text = resources.files(__package__).joinpath("data/favre7.json").read_text()
+    # imported here, as it loads tempfile (and inspect from Python 3.12 on)
+    # and only favre7 reads a package file
+    from importlib.resources import files
+    text = files(__package__).joinpath("data/favre7.json").read_text(encoding="utf-8")
     _, L, expected = _parse(text)
     z = center(L)
     last = [Fraction(0)] * (L.dim - 1) + [Fraction(1)]
@@ -409,7 +409,7 @@ def build_snobl_counterexample(rng: random.Random | None = None) -> dict:
         "dim": [R1.total.dim, R2.total.dim],
         "dim_M": [fp1.dim_malcev, fp2.dim_malcev],
         "dim_Der": [fp1.dim_der, fp2.dim_der],
-        "fingerprints": [asdict(fp1), asdict(fp2)],
+        "fingerprints": [fp1._asdict(), fp2._asdict()],
         "non_isomorphic": fp1 != fp2,
     }
     checks = {

@@ -23,7 +23,6 @@ import random
 import re
 import sys
 import time
-from dataclasses import asdict
 
 from . import catalog
 from .exactlin import Mat, rref
@@ -72,6 +71,9 @@ def _resolve(src: str, rng: random.Random) -> tuple[LieAlgebra, dict]:
             param = _integer(param_text) if param_text else None
         except argparse.ArgumentTypeError:
             raise InputError(f"{src}: parameter must be an integer") from None
+        except ValueError:   # digits that int() refuses to convert
+            raise InputError(f"{name}: parameter has more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
         try:
             entry = catalog.get(name, param, rng=rng)
         except catalog.CatalogError as exc:
@@ -193,7 +195,7 @@ def _cmd_torus(args, rng, report):
 
 def _cmd_fingerprint(args, rng, report):
     L, report["input"] = _resolve(args.src, rng)
-    return asdict(fingerprint(L, rng)), {}
+    return fingerprint(L, rng)._asdict(), {}
 
 
 def _cmd_split(args, rng, report):
@@ -232,7 +234,7 @@ def _cmd_extend(args, rng, report):
         "added_dim": ext.total.dim - L.dim,
         **extra,
         "basis": list(ext.total.labels),
-        "rank_bound": asdict(bound),
+        "rank_bound": bound._asdict(),
     }, dict(certs, validated=ext.validated, rank_bound_ok=bound.ok)
 
 
@@ -243,11 +245,11 @@ def _cmd_rank_bound(args, rng, report):
     if L.is_nilpotent():
         ext = standard_solvable_extension(L, rng=rng)
         bound = verify_rank_bound(ext, rng)
-        values = dict(asdict(bound), checked_on="standard_extension",
+        values = dict(bound._asdict(), checked_on="standard_extension",
                       dim_total=ext.total.dim)
     else:
         bound = rank_bound_of(L, rng)
-        values = dict(asdict(bound), checked_on="input")
+        values = dict(bound._asdict(), checked_on="input")
     certs = {"rank_ok": bound.rank_ok}
     if bound.codim_ok is not None:
         certs["codim_ok"] = bound.codim_ok
@@ -259,7 +261,7 @@ def _cmd_togo(args, rng, report):
     b, idb = _resolve(args.srcB, rng)
     report["input"] = {"a": ida, "b": idb}
     togo = togo_dim_check(a, b)
-    return asdict(togo), {"equal": togo.equal}
+    return togo._asdict(), {"equal": togo.equal}
 
 
 def _cmd_demo_snobl(args, rng, report):

@@ -9,8 +9,7 @@ layout and proves its adjoined part before it is released.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactlin import Mat, Subspace, is_semisimple, rank
 from .liecore import (
@@ -71,7 +70,7 @@ def extend_by_derivations(N: LieAlgebra, gens: Sequence[Mat],
     computed = nilradical(ext.total, rng)
     if computed != ext.nilideal:
         raise NilradicalMismatch(ext.nilideal, computed)
-    return replace(ext, validated=True)
+    return ext._replace(validated=True)
 
 
 def standard_solvable_extension(N: LieAlgebra,
@@ -88,8 +87,7 @@ def standard_solvable_extension(N: LieAlgebra,
     return extend_by_derivations(N, torus.basis, labels, rng)
 
 
-@dataclass(frozen=True)
-class SplittingResult:
+class SplittingResult(NamedTuple):
     """M = torus_part + L by semidirect_sum's layout: L's table on M's last
     coordinates, every [t_a, e_j] inside them, M Jacobi-scanned."""
     M: LieAlgebra
@@ -152,8 +150,7 @@ def _check_splitting(r: SplittingResult) -> None:
         raise AssertionError("proof failed: nonzero torus element acts trivially")
 
 
-@dataclass(frozen=True)
-class RankBoundReport:
+class RankBoundReport(NamedTuple):
     toric_rank: int         # dim of a Cartan subalgebra of L / N
     gen_bound: int          # dim N - dim [N, N]
     rank_ok: bool
@@ -195,8 +192,7 @@ def rank_bound_of(L: LieAlgebra,
     return _rank_report(L, nilradical(L, rng), rng)
 
 
-@dataclass(frozen=True)
-class TogoReport:
+class TogoReport(NamedTuple):
     dim_der_sum: int        # dim Der(A + B), computed directly
     dim_der_a: int
     dim_der_b: int

@@ -16,11 +16,10 @@ products through one pull-back, _Coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .exactlin import (
     Mat,
@@ -401,12 +400,11 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     return LieAlgebra(a.dim + b.dim, table, labels)
 
 
-@dataclass
-class Extension:
+class Extension(NamedTuple):
     """A Lie algebra together with a designated nilpotent ideal and complement.
 
-    `validated` is set once nilradical(total) has been checked to equal the
-    designated ideal; the raw semidirect constructor leaves it False.
+    `validated` is True once nilradical(total) has been checked to equal
+    the designated ideal; the raw semidirect constructor leaves it False.
     """
     total: LieAlgebra
     nilideal: Subspace

@@ -24,7 +24,7 @@ are not kept: the cartan and torus commands print their picks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactlin import (
     Mat,
@@ -390,8 +390,7 @@ def _check_torus(torus: LinearLieAlgebra, der: LinearLieAlgebra,
 # ---------------------------------------------------------------------------
 # fingerprint
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     """Isomorphism invariants; unequal fingerprints certify non-isomorphism."""
     dim: int
     lower_central: tuple[int, ...]

@@ -3,6 +3,8 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import liekit
 from liekit import exactlin, liecore, structure
 from liekit.cli import _read_derivation_file, dispatch, main
 from liekit.exactlin import Mat, Poly, Subspace
@@ -331,6 +334,15 @@ def test_catalog_file_with_a_dim_past_the_digit_limit_is_input_error(
     assert "Traceback" not in err
 
 
+# int() refuses these digits before any builder runs
+@needs_digit_limit
+def test_catalog_parameter_past_the_digit_limit_is_input_error(capsys):
+    code, out, err = run(capsys, "info", f"heisenberg:{_over_the_digit_limit()}")
+    assert (code, out) == (2, "")
+    assert err == (f"error: heisenberg: parameter has more than "
+                   f"{sys.get_int_max_str_digits()} digits\n")
+
+
 # Fraction builds 10^|exponent| in full, which the digit limit on int() does
 # not bound: unchecked, each 12-character entry runs for minutes
 @needs_digit_limit
@@ -360,6 +372,17 @@ def test_catalog_file_with_an_exponent_past_the_digit_limit_is_input_error(
     assert (code, out) == (2, "")
     assert err == (f"error: {path}: brackets[0].terms[0]: exponent exceeds "
                    f"{sys.get_int_max_str_digits()} in magnitude\n")
+
+
+# both commands read favre7.json: info directly, the demo for its summand N7
+@pytest.mark.parametrize("argv", [("info", "favre7"), ("demo", "snobl")])
+def test_data_files_are_read_as_utf8(argv):
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "liekit.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(Path(liekit.__file__).parents[1])),
+        capture_output=True, encoding="utf-8")
+    assert proc.returncode == 0, proc.stderr
 
 
 # once as strings and once as JSON numbers

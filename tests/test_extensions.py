@@ -1,5 +1,4 @@
 import random
-from dataclasses import asdict
 from itertools import combinations
 
 import pytest
@@ -303,7 +302,7 @@ def test_togo_rejects_non_nilpotent():
 
 def test_togo_report_dict_round_trip():
     report = togo_dim_check(abelian(2), heisenberg3())
-    d = asdict(report)
+    d = report._asdict()
     assert d["equal"] is True
     assert d["dim_der_sum"] == report.predicted
 

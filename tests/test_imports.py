@@ -1,6 +1,10 @@
-"""The modules of liekit import downward only, in one fixed order."""
+"""The modules of liekit import downward only, in one fixed order, and the CLI
+loads no standard module that no command uses."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import liekit
@@ -51,3 +55,15 @@ def test_modules_import_downward_only():
             if ORDER.index(target) >= ORDER.index(name):
                 upward.add((name, func, target))
     assert upward == KNOWN_UPWARD
+
+
+def test_cli_loads_neither_dataclasses_nor_inspect():
+    # the modules site loaded at startup do not count
+    code = ("import sys; before = set(sys.modules); import liekit.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    added = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(Path(liekit.__file__).parents[1])),
+        capture_output=True, encoding="utf-8", check=True).stdout.split()
+    assert "liekit.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added)
