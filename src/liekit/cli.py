@@ -56,11 +56,20 @@ class InputError(Exception):
 # ---------------------------------------------------------------------------
 # source resolution and small renderers
 
+class _DigitLimit(argparse.ArgumentTypeError):
+    """Digits that int() refuses to convert; the message gives the limit."""
+
+
 def _integer(text: str) -> int:
-    """-?[0-9]+ only, as int() also takes "1_1", " 3", "+3" and non-ASCII digits."""
+    """-?[0-9]+ only, as int() also takes "1_1", " 3", "+3" and non-ASCII
+    digits. Past int()'s digit limit the error gives the limit, where
+    argparse would name this function and echo every digit."""
     if not re.fullmatch(r"-?[0-9]+", text):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise _DigitLimit(f"has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def _resolve(src: str, rng: random.Random) -> tuple[LieAlgebra, dict]:
@@ -69,11 +78,10 @@ def _resolve(src: str, rng: random.Random) -> tuple[LieAlgebra, dict]:
     if name in catalog.names():
         try:
             param = _integer(param_text) if param_text else None
+        except _DigitLimit as exc:
+            raise InputError(f"{name}: parameter {exc}") from None
         except argparse.ArgumentTypeError:
             raise InputError(f"{src}: parameter must be an integer") from None
-        except ValueError:   # digits that int() refuses to convert
-            raise InputError(f"{name}: parameter has more than "
-                             f"{sys.get_int_max_str_digits()} digits") from None
         try:
             entry = catalog.get(name, param, rng=rng)
         except catalog.CatalogError as exc:

@@ -9,6 +9,8 @@ The Cartan search runs on a structure-constant algebra and on a matrix
 algebra alike; on Der(L) it reads ad x from the matrices (int_ad,
 ad_traces), so Der(L)'s structure-constant table serves only the fallbacks
 (the series when every trace is 0) and is_characteristically_nilpotent.
+On n x n matrices with dim L^2 > n^3, such as Der of a Heisenberg
+algebra, a cyclic semisimple first candidate X gives H = L & Q[X].
 
 Randomized searches (Cartan subalgebras and everything downstream) take an
 explicit random.Random; results are certified by output checks, so the seed
@@ -24,6 +26,8 @@ are not kept: the cartan and torus commands print their picks.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .exactlin import (
@@ -187,22 +191,41 @@ def cartan_subalgebra(L: LieAlgebra | LinearLieAlgebra,
     section 15.1): x lies in H, so y in N(H) has A y in H and A^(s+1) y =
     0, and dim ker A^(s+1) <= m = dim H. Without the stop, dim H < m, and
     the exact normalizer, which reads only int_ad, decides.
+
+    On n x n matrices with dim L^2 > n^3 (_polynomials_first), the first
+    nonzero candidate x of the first pool, once drawn, comes first: if X =
+    L.element(x) is cyclic semisimple (_cyclic_semisimple), its centralizer
+    in gl_n is Q[X] and ad x is semisimple, so H = L0(ad x) = ker ad x = L
+    & Q[X] (_polynomial_cartan), with no count. H is abelian, and [y, x]
+    for y in N(H) lies in ker ad x and im ad x, which meet in 0. Otherwise
+    the search runs as above; the stream ends where it does either way.
     """
     return _cartan(L, rng)[0]
 
 
 def _cartan(L: LieAlgebra | LinearLieAlgebra, rng: random.Random | None
-            ) -> tuple[Subspace, LieAlgebra | LinearLieAlgebra, list[int] | None]:
-    """cartan_subalgebra's H with the algebra on its basis, restrict(L, H),
-    and the pick x whose L0(ad x) it is; L itself and None when L is
-    nilpotent, which draws nothing."""
+            ) -> tuple[Subspace, LieAlgebra | LinearLieAlgebra, bool]:
+    """cartan_subalgebra's H with the algebra on its basis, and whether
+    the pick x, H = L0(ad x), is proved cyclic semisimple, so that no
+    caller tests it again: a failed first candidate keeps its verdict, and
+    each pick is tested at most once (a structure-constant L's never). L
+    itself and False when L is nilpotent, which draws nothing."""
     rng = _rng(rng)
     if not any(L.ad_traces()) and L.is_nilpotent():
-        return L.full_space(), L, None
+        return L.full_space(), L, False
+    on_mats = isinstance(L, LinearLieAlgebra)
+    tested: tuple[list[int] | None, bool] = (None, False)   # a candidate, its test
     spread = 3
     for _round in range(4 * (L.dim + 2)):
         pool = [[rng.randint(-spread, spread) for _ in range(L.dim)]
                 for _ in range(_POOL)]
+        if not _round and on_mats and _polynomials_first(L):
+            x = next(filter(any, pool), None)
+            if x is not None:
+                X = L.element(x)
+                tested = x, _cyclic_semisimple(X)
+                if tested[1]:
+                    return (*_polynomial_cartan(L, X), True)
         best_mult, nilpotent = L.dim + 1, False
         for coeffs in filter(any, pool):
             A = L.int_ad(coeffs)
@@ -222,9 +245,68 @@ def _cartan(L: LieAlgebra | LinearLieAlgebra, rng: random.Random | None
         if nilpotent:
             if h.dim < best_mult and normalizer(L, h).dim != h.dim:
                 raise AssertionError("proof failed: L0(ad x) not self-normalizing")
-            return h, sub, pick
+            cyclic = on_mats and (tested[1] if pick is tested[0]
+                                  else _cyclic_semisimple(L.element(pick)))
+            return h, sub, cyclic
         spread += 2   # no candidate or a non-regular pick; widen and redraw
     raise AssertionError("Cartan subalgebra search failed to converge")
+
+
+def _polynomials_first(L: LinearLieAlgebra) -> bool:
+    """dim L^2 > n^3: the count reduces dim L x dim L matrices, the Q[X]
+    route n powers of an n x n one. Measured in-process, the Q[X] route was
+    faster on Der(heisenberg:3) (dim L^2 / n^3 = 1.33) to :9 and abelian:2
+    to :5, and on none of filiform:4 (0.77) to :12 (0.31)."""
+    return L.dim ** 2 > L.ambient.dim ** 3
+
+
+def _polynomial_cartan(L: LinearLieAlgebra, X: Mat
+                       ) -> tuple[Subspace, LinearLieAlgebra]:
+    """H = L0(ad x) = L & Q[X] for a cyclic semisimple X = L.element(x),
+    and its algebra.
+
+    The powers P_k = (d X)^k, k < n (d = X.den), are reduced modulo the
+    RREF span E R of L's flattened basis, over the nonzeros of E R: E P_k
+    - sum_i P_k[p_i] (E R)_i, 0 at the pivots p_i. sum_k c_k P_k lies in L
+    exactly when sum_k c_k of the residuals is 0: the kernel of that n^2 x
+    n system, whose vectors are taken over L's basis from their entries at
+    the pivots (_Coordinates.pull).
+    """
+    n, span = X.rows, L._coords.span
+    e, pivots = span.basis.den, span.pivots
+    terms = [[(j, v) for j, v in enumerate(row) if v] for row in span.basis.ints]
+    power, residuals, at_pivots = Mat.identity(n).ints, [], []
+    for _ in range(n):
+        flat = [v for row in power for v in row]
+        res = [e * v for v in flat]
+        for p, row in zip(pivots, terms):
+            if flat[p]:
+                for j, v in row:
+                    res[j] -= flat[p] * v
+        residuals.append(res)
+        at_pivots.append([flat[p] for p in pivots])
+        power = _int_product(power, X.ints)
+    coeffs = kernel([r for r in zip(*residuals) if any(r)], n)
+    rows = [L._coords.pull([sum(c * f[i] for c, f in zip(cs, at_pivots))
+                            for i in range(len(pivots))]) for cs in coeffs.basis.ints]
+    h = Subspace.span(L.dim, rows)
+    return h, _Polynomials(L.ambient, [L.element(row) for row in h.basis.data], X)
+
+
+class _Polynomials(LinearLieAlgebra):
+    """Matrices in Q[X], X cyclic: C(X) = Q[X] is commutative, so the
+    table is empty once each basis matrix commutes with X."""
+
+    def __init__(self, ambient: LieAlgebra, basis: list[Mat], X: Mat):
+        self._X = X
+        super().__init__(ambient, basis)
+
+    @cached_property
+    def table(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
+        if not all(commutator(self._X, m).is_zero() for m in self.basis):
+            raise AssertionError("proof failed: a basis matrix of L & Q[X] "
+                                 "does not commute with X")
+        return {}
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +392,11 @@ def maximal_torus(der: LinearLieAlgebra,
     T is the span of the parts s(h) over a basis of a Cartan subalgebra H
     of Der(L), as n x n matrices, the ones the Cartan search formed to
     prove H nilpotent; _check_torus proves it a maximal torus. When the
-    search's pick X = der.element(x), with H = L0(ad x), is cyclic with a
-    squarefree minimal polynomial (_cyclic_semisimple), H is a torus and T
-    is the matrix algebra the search built on H. Otherwise jordan_chevalley
+    search reports its pick X = der.element(x), with H = L0(ad x), cyclic
+    with a squarefree minimal polynomial (_cyclic_semisimple), H lies in
+    Q[X] and is a torus, and T is the matrix algebra the search built on H:
+    on the Q[X] route, the span of polynomials in X, whose table is empty
+    by one commutator with X per basis matrix. Otherwise jordan_chevalley
     gives each part and proves it semisimple. The search runs on der itself
     and reads ad x from its matrices, without Der(L)'s table unless every
     trace is 0. It is the only draw from the stream. der must be the Der(L)
@@ -320,9 +404,9 @@ def maximal_torus(der: LinearLieAlgebra,
     """
     if der is not derivations(der.ambient):
         raise LieError("maximal_torus expects a full derivation algebra")
-    _, sub, x = _cartan(der, rng)
+    _, sub, cyclic = _cartan(der, rng)
     mats = list(sub.basis)
-    if x is not None and _cyclic_semisimple(der.element(x)):
+    if cyclic:
         _check_torus(sub, der, mats, [])
         return sub
     parts = [jordan_chevalley(m).s for m in mats]
@@ -357,7 +441,8 @@ def _check_torus(torus: LinearLieAlgebra, der: LinearLieAlgebra,
     nils the parts n_i = h_i - s(h_i), none when T = H. Each part s(h_i)
     is proved semisimple before this runs: by jordan_chevalley, or as h_i
     itself when a cyclic pick proved H a torus (_cyclic_semisimple). T is
-    abelian (its table is empty) and lies in g; (i) each h_i outside T's
+    abelian (its table is empty) and lies in g, checked for the basis
+    matrices that are not h_i, elements of g; (i) each h_i outside T's
     basis commutes with T's basis (pairs inside it are T's table); (ii)
     the n_i generate a nilpotent associative algebra. The Cartan search
     returns all of g or L0(ad x) = ker A^s for an x in H, s >= dim L0. For
@@ -374,7 +459,7 @@ def _check_torus(torus: LinearLieAlgebra, der: LinearLieAlgebra,
         raise AssertionError("proof failed: torus is not abelian")
     outside = [h for h in mats if h not in torus.basis]
     for t in torus.basis:
-        if not der.contains(t):
+        if t not in mats and not der.contains(t):
             raise AssertionError("proof failed: torus generator is not a derivation")
         if not all(commutator(t, h).is_zero() for h in outside):
             raise AssertionError("proof failed: Cartan does not centralize the torus")

@@ -487,6 +487,19 @@ def test_seed_is_ascii_digits_only(capsys, seed):
     assert f"argument --seed: invalid int value: {seed!r}" in captured.err
 
 
+@needs_digit_limit
+def test_seed_past_the_digit_limit_gives_the_limit(capsys):
+    # argparse would name the converter and echo every digit
+    seed = _over_the_digit_limit()
+    assert main(["info", "heisenberg:3", "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "_integer" not in captured.err
+    assert len(captured.err) < len(seed)
+    assert (f"argument --seed: has more than {sys.get_int_max_str_digits()} digits"
+            in captured.err)
+
+
 def test_negative_seed_runs(capsys):
     code, report, _ = run_json(capsys, "info", "r2", "--seed", "-3")
     assert (code, report["seed"]) == (0, -3)
@@ -652,7 +665,9 @@ def test_only_the_commands_that_read_der_build_its_table(capsys, monkeypatch):
 def test_an_overcounted_der_search_reaches_the_exact_normalizer(capsys, monkeypatch):
     # every count one too high: the first candidate's H = L0(ad x) has
     # dim H < its count, no later count beats it, and the exact normalizer
-    # on Der(L)'s int_ad proves N(H) = H for the same pick
+    # on Der(L)'s int_ad proves N(H) = H for the same pick. The first
+    # candidate of Der(heisenberg:5) is cyclic semisimple, so the Q[X] route
+    # is turned off to reach the count; its bytes are the oracle
     argv = ("torus", "heisenberg:5", "--seed", "7", "--format", "json")
     code, want, _ = run(capsys, *argv)
     assert code == 0
@@ -663,12 +678,46 @@ def test_an_overcounted_der_search_reaches_the_exact_normalizer(capsys, monkeypa
         normalized.append(L)
         return real_normalizer(L, h)
 
+    monkeypatch.setattr(structure, "_polynomials_first", lambda L: False)
     monkeypatch.setattr(structure, "zero_multiplicity_mod_p", lambda A: real_count(A) + 1)
     monkeypatch.setattr(structure, "normalizer", normalizer)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == want
     assert normalized and all(isinstance(L, structure._Derivations) for L in normalized)
+
+
+def test_a_first_candidate_that_fails_the_cyclic_test_prints_the_same_torus(
+        capsys, monkeypatch):
+    # Der(heisenberg:7) at seed 7: the first candidate is cyclic semisimple
+    # and takes the Q[X] route. Refused once, it is ranked by the count,
+    # picked, and its refusal is kept: jordan_chevalley builds T, and the
+    # bytes are those of the Q[X] route
+    argv = ("torus", "heisenberg:7", "--seed", "7", "--format", "json")
+    formed = []
+    real_formed = structure._polynomial_cartan
+    monkeypatch.setattr(structure, "_polynomial_cartan",
+                        lambda L, X: formed.append(X) or real_formed(L, X))
+    code, want, _ = run(capsys, *argv)
+    assert code == 0 and len(formed) == 1
+    real_test, real_count = structure._cyclic_semisimple, structure.zero_multiplicity_mod_p
+    tested, counted, parts = [], [], []
+
+    def refuse_first(X):
+        tested.append(X)
+        return len(tested) > 1 and real_test(X)
+
+    real_jc = structure.jordan_chevalley
+    monkeypatch.setattr(structure, "_cyclic_semisimple", refuse_first)
+    monkeypatch.setattr(structure, "zero_multiplicity_mod_p",
+                        lambda A: counted.append(A) or real_count(A))
+    monkeypatch.setattr(structure, "jordan_chevalley",
+                        lambda m: parts.append(m) or real_jc(m))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == want
+    assert len(formed) == 1 and len(tested) == 1 and tested[0] == formed[0]
+    assert counted and len(parts) == 4
 
 
 @pytest.mark.parametrize("flag, want", [(False, 0), (True, 2)])

@@ -838,10 +838,55 @@ def test_a_cyclic_pick_returns_the_cartan_subalgebra_as_the_torus(monkeypatch, s
             m.setattr(liecore, "induced_table", table)
             m.setattr(structure, "commutator", commutator)
             torus = maximal_torus(der, random.Random(seed))
-        _, sub, x = searched[-1]
-        assert structure._cyclic_semisimple(der.element(x)), (name, param)
+        _, sub, cyclic = searched[-1]
+        assert cyclic, (name, param)
         assert torus is sub, (name, param)
         assert after == [], (name, param)
+
+
+def test_the_polynomial_cartan_is_the_search_cartan(monkeypatch):
+    # oracle: with the Q[X] route on for every size, each H it forms is the
+    # H of the count search on the same stream, which ends in the same place.
+    # The size rule, dim Der^2 > n^3, sends only filiform to the count
+    ders = [derivations(catalog.get(name, n).algebra)
+            for name, n in (("heisenberg", 3), ("heisenberg", 5), ("heisenberg", 7),
+                            ("filiform", 5), ("filiform", 8), ("abelian", 2),
+                            ("abelian", 3))]
+    assert ([structure._polynomials_first(der) for der in ders]
+            == [True, True, True, False, False, True, True])
+    formed = _counting(monkeypatch, "_polynomial_cartan")
+    hits = []
+    for der in ders:
+        hits.append(0)
+        for seed in range(10):
+            formed.clear()
+            rng, ref = random.Random(seed), random.Random(seed)
+            with monkeypatch.context() as m:
+                m.setattr(structure, "_polynomials_first", lambda L: True)
+                got, _, cyclic = structure._cartan(der, rng)
+            with monkeypatch.context() as m:
+                m.setattr(structure, "_polynomials_first", lambda L: False)
+                want, _, ref_cyclic = structure._cartan(der, ref)
+            assert (got, cyclic) == (want, ref_cyclic), (der, seed)
+            assert rng.getstate() == ref.getstate(), (der, seed)
+            if formed:
+                (L, X), = formed
+                assert L is der and cyclic
+                x = exactlin._scaled_vec(der.coords(X), der.dim)[1]
+                assert got == exactlin.kernel(der.int_ad(x), der.dim)
+                hits[-1] += 1
+    assert hits == [7, 10, 10, 4, 4, 8, 10]
+
+
+def test_a_polynomial_span_rejects_a_matrix_outside_q_x():
+    # diag(1, 2) is cyclic, and E_01 does not commute with it
+    L = abelian(2)
+    X, e = Mat([[1, 0], [0, 2]]), Mat([[0, 1], [0, 0]])
+    assert structure._Polynomials(L, [Mat.identity(2), X], X).table == {}
+    with pytest.raises(AssertionError,
+                       match="^proof failed: a basis matrix of L & Q\\[X\\] "
+                             "does not commute with X$"):
+        structure._Polynomials(L, [X, e], X)
 
 
 def test_maximal_torus_draws_only_the_cartan_search():
