@@ -74,10 +74,10 @@ def _integer(text: str) -> int:
 
 def _resolve(src: str, rng: random.Random) -> tuple[LieAlgebra, dict]:
     """Catalog name (with optional ``name:param``) first, then file path."""
-    name, _, param_text = src.partition(":")
+    name, colon, param_text = src.partition(":")
     if name in catalog.names():
         try:
-            param = _integer(param_text) if param_text else None
+            param = _integer(param_text) if colon else None
         except _DigitLimit as exc:
             raise InputError(f"{name}: parameter {exc}") from None
         except argparse.ArgumentTypeError:

@@ -6,11 +6,10 @@ bracket loops, and bracket and ad divide their results once. Systems built
 from the table reach exactlin as integer rows (only their kernels and
 spans are used, which no nonzero row scaling changes); all subspace
 outputs are canonical RREF bases, so identical inputs give identical
-bases. A LinearLieAlgebra is a bracket-closed space of matrices
-(derivation algebras, tori, acting parts of semidirect sums). Every table
-built from another one (subalgebras, basis changes, matrix algebras)
-comes from induced_table, which reads its coordinates from integer
-products through one pull-back, _Coordinates.
+bases. A LinearLieAlgebra is a bracket-closed Subspace of gl(n)
+(derivation algebras, tori). Every table built from another one comes from
+induced_table, over an RREF basis at the pivots (_span_coords), over a
+basis the caller fixes (change_basis, semidirect_sum) by _Coordinates.
 """
 
 from __future__ import annotations
@@ -309,9 +308,9 @@ def induced_table(k: int, product: Callable[[int, int], object],
     """Structure constants of a k-dimensional space closed under a product.
 
     `product(a, b)` is the product of basis elements a < b in ambient terms,
-    as an integer vector with its denominator, and `coords` (_Coordinates)
-    re-expresses it over the basis (None when it lies outside the span,
-    which raises NotClosedError with the pair).
+    as an integer vector with its denominator, and `coords` (_span_coords,
+    or _Coordinates) re-expresses it over the basis (None when it lies
+    outside the span, which raises NotClosedError with the pair).
     """
     table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for a in range(k):
@@ -325,43 +324,48 @@ def induced_table(k: int, product: Callable[[int, int], object],
     return table
 
 
+def _span_coords(s: Subspace) -> Callable[[tuple[list[int], int]], tuple | None]:
+    """The map (w, D) -> coordinates of w / D over s's RREF rows, or None
+    outside s: the entries of w at the pivots, over D (int_coords)."""
+    def coords(vec):
+        cs = s.int_coords(vec[0])
+        return None if cs is None else tuple(_unscaled(cs, vec[1]))
+    return coords
+
+
 class _Coordinates:
-    """The map (w, D) -> coordinates of w / D over the independent rows of
-    basis B, or None outside their span: the one pull-back. With R = T B
-    the RREF (span) and T held as t T, Subspace.int_coords(w) on R gives D
-    c_i, c_i those over the rows of R, and pull takes integer coordinates
-    over R's rows to t times those over B, summed over the nonzeros of t T:
-    one per coordinate when B is in RREF (restrict, derivations), as T = I.
-    """
+    """The map (w, D) -> coordinates of w / D over the rows of a basis B
+    the caller fixes, or None outside their span: with R = T B the RREF,
+    int_coords gives D times those over R's rows, taken over B by T."""
 
     def __init__(self, basis: Mat):
-        R, piv, T = rref_with_transform(basis)
+        R, piv, self._T = rref_with_transform(basis)
         if len(piv) != basis.rows:
             raise ValueError("basis rows are linearly dependent")
-        self.span, self._t = Subspace(basis.cols, R, piv), T.den
-        self._to_basis = [[(b, x) for b, x in enumerate(trow) if x] for trow in T.ints]
-
-    def pull(self, cs: Sequence[int]) -> list[int]:
-        """t sum_i cs_i T_i: cs over R's rows, taken over B."""
-        acc = [0] * len(self._to_basis)
-        for f, trow in zip(cs, self._to_basis):
-            if f:
-                for b, x in trow:
-                    acc[b] += f * x
-        return acc
+        self._span = Subspace(basis.cols, R, piv)
 
     def __call__(self, vec: tuple[list[int], int]) -> tuple[Fraction, ...] | None:
-        w, den = vec
-        cs = self.span.int_coords(w)
-        return None if cs is None else tuple(_unscaled(self.pull(cs), den * self._t))
+        cs = self._span.int_coords(vec[0])
+        return None if cs is None else tuple(
+            _unscaled(_int_product([cs], self._T.ints)[0], vec[1] * self._T.den))
 
 
-def _on_rows(L: LieAlgebra, basis: Mat, labels: Sequence[str] | None) -> LieAlgebra:
+def _on_rows(L: LieAlgebra, basis: Mat, coords: Callable,
+             labels: Sequence[str] | None) -> LieAlgebra:
     """The algebra on the rows of basis; den d^2 [b_a, b_b] is integral, d = basis.den."""
     rows, den = basis.ints, L.den * basis.den ** 2
     table = induced_table(basis.rows, lambda a, b: (L.int_bracket(rows[a], rows[b]), den),
-                          _Coordinates(basis))
+                          coords)
     return LieAlgebra(basis.rows, table, labels)
+
+
+def _image(s: Subspace, L: LinearLieAlgebra) -> Subspace:
+    """s.basis @ L.span.basis from the nonzeros of L's rows R: in RREF, with
+    L's pivots at s's, as row i is R_(q_i) plus rows R_q, q > q_i, off s's."""
+    span = L.span
+    rows = [[v for row in L._int_sum(x) for v in row] for x in s.basis.ints]
+    return Subspace(span.ambient, Mat._of(s.basis.den * span.basis.den, rows, span.ambient),
+                    tuple(span.pivots[q] for q in s.pivots))
 
 
 def restrict(L: LieAlgebra | LinearLieAlgebra, s: Subspace
@@ -371,8 +375,8 @@ def restrict(L: LieAlgebra | LinearLieAlgebra, s: Subspace
     if s.ambient != L.dim:
         raise ValueError("subspace ambient must match the algebra dimension")
     if isinstance(L, LinearLieAlgebra):
-        return LinearLieAlgebra(L.ambient, [L.element(row) for row in s.basis.data])
-    return _on_rows(L, s.basis, tuple(f"s{i + 1}" for i in range(s.dim)))
+        return LinearLieAlgebra(L.ambient, _image(s, L))
+    return _on_rows(L, s.basis, _span_coords(s), tuple(f"s{i + 1}" for i in range(s.dim)))
 
 
 def change_basis(L: LieAlgebra, p: Mat) -> LieAlgebra:
@@ -380,7 +384,7 @@ def change_basis(L: LieAlgebra, p: Mat) -> LieAlgebra:
     must be invertible (ValueError)."""
     if p.shape != (L.dim, L.dim):
         raise ValueError("basis matrix must be dim x dim")
-    return _on_rows(L, p, None)
+    return _on_rows(L, p, _Coordinates(p), None)
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
@@ -412,64 +416,65 @@ class Extension(NamedTuple):
     validated: bool = False
 
 
+def _commutators(vecs: Mat, n: int) -> Callable[[int, int], tuple[list[int], int]]:
+    """(a, b) -> [m_a, m_b] row-major as (integer vector, D^2), for the n x
+    n matrices m_a whose flattened rows vecs holds as (D, D m_a)."""
+    m = [[row[i * n:(i + 1) * n] for i in range(n)] for row in vecs.ints]
+    return lambda a, b: ([x - y for r1, r2 in zip(_int_product(m[a], m[b]),
+                                                  _int_product(m[b], m[a]))
+                          for x, y in zip(r1, r2)], vecs.den ** 2)
+
+
 class LinearLieAlgebra:
     """A bracket-closed space of n x n matrices with induced constants.
 
-    The closure witness is the induced structure-constant table itself: the
-    commutator of every pair of basis elements is re-expressed over the basis
-    during construction, and failure raises NotClosedError with the pair.
-    This runs over the integers. Basis matrix a is held as (d_a, d_a m_a)
-    (Mat.den, Mat.ints), so [m_a, m_b] is an integer matrix over d_a d_b,
-    read by _Coordinates on the basis flattened row-major. Der(L), closed by
-    theorem, sets _deferred: its table and witness wait for the first read.
+    span is its Subspace of Q^(n^2), matrices flattened row-major, held as
+    (E, E R); the basis is R's rows as matrices, built on first read, and
+    a matrix's coordinates are its entries at the pivots p_i. The closure
+    witness is the table: each commutator E^2 [R_a, R_b] is re-expressed
+    over the basis at construction, or NotClosedError names the pair.
+    Der(L), closed by theorem, sets _deferred: its table waits for a read.
 
-    The Cartan search reads ad x from the matrices, not from the table:
-    int_ad and ad_traces read commutators only at the pivots of the RREF
-    of the flattened basis, which closure makes enough. The table serves
-    is_nilpotent (the series of to_abstract, built once per instance).
+    The Cartan search reads ad x from the rows (int_ad, ad_traces), at the
+    pivots only, which closure makes enough. The table serves is_nilpotent
+    (the series of to_abstract, built once per instance).
     """
 
     _deferred = False
 
-    def __init__(self, ambient: LieAlgebra, basis: Sequence[Mat]):
-        self.ambient = ambient
-        self.basis = tuple(basis)
-        n = ambient.dim
-        for m in self.basis:
-            if m.shape != (n, n):
-                raise ValueError("basis matrices must match the ambient dimension")
-        self._vecs = Mat.vecs(self.basis, n * n)   # D m_a flattened, one den D
-        self._coords = _Coordinates(self._vecs)
+    def __init__(self, ambient: LieAlgebra, span: Subspace):
+        if span.ambient != ambient.dim ** 2:
+            raise ValueError("span must lie in gl(n), n the ambient dimension")
+        self.ambient, self.span = ambient, span
         if not self._deferred:
             self.table   # the closure witness, at construction
 
     @cached_property
-    def table(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
-        return induced_table(len(self.basis), self._commutator, self._coords)
+    def basis(self) -> tuple[Mat, ...]:
+        n, e = self.ambient.dim, self.span.basis.den
+        return tuple(Mat.from_flat(n, n, row, e) for row in self.span.basis.ints)
 
-    def _commutator(self, a: int, b: int) -> tuple[list[int], int]:
-        """[m_a, m_b] vectorized row-major, as (integer vector, denominator)."""
-        A, B = self.basis[a], self.basis[b]
-        return ([x - y for r1, r2 in zip(_int_product(A.ints, B.ints),
-                                         _int_product(B.ints, A.ints))
-                 for x, y in zip(r1, r2)], A.den * B.den)
+    @cached_property
+    def table(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
+        return induced_table(self.dim, _commutators(self.span.basis, self.ambient.dim),
+                             _span_coords(self.span))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.span.dim
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim)
 
     @cached_property
     def _entries(self) -> list[list[tuple[int, int, int]]]:
-        """The nonzeros (row, column, value) of each D m_a."""
+        """The nonzeros (row, column, value) of each E R_a."""
         n = self.ambient.dim
         return [[(*divmod(p, n), v) for p, v in enumerate(row) if v]
-                for row in self._vecs.ints]
+                for row in self.span.basis.ints]
 
     def _int_sum(self, x: Sequence[int]) -> list[list[int]]:
-        """D sum_a x_a m_a for an integer vector x, as rows."""
+        """E sum_a x_a R_a for an integer vector x, as rows."""
         n = self.ambient.dim
         out = [[0] * n for _ in range(n)]
         for c, ents in zip(x, self._entries):
@@ -482,21 +487,20 @@ class LinearLieAlgebra:
         if len(coeffs) != self.dim:
             raise ValueError("coefficient count must match the dimension")
         d, x = _scaled_vec(coeffs, self.dim)
-        return Mat._of(d * self._vecs.den, self._int_sum(x), self.ambient.dim)
+        return Mat._of(d * self.span.basis.den, self._int_sum(x), self.ambient.dim)
 
     def int_ad(self, x: Sequence[int]) -> list[list[int]]:
-        """D^2 t ad x for an integer vector x, as rows over the basis.
+        """E^2 ad x for an integer vector x, as rows over the basis.
 
-        With X = D sum_a x_a m_a (_int_sum), column a holds [X, D m_a] =
-        D^2 [x, m_a] at the pivots p_i of R: its coordinates over R's rows,
-        since the span is closed, pulled back over the basis by t T. Each
-        nonzero v at (r, k) of D m_a adds X[i][r] v at the pivots (i, k)
-        and takes v X[k][j] off at the pivots (r, j); no other entry of a
-        commutator is formed.
+        With X = E sum_a x_a R_a (_int_sum), column a holds [X, E R_a] =
+        E^2 [x, R_a] at the pivots p_i: its coordinates over the rows of R,
+        since the span is closed. Each nonzero v at (r, k) of E R_a adds
+        X[i][r] v at the pivots (i, k) and takes v X[k][j] off at the
+        pivots (r, j); no other entry of a commutator is formed.
         """
         n, X = self.ambient.dim, self._int_sum(x)
         by_col, by_row = [[] for _ in range(n)], [[] for _ in range(n)]
-        for i, p in enumerate(self._coords.span.pivots):
+        for i, p in enumerate(self.span.pivots):
             pr, pc = divmod(p, n)
             by_col[pc].append((i, pr))
             by_row[pr].append((i, pc))
@@ -509,17 +513,17 @@ class LinearLieAlgebra:
                 xk = X[k]
                 for i, pc in by_row[r]:
                     out[i] -= v * xk[pc]
-            cols.append(self._coords.pull(out))
+            cols.append(out)
         return [list(row) for row in zip(*cols)]
 
     def ad_traces(self) -> list[int]:
-        """E D tr ad m_a for each basis matrix, E R the RREF's integer rows.
+        """E^2 tr ad R_a for each basis matrix R_a.
 
         tr ad X = sum_j [X, R_j] at p_j, the diagonal over R's rows: a linear
         form <w, X>. A nonzero v at (r, k) of E R_j, p_j = (i, c), gives w
         v at (i, r) when k = c and -v at (k, c) when r = i.
         """
-        n, span = self.ambient.dim, self._coords.span
+        n, span = self.ambient.dim, self.span
         w = [[0] * n for _ in range(n)]
         for p, row in zip(span.pivots, span.basis.ints):
             i, c = divmod(p, n)
@@ -544,7 +548,7 @@ class LinearLieAlgebra:
         """Coefficients of m over the basis, or None when m is outside."""
         if m.shape != (self.ambient.dim, self.ambient.dim):
             raise ValueError("matrix shape must match the ambient dimension")
-        return self._coords(([x for row in m.ints for x in row], m.den))
+        return _span_coords(self.span)(([x for row in m.ints for x in row], m.den))
 
     def contains(self, m: Mat) -> bool:
         return self.coords(m) is not None
@@ -561,21 +565,25 @@ def semidirect_sum(mats: Sequence[Mat], inner: LieAlgebra,
                    act_labels: Sequence[str] | None = None) -> Extension:
     """Semidirect sum of a matrix Lie algebra acting on `inner`.
 
-    The span of the generators must be closed under matrix commutators
-    (NotClosedError). Then Jacobi can fail only on triples (t_a, e_i, e_j),
-    where it is the Leibniz rule of t_a on (e_i, e_j): the first such failure
-    raises NotADerivationError(a, (i, j)). Generator coordinates come first
-    in the result, `inner` embeds as the trailing coordinates (an ideal).
+    The generators must be independent (ValueError) and their span closed
+    under matrix commutators (NotClosedError, the pair in their order).
+    Then Jacobi can fail only on triples (t_a, e_i, e_j), where it is the
+    Leibniz rule of t_a on (e_i, e_j): the first such failure raises
+    NotADerivationError(a, (i, j)). Generator coordinates come first in the
+    result, `inner` embeds as the trailing coordinates (an ideal).
     """
     n = inner.dim
     d = len(mats)
     for idx, m in enumerate(mats):
         if m.shape != (n, n):
             raise ValueError(f"generator {idx} is not {n}x{n}")
-    acting = LinearLieAlgebra(inner, mats)
+    vecs = Mat.vecs(mats, n * n)
+    span = Subspace.span(n * n, vecs.ints)   # when it is vecs, read at the pivots
+    coords = _span_coords(span) if span.basis == vecs else _Coordinates(vecs)
+    acting = induced_table(d, _commutators(vecs, n), coords)
     if act_labels is None:
         act_labels = [f"t{i + 1}" for i in range(d)]
-    blocks = direct_sum(LieAlgebra(d, acting.table, act_labels), inner)
+    blocks = direct_sum(LieAlgebra(d, acting, act_labels), inner)
     table = dict(blocks.table)
     for a in range(d):
         for j in range(n):

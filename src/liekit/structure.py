@@ -48,6 +48,7 @@ from .liecore import (
     LinearLieAlgebra,
     _basis_ads,
     _cached,
+    _image,
     center,
     derived_algebra,
     killing_radical,
@@ -108,8 +109,7 @@ def _derivations(L: LieAlgebra) -> LinearLieAlgebra:
                     block[u][t * n + j] -= c
             rows.extend(row for row in block if any(row))
     ker = kernel(rows, n * n)
-    der = _Derivations(L, [Mat.from_flat(n, n, row, ker.basis.den)
-                           for row in ker.basis.ints])
+    der = _Derivations(L, ker)
     # ad-images are always derivations; their span must land inside the
     # computed Der(L), whose matrix span is ker
     inner = inner_derivations(L)
@@ -265,14 +265,13 @@ def _polynomial_cartan(L: LinearLieAlgebra, X: Mat
     """H = L0(ad x) = L & Q[X] for a cyclic semisimple X = L.element(x),
     and its algebra.
 
-    The powers P_k = (d X)^k, k < n (d = X.den), are reduced modulo the
-    RREF span E R of L's flattened basis, over the nonzeros of E R: E P_k
-    - sum_i P_k[p_i] (E R)_i, 0 at the pivots p_i. sum_k c_k P_k lies in L
-    exactly when sum_k c_k of the residuals is 0: the kernel of that n^2 x
-    n system, whose vectors are taken over L's basis from their entries at
-    the pivots (_Coordinates.pull).
+    The powers P_k = (d X)^k, k < n (d = X.den), are reduced modulo L's
+    span E R, over the nonzeros of E R: E P_k - sum_i P_k[p_i] (E R)_i, 0
+    at the pivots p_i. sum_k c_k P_k lies in L exactly when sum_k c_k of
+    the residuals is 0: the kernel of that n^2 x n system, whose vectors
+    have as coordinates over L's basis their entries at the pivots.
     """
-    n, span = X.rows, L._coords.span
+    n, span = X.rows, L.span
     e, pivots = span.basis.den, span.pivots
     terms = [[(j, v) for j, v in enumerate(row) if v] for row in span.basis.ints]
     power, residuals, at_pivots = Mat.identity(n).ints, [], []
@@ -287,19 +286,19 @@ def _polynomial_cartan(L: LinearLieAlgebra, X: Mat
         at_pivots.append([flat[p] for p in pivots])
         power = _int_product(power, X.ints)
     coeffs = kernel([r for r in zip(*residuals) if any(r)], n)
-    rows = [L._coords.pull([sum(c * f[i] for c, f in zip(cs, at_pivots))
-                            for i in range(len(pivots))]) for cs in coeffs.basis.ints]
+    rows = [[sum(c * f[i] for c, f in zip(cs, at_pivots)) for i in range(len(pivots))]
+            for cs in coeffs.basis.ints]
     h = Subspace.span(L.dim, rows)
-    return h, _Polynomials(L.ambient, [L.element(row) for row in h.basis.data], X)
+    return h, _Polynomials(L.ambient, _image(h, L), X)
 
 
 class _Polynomials(LinearLieAlgebra):
     """Matrices in Q[X], X cyclic: C(X) = Q[X] is commutative, so the
     table is empty once each basis matrix commutes with X."""
 
-    def __init__(self, ambient: LieAlgebra, basis: list[Mat], X: Mat):
+    def __init__(self, ambient: LieAlgebra, span: Subspace, X: Mat):
         self._X = X
-        super().__init__(ambient, basis)
+        super().__init__(ambient, span)
 
     @cached_property
     def table(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
@@ -411,9 +410,7 @@ def maximal_torus(der: LinearLieAlgebra,
         return sub
     parts = [jordan_chevalley(m).s for m in mats]
     n = der.ambient.dim
-    span = Subspace.span(n * n, Mat.vecs(parts, n * n).ints).basis
-    basis = [Mat.from_flat(n, n, row, span.den) for row in span.ints]
-    torus = LinearLieAlgebra(der.ambient, basis)
+    torus = LinearLieAlgebra(der.ambient, Subspace.span(n * n, Mat.vecs(parts, n * n).ints))
     # h_i - s_i from the parts T was built of, so that (ii) tests them
     _check_torus(torus, der, mats, [m - s for m, s in zip(mats, parts)])
     return torus

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -469,6 +470,15 @@ def test_non_integer_parameter_is_input_error(capsys):
     assert "integer" in err
 
 
+@pytest.mark.parametrize("src", ["favre7:", "r2:", "heisenberg:"])
+def test_a_colon_with_no_parameter_is_input_error(capsys, src):
+    # an empty parameter is not the absent one: favre7 and r2 take none
+    code, out, err = run(capsys, "info", src)
+    assert code == 2
+    assert out == ""
+    assert f"error: {src}: parameter must be an integer" in err
+
+
 # each is heisenberg:3 to int(): underscores, spaces, a sign, non-ASCII digits
 @pytest.mark.parametrize("param", ["0_3", " 3", "3 ", "+3", "３", "٣"])
 def test_parameter_is_ascii_digits_only(capsys, param):
@@ -639,14 +649,15 @@ def test_a_der_not_closed_under_commutators_fails_its_sample(capsys, monkeypatch
 
 
 def test_only_the_commands_that_read_der_build_its_table(capsys, monkeypatch):
-    # Der(L)'s table is the induced_table over the commutators of its basis
-    real, built = liecore.induced_table, []
+    # Der(L)'s table is built on its first read, as the cached property
+    real, built = structure._Derivations, []
 
-    def counted(k, product, coords):
-        if isinstance(getattr(product, "__self__", None), structure._Derivations):
-            built.append(k)
-        return real(k, product, coords)
-    monkeypatch.setattr(liecore, "induced_table", counted)
+    class Counted(real):
+        @cached_property
+        def table(self):
+            built.append(self.dim)
+            return real.table.func(self)
+    monkeypatch.setattr(structure, "_Derivations", Counted)
     # der heisenberg:3 and fingerprint r2 run the catalog dim_der gate too;
     # the Cartan search of torus heisenberg:k reads ad x from the matrices
     for argv in (["fingerprint", "heisenberg:5"], ["fingerprint", "r2"],
@@ -660,6 +671,32 @@ def test_only_the_commands_that_read_der_build_its_table(capsys, monkeypatch):
     # every tr ad D of Der(favre7) is 0, so the table's series decides
     assert run(capsys, "torus", "favre7")[0] == 0
     assert built == [10]
+
+
+def test_only_a_basis_the_caller_fixes_builds_a_coordinate_transform(
+        capsys, monkeypatch, tmp_path):
+    # a matrix algebra is its RREF span, read at the pivots; the transform
+    # of _Coordinates serves change_basis and semidirect_sum's generators
+    # when they are not in RREF
+    real, built = liecore._Coordinates, []
+
+    def counted(basis):
+        built.append(basis.shape)
+        return real(basis)
+    monkeypatch.setattr(liecore, "_Coordinates", counted)
+    for argv in (["torus", "heisenberg:7"], ["cartan", "filiform:8"],
+                 ["nilradical", "diagonal_torus_extension:3"],
+                 ["fingerprint", "heisenberg:5"]):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert built == []
+    # the rotation comes first; the RREF of the span leads with the identity
+    src = write_json(tmp_path, "so2.json",
+                     {"matrices": [[["0", "1"], ["-1", "0"]], [["1", "0"], ["0", "1"]]]})
+    assert run(capsys, "extend", "--by", src, "abelian:2")[0] == 0
+    assert built == [(2, 4)]
+    liecore.change_basis(liecore.LieAlgebra(2, {(0, 1): [(1, 1)]}),
+                         Mat([[1, 1], [0, 1]]))
+    assert built == [(2, 4), (2, 2)]
 
 
 def test_an_overcounted_der_search_reaches_the_exact_normalizer(capsys, monkeypatch):

@@ -27,8 +27,8 @@ from liekit.liecore import (
     series,
     verify_structure,
 )
-from liekit.structure import derivations, maximal_torus
-from oracles import apply, bracket_basis
+from liekit.structure import cartan_subalgebra, derivations, maximal_torus
+from oracles import apply, bracket_basis, gl_span
 
 F = Fraction
 
@@ -261,10 +261,10 @@ def test_semidirect_rejects_unclosed_span():
     assert exc.value.pair == (0, 1)
     # the same closure check guards every induced structure-constant table
     with pytest.raises(NotClosedError) as exc:
-        LinearLieAlgebra(abelian(2), [e12, e21])
+        LinearLieAlgebra(abelian(2), gl_span(2, [e12, e21]))
     assert exc.value.pair == (0, 1)
-    with pytest.raises(ValueError):
-        LinearLieAlgebra(abelian(2), [e12, 3 * e12])
+    with pytest.raises(ValueError):   # a span outside gl(2)
+        LinearLieAlgebra(abelian(2), Subspace.span(3, [[1, 0, 0]]))
     with pytest.raises(ValueError):
         change_basis(sl2(), Mat([[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
 
@@ -370,13 +370,16 @@ def test_product_space_refuses_a_subspace_of_another_ambient():
 
 
 def test_linear_lie_algebra_coords_over_a_basis_that_is_not_rref():
+    # the basis is the RREF of the span; a given basis is read over it
     rng = random.Random(53)
 
     def rand_rat():
         return F(rng.randint(-9, 9), rng.randint(1, 4))
 
     rot = Mat([[0, 1], [-1, 0]])
-    torus = LinearLieAlgebra(abelian(2), [rot, Mat.identity(2)])
+    torus = LinearLieAlgebra(abelian(2), gl_span(2, [rot, Mat.identity(2)]))
+    assert torus.basis == (Mat([[1, 0], [0, 1]]), Mat([[0, 1], [-1, 0]]))
+    assert torus.coords(rot) == (0, 1) and torus.coords(Mat.identity(2)) == (1, 0)
     for coeffs in [(1, 0), (0, 1), (F(2, 3), -5)]:
         m = torus.element(coeffs)
         assert torus.coords(m) == tuple(F(c) for c in coeffs)
@@ -384,7 +387,8 @@ def test_linear_lie_algebra_coords_over_a_basis_that_is_not_rref():
     assert torus.coords(Mat([[0, 1], [0, 0]])) is None
     assert not torus.contains(Mat([[0, 1], [0, 0]]))
 
-    # dense recombinations: all of gl(2), and Der(h3) on a mixed basis
+    # dense recombinations of RREF bases: all of gl(2), and Der(h3); row i
+    # of p holds the coordinates of the i-th recombined matrix
     units = [Mat([[int((i, j) == (r, c)) for j in range(2)] for i in range(2)])
              for r in range(2) for c in range(2)]
     der = derivations(heisenberg3()).basis
@@ -397,7 +401,9 @@ def test_linear_lie_algebra_coords_over_a_basis_that_is_not_rref():
                 break
         basis = [sum((c * m for c, m in zip(row, mats)), Mat.zeros(n, n))
                  for row in p.data]
-        lin = LinearLieAlgebra(ambient, basis)
+        lin = LinearLieAlgebra(ambient, gl_span(n, basis))
+        assert lin.basis == tuple(mats)
+        assert [lin.coords(m) for m in basis] == [tuple(row) for row in p.data]
         for _ in range(5):
             coeffs = tuple(rand_rat() for _ in range(k))
             m = lin.element(coeffs)
@@ -408,19 +414,20 @@ def test_linear_lie_algebra_coords_over_a_basis_that_is_not_rref():
 
 
 def _matrix_algebras():
-    """Der of eight catalog algebras (RREF bases), a torus and two bases
+    """Der of eight catalog algebras, a torus and the spans of two bases
     that are not in RREF: a rotation torus and a dense recombination of the
-    sl2 action on the plane, as semidirect_sum's acting algebra."""
+    sl2 action on the plane, semidirect_sum's acting algebra."""
     out = [derivations(catalog.get(name, k).algebra)
            for name, k in (("heisenberg", 3), ("heisenberg", 5), ("heisenberg", 7),
                            ("filiform", 5), ("filiform", 8), ("favre7", None),
                            ("r2", None), ("diagonal_torus_extension", 2))]
     out.append(maximal_torus(derivations(catalog.get("heisenberg", 5).algebra),
                              random.Random(3)))
-    out.append(LinearLieAlgebra(abelian(2), [Mat([[0, 1], [-1, 0]]), Mat.identity(2)]))
+    out.append(LinearLieAlgebra(abelian(2), gl_span(2, [Mat([[0, 1], [-1, 0]]),
+                                                        Mat.identity(2)])))
     e, f, h = Mat([[0, 1], [0, 0]]), Mat([[0, 0], [1, 0]]), Mat([[1, 0], [0, -1]])
     mixed = [F(2, 3) * e + 5 * h, f - F(1, 2) * e, h + e + 3 * f]
-    acting = LinearLieAlgebra(abelian(2), mixed)
+    acting = LinearLieAlgebra(abelian(2), gl_span(2, mixed))
     assert semidirect_sum(mixed, abelian(2)).total.dim == 5
     out.append(acting)
     return out
@@ -436,18 +443,17 @@ def _positive_multiple(a, b):
 
 def test_matrix_int_ad_is_a_positive_multiple_of_the_table_int_ad():
     rng = random.Random(61)
-    algebras = _matrix_algebras()
-    # the last two bases are not in RREF: int_ad pulls back through T
-    assert all(rref_with_transform(lin._vecs)[2] != Mat.identity(lin.dim)
-               for lin in algebras[-2:])
-    for lin in algebras:
-        table = lin.to_abstract()
+    for lin in _matrix_algebras():
+        table, e = lin.to_abstract(), lin.span.basis.den
         units = [[int(i == j) for j in range(lin.dim)] for i in range(lin.dim)]
         samples = units + [[rng.randint(-3, 3) for _ in range(lin.dim)] for _ in range(4)]
         for x in samples:
             got, want = lin.int_ad(x), table.int_ad(x)
             assert _positive_multiple([c for row in got for c in row],
                                       [c for row in want for c in row]), (lin, x)
+            # E^2 ad x and den ad x
+            assert [[c * table.den for c in row] for row in got] == \
+                [[c * e * e for c in row] for row in want], (lin, x)
 
 
 def test_matrix_traces_equal_the_table_traces():
@@ -459,6 +465,8 @@ def test_matrix_traces_equal_the_table_traces():
                 for A in (table.int_ad(e) for e in liecore._units(lin.dim))]
         assert table.ad_traces() == want
         assert _positive_multiple(lin.ad_traces(), want), lin
+        e = lin.span.basis.den
+        assert [c * table.den for c in lin.ad_traces()] == [c * e * e for c in want]
         nonzero += any(want)
     assert nonzero >= 6
 
@@ -474,6 +482,26 @@ def test_linear_lie_algebra_element_matches_the_sum_of_scaled_matrices():
             assert lin.element(coeffs) == want
 
 
+def test_a_subspace_of_a_matrix_algebra_is_in_rref_over_its_span():
+    # s.basis @ L.span.basis is the RREF of its own rows, with L's pivots
+    # at s's, and its matrices are L's elements at s's rows
+    rng = random.Random(71)
+    for lin in _matrix_algebras():
+        n = lin.ambient.dim
+        for k in range(0, lin.dim + 1, max(1, lin.dim // 4)):
+            rows = [[rng.choice((0, 0, 1, -2, F(1, 3))) for _ in range(lin.dim)]
+                    for _ in range(k)]
+            s = Subspace.span(lin.dim, rows)
+            image = liecore._image(s, lin)
+            assert image.basis == s.basis @ lin.span.basis
+            again = Subspace.span(n * n, image.basis.ints)
+            assert image == again and image.pivots == again.pivots
+            assert [Mat.from_flat(n, n, row) for row in image.basis.data] == \
+                [lin.element(row) for row in s.basis.data]
+        h = cartan_subalgebra(lin, random.Random(5))
+        assert restrict(lin, h).basis == tuple(lin.element(row) for row in h.basis.data)
+
+
 def _flat(m):
     """The entries of m, row-major."""
     return tuple(x for row in m.data for x in row)
@@ -481,7 +509,7 @@ def _flat(m):
 
 def test_linear_lie_algebra_rejects_a_matrix_of_the_wrong_shape():
     e11 = Mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    lin = LinearLieAlgebra(abelian(3), [e11])
+    lin = LinearLieAlgebra(abelian(3), gl_span(3, [e11]))
     assert lin.coords(e11) == (1,)
     for m in (Mat([[1, 0], [0, 0]]), Mat([[1]]), Mat([_flat(e11)]),
               Mat([[x] for x in _flat(e11)])):
@@ -532,14 +560,14 @@ def test_linear_lie_algebra_table_matches_the_fraction_oracle():
                         ("so2_torus_extension", None),
                         ("diagonal_torus_extension", 2)]:
         der = derivations(catalog.get(name, param).algebra)
-        cases.append((der.ambient, der.basis))
+        cases.append((der.ambient, der.basis, True))
     # Der of seeded dense unimodular basis changes
     rng = random.Random(9)
     for name, param in [("heisenberg", 5), ("filiform", 6),
                         ("diagonal_torus_extension", 2)]:
         L = catalog.get(name, param).algebra
         M = change_basis(L, _unimodular(rng, L.dim, 3 * L.dim))
-        cases.append((M, derivations(M).basis))
+        cases.append((M, derivations(M).basis, True))
     # non-RREF bases with mixed denominators, so T is not the identity
     for L in (heisenberg3(), catalog.get("filiform", 5).algebra, sl2()):
         mats = derivations(L).basis
@@ -553,33 +581,52 @@ def test_linear_lie_algebra_table_matches_the_fraction_oracle():
                  for row in p.data]
         T = rref_with_transform(Mat([_flat(m) for m in basis], cols=n * n))[2]
         assert T != Mat.identity(k)
-        cases.append((L, basis))
-    for ambient, basis in cases:
-        lin = LinearLieAlgebra(ambient, basis)
-        assert lin.table == _fraction_table(ambient, basis)
+        cases.append((L, basis, False))
+    for ambient, basis, in_rref in cases:
+        want = _fraction_table(ambient, basis)
+        # semidirect_sum's acting table is over the generators as given,
+        # read at the pivots when they are in RREF and through T otherwise
+        total, k = semidirect_sum(basis, ambient).total, len(basis)
+        assert {key: list(terms) for key, terms in total.table.items()
+                if key[1] < k} == want
+        # a matrix algebra is its span, whose basis is the RREF
+        lin = LinearLieAlgebra(ambient, gl_span(ambient.dim, basis))
+        assert lin.table == _fraction_table(ambient, lin.basis)
+        assert (lin.basis == tuple(basis)) == in_rref
+        if in_rref:
+            assert lin.table == want
         assert all(isinstance(c, Fraction) for terms in lin.table.values()
                    for _, c in terms)
 
 
 def test_not_closed_error_names_a_later_pair_off_the_pivots():
-    # basis E00/2, E11/3, X = E01 + E12 of a span in gl(3); the RREF pivots of
-    # its row-major vectors are columns 0, 1 and 4
+    # generators E00/2, E11/3, X = E01 + E12 of a span in gl(3); the RREF
+    # pivots of their row-major vectors are columns 0, 1 and 4
     def unit(r, c):
         return Mat([[int((i, j) == (r, c)) for j in range(3)] for i in range(3)])
     x = unit(0, 1) + unit(1, 2)
     basis = [F(1, 2) * unit(0, 0), F(1, 3) * unit(1, 1), x]
-    assert Subspace.span(9, [_flat(m) for m in basis]).pivots == (0, 1, 4)
+    span = gl_span(3, basis)
+    assert span.pivots == (0, 1, 4)
     # the first pair commutes; [E00/2, X] = E01/2 agrees with X/2 at every
     # pivot column and leaves the span only at column 5
     assert commutator(basis[0], basis[1]).is_zero()
     bad = commutator(basis[0], basis[2])
     diff = _flat(bad - F(1, 2) * x)
     assert [j for j, v in enumerate(diff) if v] == [5]
+    # semidirect_sum names the pair in the generators' order, which is not
+    # the RREF: reversed, [X, E11/3] = (E01 - E12)/3 leaves the span first
+    for gens, pair in ((basis, (0, 2)), (basis[::-1], (0, 1))):
+        with pytest.raises(NotClosedError) as exc:
+            semidirect_sum(gens, abelian(3))
+        assert exc.value.pair == pair
+    # the span's own basis is E00, X, E11 (pivots 0, 1, 4): the same
+    # commutator is its pair (0, 1)
     with pytest.raises(NotClosedError) as exc:
-        LinearLieAlgebra(abelian(3), basis)
-    assert exc.value.pair == (0, 2)
+        LinearLieAlgebra(abelian(3), span)
+    assert exc.value.pair == (0, 1)
     # coords and contains read the same check: span{X} has its pivot at 1
-    line = LinearLieAlgebra(abelian(3), [x])
+    line = LinearLieAlgebra(abelian(3), gl_span(3, [x]))
     assert line.coords(F(1, 2) * x) == (F(1, 2),)
     assert line.coords(bad) is None and not line.contains(bad)
 

@@ -43,7 +43,7 @@ from liekit.structure import (
     maximal_torus,
     nilradical,
 )
-from oracles import apply, bracket_basis
+from oracles import apply, bracket_basis, gl_span
 
 # the benchmark's seeded dense basis changes, written as catalog JSON
 _spec = importlib.util.spec_from_file_location(
@@ -672,14 +672,14 @@ def test_der_table_read_late_equals_the_eager_table(build):
     L = build()
     der = derivations(L)
     assert "table" not in vars(der)   # not built by derivations
-    assert der.table == LinearLieAlgebra(L, der.basis).table
+    assert der.table == LinearLieAlgebra(L, gl_span(L.dim, der.basis)).table
     assert der.table is der.table
 
 
 def test_reading_the_table_of_an_unclosed_der_names_the_pair():
     # span{E12, E21} on abelian(2): [E12, E21] = diag(1, -1) leaves it
     L, mats = abelian(2), [Mat([[0, 1], [0, 0]]), Mat([[0, 0], [1, 0]])]
-    der = structure._Derivations(L, mats)   # no witness at construction
+    der = structure._Derivations(L, gl_span(2, mats))   # no witness at construction
     with pytest.raises(NotClosedError) as exc:
         der.table
     assert exc.value.pair == (0, 1)
@@ -777,7 +777,8 @@ def test_torus_check_rejects_a_non_abelian_span():
     L = abelian(2)
     h, e = Mat([[1, 0], [0, -1]]), Mat([[0, 1], [0, 0]])
     with pytest.raises(AssertionError, match="not abelian"):
-        structure._check_torus(LinearLieAlgebra(L, [h, e]), derivations(L), [], [])
+        structure._check_torus(LinearLieAlgebra(L, gl_span(2, [h, e])), derivations(L),
+                               [], [])
 
 
 def test_torus_check_rejects_a_cartan_outside_the_centralizer():
@@ -788,7 +789,8 @@ def test_torus_check_rejects_a_cartan_outside_the_centralizer():
     for mats in ([e], [h, e]):
         with pytest.raises(AssertionError,
                            match="^proof failed: Cartan does not centralize the torus$"):
-            structure._check_torus(LinearLieAlgebra(L, [h]), derivations(L), mats, [e])
+            structure._check_torus(LinearLieAlgebra(L, gl_span(2, [h])), derivations(L),
+                                   mats, [e])
 
 
 def test_torus_check_rejects_a_generator_outside_der():
@@ -796,7 +798,7 @@ def test_torus_check_rejects_a_generator_outside_der():
     L = heisenberg3()
     with pytest.raises(AssertionError,
                        match="^proof failed: torus generator is not a derivation$"):
-        structure._check_torus(LinearLieAlgebra(L, [Mat.identity(3)]),
+        structure._check_torus(LinearLieAlgebra(L, gl_span(3, [Mat.identity(3)])),
                                derivations(L), [], [])
 
 
@@ -882,11 +884,11 @@ def test_a_polynomial_span_rejects_a_matrix_outside_q_x():
     # diag(1, 2) is cyclic, and E_01 does not commute with it
     L = abelian(2)
     X, e = Mat([[1, 0], [0, 2]]), Mat([[0, 1], [0, 0]])
-    assert structure._Polynomials(L, [Mat.identity(2), X], X).table == {}
+    assert structure._Polynomials(L, gl_span(2, [Mat.identity(2), X]), X).table == {}
     with pytest.raises(AssertionError,
                        match="^proof failed: a basis matrix of L & Q\\[X\\] "
                              "does not commute with X$"):
-        structure._Polynomials(L, [X, e], X)
+        structure._Polynomials(L, gl_span(2, [X, e]), X)
 
 
 def test_maximal_torus_draws_only_the_cartan_search():
@@ -924,7 +926,7 @@ def test_maximal_torus_matches_the_closed_forms(seed):
 
 def test_maximal_torus_requires_derivation_flag():
     L = heisenberg3()
-    plain = LinearLieAlgebra(L, derivations(L).basis)
+    plain = LinearLieAlgebra(L, derivations(L).span)
     with pytest.raises(LieError):
         maximal_torus(plain)
 
